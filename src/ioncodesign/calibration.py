@@ -86,11 +86,8 @@ def simulate_calibration(phi_grid, tau_grid, c2_true: float, shots: int,
 
 
 def _model_residual(curve: CalibrationCurve, c2: float) -> float:
-    total = 0.0
-    for i, phi_in in enumerate(curve.phi_in):
-        pred = np.array([return_probability(phi_in, c2 * tau) for tau in curve.tau])
-        total += float(np.sum((curve.p_return[i] - pred) ** 2))
-    return total
+    pred = return_probability(curve.phi_in[:, None], c2 * curve.tau[None, :])
+    return float(np.sum((curve.p_return - pred) ** 2))
 
 
 def fit_c2(curve: CalibrationCurve, c2_max: float = 10.0) -> dict:

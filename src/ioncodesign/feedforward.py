@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .motional_noise import hyp1f2
+from .motional_noise import hyp1f2, series_lambda
 from .trotter import TimedCircuit, TimedGate
 from .spinsim import GateSpec
 
@@ -23,6 +23,7 @@ SCAN_STEP = 1e-3  # rad, dense-scan resolution
 REFINE_TOL = 1e-6  # rad, local refinement tolerance
 MEMO_PITCH_PHI = 1e-2  # rad, memo grid pitch in phi_p
 MEMO_PITCH_LAM = 1e-2  # memo grid pitch in lambda
+_SCAN_CACHE_SIZE = 2  # lambdas whose dense-scan factors are kept, ~0.6 MiB each
 
 
 @dataclass(frozen=True)
@@ -43,27 +44,75 @@ def gate_fidelity(phi, phi_p):
     return np.cos((np.asarray(phi) - phi_p) / 4.0) ** 2
 
 
-def avg_gate_fidelity(phi_in, phi_p: float, lam: float):
+def avg_gate_fidelity(phi_in, phi_p, lam):
     """Average of gate_fidelity over the noisy-angle distribution.
 
-    Valid for either sign of phi_in and phi_p; lam=0 reduces exactly to
-    the noiseless gate fidelity. Accepts scalar or array phi_in.
+    Valid for either sign of phi_in and phi_p. All three arguments
+    broadcast. Entries with lam = 0, or so small that 0.5/lam overflows,
+    reduce exactly to the noiseless gate fidelity. Scalar arguments give
+    a float. The lambda-only factors are computed apart from the phi_p
+    combine, so the dense scan of optimal_input_angle computes them once
+    per lambda and reuses them for every phi_p.
     """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    return _combine(_fidelity_parts(phi_in, lam), phi_p)
+
+
+def _fidelity_parts(phi_in, lam):
+    """The factors of avg_gate_fidelity that do not depend on phi_p.
+
+    Returns (phi_in, noisy mask, factors): factors are 0.5 cos(phi_in/2),
+    the two 1F2 prefactors and the two 1F2 arrays, or None if no entry
+    is noisy.
+    """
     phi_in = np.asarray(phi_in, dtype=float)
-    if lam == 0:
-        out = gate_fidelity(phi_in, phi_p)
-        return out if out.ndim else float(out)
+    lam, noisy, half = series_lambda(lam)
+    if not noisy.any():
+        return phi_in, noisy, None
     z = -(phi_in**2) / 16.0
-    half = 0.5 / lam
-    out = (0.5
-           + 0.5 * np.cos(phi_in / 2.0) * np.cos(phi_p / 2.0)
-           + (phi_in**2 * lam / (8.0 + 16.0 * lam)) * np.cos(phi_p / 2.0)
-           * hyp1f2(1.0 + half, 1.5, 2.0 + half, z)
-           + (phi_in / (4.0 + 4.0 * lam)) * np.sin(phi_p / 2.0)
-           * hyp1f2(0.5 + half, 1.5, 1.5 + half, z))
+    return phi_in, noisy, (0.5 * np.cos(phi_in / 2.0),
+                           phi_in**2 * lam / (8.0 + 16.0 * lam),
+                           hyp1f2(1.0 + half, 1.5, 2.0 + half, z),
+                           phi_in / (4.0 + 4.0 * lam),
+                           hyp1f2(0.5 + half, 1.5, 1.5 + half, z))
+
+
+def _combine(parts, phi_p):
+    """avg_gate_fidelity from its phi_p-independent parts."""
+    phi_in, noisy, factors = parts
+    if factors is None:
+        out = gate_fidelity(phi_in, phi_p) + np.zeros(noisy.shape)
+    else:
+        hc, k1, h1, k2, h2 = factors
+        cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
+        out = 0.5 + hc * cp + k1 * cp * h1 + k2 * sp * h2
+        if not noisy.all():
+            out = np.where(noisy, out, gate_fidelity(phi_in, phi_p))
     return out if out.ndim else float(out)
+
+
+_scan_cache: dict = {}  # (lam, cap) -> (grid, parts), oldest first
+
+
+def _scan(lam: float, cap: float):
+    """The dense scan grid on [0, cap] and its lambda-only fidelity parts.
+
+    Corner solves that share lambda share one entry. Only the last
+    _SCAN_CACHE_SIZE lambdas are kept, so callers that solve corners in
+    lambda order reuse each entry for its whole lambda row. An entry is a
+    pure function of its key and its arrays are read-only, so sharing it
+    between tables cannot change a result.
+    """
+    key = (lam, cap)
+    if key not in _scan_cache:
+        grid = np.arange(0.0, cap + SCAN_STEP, SCAN_STEP)
+        grid[-1] = cap
+        parts = _fidelity_parts(grid, lam)
+        for array in (grid, *(parts[2] or ())):
+            array.flags.writeable = False
+        if len(_scan_cache) >= _SCAN_CACHE_SIZE:
+            del _scan_cache[next(iter(_scan_cache))]
+        _scan_cache[key] = grid, parts
+    return _scan_cache[key]
 
 
 def optimal_input_angle(query: ControlQuery) -> dict:
@@ -71,16 +120,17 @@ def optimal_input_angle(query: ControlQuery) -> dict:
 
     Negative desired angles are handled by symmetry: the landscape is
     invariant under flipping the sign of both angles, so the optimum for
-    -phi_p is -phi_in*. Ties break toward the smaller |phi_in|.
+    -phi_p is -phi_in*. Ties break toward the smaller |phi_in|. The dense
+    scan's lambda-only factors come from a small cache shared by queries
+    with the same lambda and cap.
     """
     if query.phi_p < 0:
         flipped = optimal_input_angle(ControlQuery(-query.phi_p, query.lam, query.phi_cap))
         return {"phi_in_star": -flipped["phi_in_star"],
                 "fidelity_star": flipped["fidelity_star"]}
     phi_p, lam, cap = query.phi_p, query.lam, query.phi_cap
-    grid = np.arange(0.0, cap + SCAN_STEP, SCAN_STEP)
-    grid[-1] = cap
-    values = avg_gate_fidelity(grid, phi_p, lam)
+    grid, parts = _scan(lam, cap)
+    values = _combine(parts, phi_p)
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
@@ -119,28 +169,59 @@ class FeedforwardTable:
             self._corners[key] = (res["phi_in_star"], res["fidelity_star"])
         return self._corners[key]
 
-    def lookup(self, phi_p: float, lam: float) -> dict:
-        if phi_p < 0:
-            res = self.lookup(-phi_p, lam)
-            return {"phi_in_star": -res["phi_in_star"],
-                    "fidelity_star": res["fidelity_star"]}
-        if lam == 0:
-            return {"phi_in_star": min(phi_p, self.phi_cap),
-                    "fidelity_star": float(gate_fidelity(min(phi_p, self.phi_cap), phi_p))}
-        i0, fx = divmod(phi_p / MEMO_PITCH_PHI, 1.0)
-        j0, fy = divmod(lam / MEMO_PITCH_LAM, 1.0)
-        i0, j0 = int(i0), int(j0)
-        corners = [self._corner(i, j) for i in (i0, i0 + 1) for j in (j0, j0 + 1)]
-        interp = ((1 - fx) * (1 - fy) * corners[0][0]
-                  + (1 - fx) * fy * corners[1][0]
-                  + fx * (1 - fy) * corners[2][0]
-                  + fx * fy * corners[3][0])
-        candidates = np.array([interp] + [c[0] for c in corners]
-                              + [min(phi_p, self.phi_cap), 0.0, self.phi_cap])
-        candidates = np.clip(candidates, 0.0, self.phi_cap)
-        fids = avg_gate_fidelity(candidates, phi_p, lam)
-        best = int(np.argmax(fids))
-        return {"phi_in_star": float(candidates[best]), "fidelity_star": float(fids[best])}
+    def lookup(self, phi_p, lam) -> dict:
+        """Memoized optimal input angles for desired angles phi_p at lambdas lam.
+
+        phi_p and lam broadcast. Scalars give a dict of floats, arrays a
+        dict of arrays of the broadcast shape. All noisy entries weigh
+        their 8 candidates in one vectorized avg_gate_fidelity call. The
+        corners they need are read once per distinct corner, in lambda
+        order, so missing corners that share lambda share one dense scan
+        in optimal_input_angle. Negative phi_p map by symmetry to
+        -phi_in*, and lam = 0 returns min(phi_p, phi_cap).
+        """
+        phi_p, lam = np.broadcast_arrays(np.asarray(phi_p, dtype=float),
+                                         np.asarray(lam, dtype=float))
+        shape = phi_p.shape
+        phi_p, lam = phi_p.ravel(), lam.ravel()
+        if np.any(~(lam >= 0)):
+            raise ValueError("lambda must be non-negative")
+        negative = phi_p < 0
+        target = np.where(negative, -phi_p, phi_p)
+        star = np.minimum(target, self.phi_cap)
+        fid = gate_fidelity(star, target)
+        noisy = lam > 0
+        if noisy.any():
+            star[noisy], fid[noisy] = self._interpolate(target[noisy], lam[noisy])
+        star = np.where(negative, -star, star)
+        if not shape:
+            return {"phi_in_star": float(star[0]), "fidelity_star": float(fid[0])}
+        return {"phi_in_star": star.reshape(shape), "fidelity_star": fid.reshape(shape)}
+
+    def _interpolate(self, phi_p: np.ndarray, lam: np.ndarray):
+        """Best of the 8 candidates for each (phi_p >= 0, lam > 0) entry."""
+        cap = self.phi_cap
+        i0, fx = np.divmod(phi_p / MEMO_PITCH_PHI, 1.0)
+        j0, fy = np.divmod(lam / MEMO_PITCH_LAM, 1.0)
+        # corner k of entry n is (i0 + di, j0 + dj), (di, dj) = (0,0), (0,1), (1,0), (1,1)
+        ci = i0.astype(np.int64)[:, None] + [0, 0, 1, 1]
+        cj = j0.astype(np.int64)[:, None] + [0, 1, 0, 1]
+        keys, inverse = np.unique(np.stack([cj.ravel(), ci.ravel()], axis=1),
+                                  axis=0, return_inverse=True)
+        solved = np.array([self._corner(int(i), int(j))[0] for j, i in keys])
+        c = solved[inverse.reshape(ci.shape)]
+        interp = ((1 - fx) * (1 - fy) * c[:, 0]
+                  + (1 - fx) * fy * c[:, 1]
+                  + fx * (1 - fy) * c[:, 2]
+                  + fx * fy * c[:, 3])
+        n = phi_p.size
+        candidates = np.column_stack([interp, c, np.minimum(phi_p, cap),
+                                      np.zeros(n), np.full(n, cap)])
+        candidates = np.clip(candidates, 0.0, cap)
+        fids = avg_gate_fidelity(candidates, phi_p[:, None], lam[:, None])
+        best = np.argmax(fids, axis=1)
+        rows = np.arange(n)
+        return candidates[rows, best], fids[rows, best]
 
 
 def correct_circuit(circuit: TimedCircuit, c2: float,
@@ -148,7 +229,8 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
     """Replace each noisy gate's angle with the feedforward optimum.
 
     The desired output angle is the gate's nominal angle and lambda is
-    c2 times the gate's start time. Non-noisy gates pass through.
+    c2 times the gate's start time; all noisy gates go through one table
+    lookup. Non-noisy gates pass through.
     """
     if c2 < 0:
         raise ValueError("c2 must be non-negative")
@@ -156,12 +238,11 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
         return circuit
     if table is None:
         table = FeedforwardTable()
-    gates = []
-    for g in circuit.gates:
-        if not g.noisy:
-            gates.append(g)
-            continue
-        res = table.lookup(g.spec.angle, c2 * g.start_time)
-        spec = GateSpec(g.spec.kind, g.spec.sites, res["phi_in_star"])
-        gates.append(TimedGate(spec=spec, start_time=g.start_time, noisy=g.noisy))
-    return TimedCircuit(circuit.n_qubits, tuple(gates), circuit.total_duration)
+    noisy = [g for g in circuit.gates if g.noisy]
+    res = table.lookup(np.array([g.spec.angle for g in noisy], dtype=float),
+                       c2 * np.array([g.start_time for g in noisy], dtype=float))
+    angles = iter(res["phi_in_star"].tolist())
+    gates = tuple(TimedGate(spec=GateSpec(g.spec.kind, g.spec.sites, next(angles)),
+                            start_time=g.start_time, noisy=True) if g.noisy else g
+                  for g in circuit.gates)
+    return TimedCircuit(circuit.n_qubits, gates, circuit.total_duration)

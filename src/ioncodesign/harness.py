@@ -65,11 +65,31 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        for name in ("feedforward", "correlated"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(name, "must be true or false")
+        for name in ("r", "n_times", "n_omega", "n_runs", "seed"):
+            value = getattr(self, name)
+            if name == "n_runs" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(name, "must be an integer")
+        for name in ("c2", "t_g", "gamma", "t_max", "omega_min", "omega_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+                raise ConfigError(name, "must be a number")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be non-negative")
         if self.c2 < 0:
             raise ConfigError("c2", "must be non-negative")
         if self.t_g <= 0:
             raise ConfigError("t_g", "must be positive")
-        if not self.r_values or any(int(r) != r or r < 1 for r in self.r_values):
+        try:
+            valid = len(self.r_values) > 0 and all(
+                not isinstance(r, bool) and int(r) == r >= 1 for r in self.r_values)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
             raise ConfigError("r_values", "must be a non-empty list of positive integers")
         self.r_values = tuple(int(r) for r in self.r_values)
         if self.r < 1:
@@ -109,8 +129,6 @@ class ExperimentConfig:
                 raise
             raise ConfigError("hamiltonian", str(exc)) from exc
         kwargs = {k: v for k, v in data.items() if k != "hamiltonian"}
-        if "r_values" in kwargs:
-            kwargs["r_values"] = tuple(kwargs["r_values"])
         try:
             return cls(hamiltonian=ham, **kwargs)
         except TypeError as exc:

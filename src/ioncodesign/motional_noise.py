@@ -15,6 +15,10 @@ import numpy as np
 
 _MAX_SERIES_TERMS = 500
 _SERIES_Z_LIMIT = 150.0  # beyond this, double-precision series cancellation bites
+# Largest 0.5/lambda the 1F2 series of the noise model takes: beyond it the
+# series' (b1 + k)(b2 + k) overflows, and the lambda = 0 value is exact to
+# far below double precision anyway.
+_SERIES_HALF_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -140,47 +144,98 @@ def short_time_pdf(dist: AngleDistribution, phi):
     return out if out.ndim else float(out)
 
 
-def hyp1f2(a: float, b1: float, b2: float, z):
+def hyp1f2(a, b1, b2, z):
     """Generalized hypergeometric 1F2 by direct series summation.
 
     Entire in z, so the series always converges; terms are accumulated
-    until they fall below 1e-16 of the running sum. Accepts scalar or
-    array z (a, b1, b2 are scalars). For large negative z the alternating
-    terms cancel catastrophically in double precision, so those entries
-    are evaluated in arbitrary precision instead.
+    until they fall below 1e-16 of the running sum. All four arguments
+    broadcast against each other. With all four scalar the series runs
+    on plain floats and a float is returned; otherwise every entry is
+    summed in one array series that stops once all entries have
+    converged. For large negative z the alternating terms cancel
+    catastrophically in double precision, so entries with |z| > 150 are
+    evaluated one by one in arbitrary precision instead.
     """
+    if all(np.ndim(v) == 0 for v in (a, b1, b2, z)):
+        a, b1, b2, z = float(a), float(b1), float(b2), float(z)
+        for b in (b1, b2):
+            if b <= 0 and b.is_integer():
+                raise ValueError("b parameters must not be non-positive integers")
+        if abs(z) > _SERIES_Z_LIMIT:
+            return _hyp1f2_mpmath(a, b1, b2, z)
+        term = total = 1.0
+        for k in range(_MAX_SERIES_TERMS):
+            term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
+            total = total + term
+            if abs(term) < 1e-16 * max(abs(total), 1e-300):
+                return total
+        raise RuntimeError("1F2 series did not converge")
+    a, b1, b2, z = (np.asarray(v, dtype=float) for v in (a, b1, b2, z))
     for b in (b1, b2):
-        if b <= 0 and b == int(b):
+        if np.any((b <= 0) & (b == np.floor(b))):
             raise ValueError("b parameters must not be non-positive integers")
-    z = np.asarray(z, dtype=float)
-    if np.any(np.abs(z) > _SERIES_Z_LIMIT):
-        import mpmath
+    shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
+    big = np.broadcast_to(np.abs(z) > _SERIES_Z_LIMIT, shape)
+    if not big.any():
+        return _hyp1f2_series(a, b1, b2, z)
+    out = np.empty(shape)
+    a, b1, b2, z = np.broadcast_arrays(a, b1, b2, z)
+    out[big] = [_hyp1f2_mpmath(*args) for args in zip(a[big], b1[big], b2[big], z[big])]
+    small = ~big
+    out[small] = _hyp1f2_series(a[small], b1[small], b2[small], z[small])
+    return out
 
-        flat = np.atleast_1d(z).astype(float)
-        out = np.array([float(mpmath.hyper([a], [b1, b2], zz)) for zz in flat])
-        return out.reshape(z.shape) if z.ndim else float(out[0])
-    term = np.ones_like(z)
-    total = np.ones_like(z)
+
+def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
+    shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
+    term = np.ones(shape)
+    total = np.ones(shape)
     for k in range(_MAX_SERIES_TERMS):
         term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
         total = total + term
         if np.all(np.abs(term) < 1e-16 * np.maximum(np.abs(total), 1e-300)):
-            break
-    else:
-        raise RuntimeError("1F2 series did not converge")
-    return total if total.ndim else float(total)
+            return total
+    raise RuntimeError("1F2 series did not converge")
 
 
-def return_probability(phi_in, lam: float):
-    """Average probability of returning to |down,down> after a noisy XX gate."""
-    if lam < 0:
+def _hyp1f2_mpmath(a, b1, b2, z) -> float:
+    import mpmath
+
+    return float(mpmath.hyper([a], [b1, b2], z))
+
+
+def series_lambda(lam):
+    """Validated lambda, its noisy-branch mask, and 0.5/lam for the 1F2 series.
+
+    Entries with lambda = 0, or so small that 0.5/lam overflows (or exceeds
+    1e300), take the noiseless branch: they are masked out and their
+    0.5/lam reads 1.0, a placeholder the callers discard.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(~(lam >= 0)):
         raise ValueError("lambda must be non-negative")
+    with np.errstate(divide="ignore", over="ignore"):
+        half = 0.5 / lam
+    noisy = half <= _SERIES_HALF_MAX
+    return lam, noisy, np.where(noisy, half, 1.0)
+
+
+def return_probability(phi_in, lam):
+    """Average probability of returning to |down,down> after a noisy XX gate.
+
+    phi_in and lam broadcast; entries on the noiseless branch (see
+    `series_lambda`) return the noiseless cos^2(phi_in/4).
+    """
     phi_in = np.asarray(phi_in, dtype=float)
+    lam, noisy, half = series_lambda(lam)
     base = np.cos(phi_in / 4.0) ** 2
-    if lam == 0:
-        return base if base.ndim else float(base)
-    correction = (phi_in**2 * lam / (8.0 + 16.0 * lam)) \
-        * hyp1f2(1.0 + 0.5 / lam, 1.5, 2.0 + 0.5 / lam, -(phi_in**2) / 16.0)
+    correction = np.zeros(lam.shape)
+    if noisy.any():
+        correction = np.where(
+            noisy,
+            (phi_in**2 * lam / (8.0 + 16.0 * lam))
+            * hyp1f2(1.0 + half, 1.5, 2.0 + half, -(phi_in**2) / 16.0),
+            0.0)
     out = base + correction
     return out if out.ndim else float(out)
 

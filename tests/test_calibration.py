@@ -5,6 +5,7 @@ import pytest
 
 from ioncodesign.calibration import (
     CalibrationCurve,
+    _model_residual,
     fit_c2,
     fit_phase_damping,
     simulate_calibration,
@@ -20,6 +21,23 @@ def analytic_curve(c2, phi_grid=None, tau_grid=None):
     p = np.array([[return_probability(phi, c2 * tau) for tau in tau_grid]
                   for phi in phi_grid])
     return CalibrationCurve(phi_grid, tau_grid, p, shots=10**9)
+
+
+def _loop_residual(curve, c2):
+    """Per-point residual, summed row by row, as before it was vectorized."""
+    total = 0.0
+    for i, phi_in in enumerate(curve.phi_in):
+        pred = np.array([return_probability(phi_in, c2 * tau) for tau in curve.tau])
+        total += float(np.sum((curve.p_return[i] - pred) ** 2))
+    return total
+
+
+def test_vectorized_residual_matches_loop():
+    curve = simulate_calibration(np.linspace(0.5, 2 * np.pi, 8), np.linspace(0.0, 60.0, 13),
+                                 0.02, 2000, seed=3)
+    for c2 in (0.0, 1e-6, 0.005, 0.02, 0.3, 10.0):
+        assert _model_residual(curve, c2) == pytest.approx(_loop_residual(curve, c2),
+                                                           rel=1e-12)
 
 
 def test_fit_recovers_exactly_from_analytic_data():

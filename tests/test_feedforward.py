@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+
+from ioncodesign import default_instance
 
 from ioncodesign.feedforward import (
     ControlQuery,
@@ -15,7 +19,7 @@ from ioncodesign.feedforward import (
     optimal_input_angle,
 )
 from ioncodesign.hamiltonian import SpinHamiltonian
-from ioncodesign.trotter import build_trotter_circuit
+from ioncodesign.trotter import GateTiming, build_trotter_circuit
 
 
 def test_avg_fidelity_noiseless_limit():
@@ -84,6 +88,109 @@ def test_table_lookup_zero_noise_and_negative():
     assert res["phi_in_star"] == pytest.approx(1.1)
     res = table.lookup(-2.0, 0.3)
     assert res["phi_in_star"] < 0
+
+
+def _oracle_lookup(table, phi_p, lam):
+    """Per-gate table lookup as it was before lookups were batched."""
+    if phi_p < 0:
+        res = _oracle_lookup(table, -phi_p, lam)
+        return {"phi_in_star": -res["phi_in_star"], "fidelity_star": res["fidelity_star"]}
+    if lam == 0:
+        return {"phi_in_star": min(phi_p, table.phi_cap),
+                "fidelity_star": float(gate_fidelity(min(phi_p, table.phi_cap), phi_p))}
+    i0, fx = divmod(phi_p / 1e-2, 1.0)
+    j0, fy = divmod(lam / 1e-2, 1.0)
+    i0, j0 = int(i0), int(j0)
+    corners = [table._corner(i, j) for i in (i0, i0 + 1) for j in (j0, j0 + 1)]
+    interp = ((1 - fx) * (1 - fy) * corners[0][0]
+              + (1 - fx) * fy * corners[1][0]
+              + fx * (1 - fy) * corners[2][0]
+              + fx * fy * corners[3][0])
+    candidates = np.array([interp] + [c[0] for c in corners]
+                          + [min(phi_p, table.phi_cap), 0.0, table.phi_cap])
+    candidates = np.clip(candidates, 0.0, table.phi_cap)
+    fids = avg_gate_fidelity(candidates, phi_p, lam)
+    best = int(np.argmax(fids))
+    return {"phi_in_star": float(candidates[best]), "fidelity_star": float(fids[best])}
+
+
+@pytest.mark.parametrize("r,t_g", [(3, 0.01), (6, 0.01), (55, 0.01),
+                                   (3, 0.04), (6, 0.04), (55, 0.04)])
+def test_batched_lookup_is_bit_identical_to_per_gate_oracle(r, t_g):
+    c2 = 0.02
+    table = FeedforwardTable()
+    for t in (0.0, 1.3, 6.0):
+        circuit = build_trotter_circuit(default_instance(), t, r, GateTiming(t_g=t_g))
+        noisy = [g for g in circuit.gates if g.noisy]
+        phi_p = np.array([g.spec.angle for g in noisy])
+        lam = c2 * np.array([g.start_time for g in noisy])
+        batched = table.lookup(phi_p, lam)
+        want = [_oracle_lookup(table, float(p), float(l)) for p, l in zip(phi_p, lam)]
+        assert batched["phi_in_star"].tolist() == [w["phi_in_star"] for w in want]
+        assert batched["fidelity_star"].tolist() == [w["fidelity_star"] for w in want]
+        corrected = correct_circuit(circuit, c2, table)
+        assert [g.spec.angle for g in corrected.gates if g.noisy] == \
+            [w["phi_in_star"] for w in want]
+
+
+def test_lookup_scalar_and_array_shapes():
+    table = FeedforwardTable()
+    scalar = table.lookup(2.5, 0.5)
+    assert isinstance(scalar["phi_in_star"], float)
+    assert isinstance(scalar["fidelity_star"], float)
+    grid = table.lookup(np.array([[2.5, -2.5, 0.0]]), np.array([[0.5], [0.0]]))
+    assert grid["phi_in_star"].shape == grid["fidelity_star"].shape == (2, 3)
+    assert grid["phi_in_star"][0, 0] == scalar["phi_in_star"]
+    assert grid["phi_in_star"][0, 1] == -scalar["phi_in_star"]
+    assert grid["phi_in_star"][1].tolist() == [2.5, -2.5, 0.0]
+    empty = table.lookup(np.array([]), np.array([]))
+    assert empty["phi_in_star"].shape == (0,)
+    with pytest.raises(ValueError):
+        table.lookup(np.array([1.0, 1.0]), np.array([0.1, -0.1]))
+
+
+def test_corner_solves_share_the_dense_scan_per_lambda(monkeypatch):
+    from ioncodesign import feedforward
+
+    parts_calls = []
+    original = feedforward._fidelity_parts
+
+    def counting(phi_in, lam):
+        parts_calls.append(np.size(phi_in))
+        return original(phi_in, lam)
+
+    monkeypatch.setattr(feedforward, "_fidelity_parts", counting)
+    feedforward._scan_cache.clear()
+    table = FeedforwardTable()
+    phi_p = np.array([0.503, 1.207, 2.911, 0.503])
+    table.lookup(phi_p, np.full(4, 0.315))
+    scans = [n for n in parts_calls if n > 100]
+    assert len(table._corners) == 12  # 3 distinct phi cells x 2 corners x 2 lambda rows
+    assert len(scans) == 2  # one dense scan per lambda row
+    assert len(feedforward._scan_cache) <= 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(phi_in=st.floats(-4 * math.pi, 4 * math.pi), phi_p=st.floats(-4 * math.pi, 4 * math.pi),
+       lam=st.floats(0.0, 20.0))
+def test_avg_fidelity_is_between_zero_and_one(phi_in, phi_p, lam):
+    # near a zero of the fidelity the closed form cancels to rounding level
+    assert -1e-12 <= avg_gate_fidelity(phi_in, phi_p, lam) <= 1.0 + 1e-12
+
+
+_SHARED_TABLE = FeedforwardTable()
+
+
+@settings(max_examples=25, deadline=None)
+@given(phi_p=st.floats(-4 * math.pi, 4 * math.pi), lam=st.floats(0.0, 3.0))
+def test_lookup_is_at_least_as_good_as_trivial_inputs(phi_p, lam):
+    res = _SHARED_TABLE.lookup(phi_p, lam)
+    cap = _SHARED_TABLE.phi_cap
+    sign = -1.0 if phi_p < 0 else 1.0
+    for trivial in (min(abs(phi_p), cap), 0.0, cap):
+        assert res["fidelity_star"] >= avg_gate_fidelity(sign * trivial, phi_p, lam) - 1e-12
+    assert res["fidelity_star"] == pytest.approx(
+        avg_gate_fidelity(res["phi_in_star"], phi_p, lam), abs=1e-12)
 
 
 def test_correct_circuit_only_touches_noisy_gates():

@@ -52,6 +52,32 @@ def test_config_validation_names_offending_field():
     assert exc.value.field == "hamiltonian"
 
 
+BAD_FIELDS = [("r", 2.7), ("n_times", 2.5), ("n_omega", 301.0), ("n_runs", 2.0),
+              ("n_runs", True), ("seed", -1), ("seed", 1.5), ("seed", False),
+              ("feedforward", "no"), ("feedforward", 1), ("correlated", "yes"),
+              ("c2", "0.1"), ("r_values", 5), ("r_values", "abc"), ("r_values", [3, "x"]),
+              ("r_values", [3, None]), ("r_values", [3, True]), ("r_values", [])]
+
+
+@pytest.mark.parametrize("name,value", BAD_FIELDS)
+def test_config_field_types_are_enforced(name, value, tmp_path, capsys):
+    data = {"hamiltonian": default_instance().to_dict(), name: value}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(data)
+    assert exc.value.field == name
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["simulate-spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert repr(name) in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    code = main(["noise-stats", "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
 def test_config_json_with_hamiltonian_file(tmp_path):
     ham_path = tmp_path / "ham.json"
     ham_path.write_text(json.dumps(default_instance().to_dict()))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ioncodesign.motional_noise import (
@@ -125,6 +127,96 @@ def test_hyp1f2_rejects_bad_parameters():
         hyp1f2(1.0, 0.0, 1.5, -1.0)
     with pytest.raises(ValueError):
         hyp1f2(1.0, 1.5, -2.0, -1.0)
+    with pytest.raises(ValueError):
+        hyp1f2(1.0, np.array([1.5, -1.0]), 1.5, -1.0)
+
+
+def _reference_series(a, b1, b2, z):
+    """The 0-d numpy series hyp1f2 summed before its scalar path ran on floats."""
+    z = np.asarray(z, dtype=float)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(500):
+        term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
+        total = total + term
+        if np.all(np.abs(term) < 1e-16 * np.maximum(np.abs(total), 1e-300)):
+            break
+    return float(total)
+
+
+def test_hyp1f2_scalar_path_is_bit_identical_to_reference_series():
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        half = 0.5 / rng.uniform(1e-4, 5.0)
+        z = -rng.uniform(0.0, 150.0) if rng.random() < 0.8 else rng.uniform(0.0, 20.0)
+        for a, b2 in ((1.0 + half, 2.0 + half), (0.5 + half, 1.5 + half)):
+            assert hyp1f2(a, 1.5, b2, z) == _reference_series(a, 1.5, b2, z)
+            assert hyp1f2(a, 1.5, b2, np.float64(z)) == _reference_series(a, 1.5, b2, z)
+
+
+def test_hyp1f2_broadcast_matches_scalar_calls():
+    a = np.array([1.2, 3.0, 41.0]).reshape(3, 1, 1)
+    b2 = np.array([2.5, 4.0, 60.0, 1.7]).reshape(1, 4, 1)
+    z = np.array([0.0, -0.5, -9.8, 3.0, -149.0, -151.0, -400.0])  # last two on mpmath
+    out = hyp1f2(a, 1.5, b2, z)
+    assert out.shape == (3, 4, 7)
+    for idx in np.ndindex(out.shape):
+        want = hyp1f2(float(a[idx[0], 0, 0]), 1.5, float(b2[0, idx[1], 0]), float(z[idx[2]]))
+        assert out[idx] == pytest.approx(want, rel=1e-14, abs=1e-300)
+    # all four arguments broadcast, and a mix of scalars and 0-d arrays stays scalar
+    b1 = np.array([1.5, 2.5])
+    assert hyp1f2(2.0, b1, 3.0, np.array([[-1.0], [-2.0]])).shape == (2, 2)
+    assert isinstance(hyp1f2(np.float64(2.0), np.array(1.5), 3.0, -1.0), float)
+
+
+@pytest.mark.parametrize("tiny", [1e-310, 5e-324, 2e-308])
+def test_tiny_lambda_takes_the_noiseless_branch(tiny):
+    from ioncodesign.feedforward import avg_gate_fidelity, gate_fidelity
+
+    assert avg_gate_fidelity(1.0, 1.0, tiny) == avg_gate_fidelity(1.0, 1.0, 0.0) == 1.0
+    assert avg_gate_fidelity(2.0, 0.7, tiny) == float(gate_fidelity(2.0, 0.7))
+    assert return_probability(1.0, tiny) == return_probability(1.0, 0.0)
+    phi = np.linspace(-6.0, 6.0, 13)
+    lam = np.array([0.0, tiny, 1e-300, 0.3])[:, None]
+    broadcast = return_probability(phi, lam)
+    assert broadcast.shape == (4, 13)
+    assert np.array_equal(broadcast[1], broadcast[0])
+    fid = avg_gate_fidelity(phi, 1.1, lam)
+    assert np.array_equal(fid[1], gate_fidelity(phi, 1.1))
+    for row in range(4):
+        want = [avg_gate_fidelity(p, 1.1, float(lam[row, 0])) for p in phi]
+        assert fid[row] == pytest.approx(want, rel=1e-14)
+
+
+def test_small_lambda_is_continuous_with_zero():
+    from ioncodesign.feedforward import avg_gate_fidelity
+
+    for phi_in, phi_p in ((1.0, 1.0), (3.0, 0.4), (-2.0, 5.0)):
+        at_zero = avg_gate_fidelity(phi_in, phi_p, 0.0)
+        rp_zero = return_probability(phi_in, 0.0)
+        for lam in (1e-300, 1e-200, 1e-100, 1e-30, 1e-15):
+            assert avg_gate_fidelity(phi_in, phi_p, lam) == pytest.approx(at_zero, abs=1e-14)
+            assert return_probability(phi_in, lam) == pytest.approx(rp_zero, abs=1e-14)
+
+
+def test_return_probability_broadcasts_lambda():
+    phi = np.linspace(0.5, 2 * np.pi, 5)
+    lam = np.array([0.0, 0.01, 0.7, 2.5])
+    grid = return_probability(phi[:, None], lam[None, :])
+    for i, p in enumerate(phi):
+        for j, l in enumerate(lam):
+            assert grid[i, j] == pytest.approx(return_probability(p, l), rel=1e-14)
+    assert np.array_equal(grid[:, 0], np.cos(phi / 4.0) ** 2)
+    with pytest.raises(ValueError):
+        return_probability(1.0, np.array([0.1, -0.1]))
+    with pytest.raises(ValueError):
+        return_probability(1.0, float("nan"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi_in=st.floats(-4 * np.pi, 4 * np.pi), lam=st.floats(0.0, 10.0))
+def test_return_probability_is_a_probability(phi_in, lam):
+    assert -1e-12 <= return_probability(phi_in, lam) <= 1.0 + 1e-12
 
 
 def test_return_probability_reduces_to_noiseless():
