@@ -119,23 +119,16 @@ def fit_c2(curve: CalibrationCurve, c2_max: float = 10.0) -> dict:
 
 def _phase_damping_residual(curve: CalibrationCurve, gamma: float) -> float:
     """Best-fit residual of P = 1/2 + 1/2 exp(-Gamma tau) cos(phi_in/2 + delta)
-    with one phase offset delta per input angle."""
+    with one phase offset delta per input angle.
+
+    A free delta lets c = cos(phi_in/2 + delta) take any value in [-1, 1],
+    and each row's loss is quadratic in c, so its best c is the clipped
+    least-squares coefficient of d = exp(-Gamma tau).
+    """
     decay = np.exp(-gamma * curve.tau)
-    total = 0.0
-    for i, phi_in in enumerate(curve.phi_in):
-        y = curve.p_return[i] - 0.5
-        # y ~ decay * (A cos(phi/2) cos d - A sin(phi/2) sin d), amplitude fixed 1/2:
-        # optimize delta on a grid + refine (objective is smooth and 2pi-periodic)
-        deltas = np.linspace(-np.pi, np.pi, 181)
-        preds = 0.5 * decay[None, :] * np.cos(phi_in / 2.0 + deltas[:, None])
-        losses = np.sum((y[None, :] - preds) ** 2, axis=1)
-        k = int(np.argmin(losses))
-        res = minimize_scalar(
-            lambda d: float(np.sum((y - 0.5 * decay * np.cos(phi_in / 2.0 + d)) ** 2)),
-            bounds=(deltas[max(k - 1, 0)], deltas[min(k + 1, deltas.size - 1)]),
-            method="bounded", options={"xatol": 1e-8})
-        total += min(float(res.fun), float(losses[k]))
-    return total
+    y = curve.p_return - 0.5
+    c = np.clip(2.0 * (y @ decay) / (decay @ decay), -1.0, 1.0)
+    return float(np.sum((y - 0.5 * c[:, None] * decay[None, :]) ** 2))
 
 
 def fit_phase_damping(curve: CalibrationCurve, gamma_max: float = 10.0) -> dict:

@@ -9,7 +9,7 @@ The environment variable IONCODESIGN_SEED overrides the seed (CI hook).
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import math
 import os
@@ -28,11 +28,8 @@ from .harness import (
     run_depth_sweep,
     run_inference_demo,
     simulate_spectrum,
-    write_inference_csv,
+    write_csv,
     write_manifest,
-    write_response_csv,
-    write_spectrum_csv,
-    write_sweep_csv,
 )
 from .motional_noise import (
     AngleDistribution,
@@ -98,21 +95,20 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError("config", str(exc)) from exc
     else:
         config = ExperimentConfig(hamiltonian=default_instance())
-    if getattr(args, "c2", None) is not None:
-        config.c2 = args.c2
-    if args.seed is not None:
-        config.seed = args.seed
+    overrides = {"out_dir": args.out}
+    for name, value in (("c2", args.c2), ("seed", args.seed), ("n_runs", args.runs),
+                        ("feedforward", args.feedforward)):
+        if value is not None:
+            overrides[name] = value
     if "IONCODESIGN_SEED" in os.environ:
-        config.seed = int(os.environ["IONCODESIGN_SEED"])
-    if args.runs is not None:
-        config.n_runs = args.runs
-    if args.feedforward is not None:
-        config.feedforward = args.feedforward
-    if getattr(args, "r", None) is not None and args.command == "simulate-spectrum":
-        config.r = args.r
-    config.out_dir = args.out
-    ExperimentConfig(**{f: getattr(config, f) for f in config.__dataclass_fields__})
-    return config
+        text = os.environ["IONCODESIGN_SEED"]
+        try:
+            overrides["seed"] = int(text)
+        except ValueError:
+            raise ConfigError("seed", f"IONCODESIGN_SEED={text!r} is not an integer") from None
+    if args.command == "simulate-spectrum" and args.r is not None:
+        overrides["r"] = args.r
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_simulate_spectrum(args) -> int:
@@ -121,9 +117,11 @@ def _cmd_simulate_spectrum(args) -> int:
     series, spec = simulate_spectrum(config)
     target = exact_spectrum(config)
     d_h = hellinger(spec, target)
-    write_response_csv(os.path.join(config.out_dir, "response.csv"), series)
-    write_spectrum_csv(os.path.join(config.out_dir, "spectrum.csv"), spec)
-    write_spectrum_csv(os.path.join(config.out_dir, "exact_spectrum.csv"), target)
+    write_csv(os.path.join(config.out_dir, "response.csv"), ["t_ms", "s"],
+              zip(series.times.tolist(), series.values.tolist()))
+    for name, s in (("spectrum.csv", spec), ("exact_spectrum.csv", target)):
+        write_csv(os.path.join(config.out_dir, name), ["omega_rad_per_ms", "a_raw", "a_norm"],
+                  zip(s.omega.tolist(), s.a_raw.tolist(), s.a_norm.tolist()))
     write_manifest(os.path.join(config.out_dir, "manifest.json"),
                    "simulate-spectrum", config)
     print(f"r={config.r} c2={config.c2} feedforward={config.feedforward} "
@@ -135,7 +133,9 @@ def _cmd_depth_sweep(args) -> int:
     config = _load_config(args)
     os.makedirs(config.out_dir, exist_ok=True)
     result = run_depth_sweep(config)
-    write_sweep_csv(os.path.join(config.out_dir, "sweep.csv"), result)
+    header = ["r", "gates_total", "gates_two_qubit", "f_int", "d_h"]
+    write_csv(os.path.join(config.out_dir, "sweep.csv"), header,
+              ([rec[k] for k in header] for rec in result.records))
     with open(os.path.join(config.out_dir, "sweep_result.json"), "w") as fh:
         json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -176,15 +176,12 @@ def _cmd_feedforward_table(args) -> int:
     phis = np.linspace(args.phi_cap / args.n_phi, args.phi_cap, args.n_phi)
     lams = np.linspace(0.0, args.lam_max, args.n_lam)
     path = os.path.join(config.out_dir, "feedforward_table.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi_p", "lambda", "phi_in_star", "fidelity_star"])
-        for phi_p in phis:
-            for lam in lams:
-                res = optimal_input_angle(ControlQuery(float(phi_p), float(lam),
-                                                       args.phi_cap))
-                writer.writerow([repr(float(phi_p)), repr(float(lam)),
-                                 repr(res["phi_in_star"]), repr(res["fidelity_star"])])
+    rows = []
+    for phi_p in phis.tolist():
+        for lam in lams.tolist():
+            res = optimal_input_angle(ControlQuery(phi_p, lam, args.phi_cap))
+            rows.append([phi_p, lam, float(res["phi_in_star"]), float(res["fidelity_star"])])
+    write_csv(path, ["phi_p", "lambda", "phi_in_star", "fidelity_star"], rows)
     write_manifest(os.path.join(config.out_dir, "manifest.json"),
                    "feedforward-table", config)
     print(f"wrote {args.n_phi * args.n_lam} rows to {path}")
@@ -227,7 +224,10 @@ def _cmd_infer(args) -> int:
                                                        spawn_key=(123456789,)))
     guess = perturbed_instance(config.hamiltonian, args.perturb, rng)
     log = run_inference_demo(target, guess, args.iterations, config)
-    write_inference_csv(os.path.join(config.out_dir, "inference_log.csv"), log)
+    write_csv(os.path.join(config.out_dir, "inference_log.csv"),
+              ["iteration", "d_h", "accepted", "params"],
+              ([rec["iteration"], rec["d_h"], int(rec["accepted"]), json.dumps(rec["params"])]
+               for rec in log))
     write_manifest(os.path.join(config.out_dir, "manifest.json"), "infer", config)
     print(f"initial d_h={log[0]['d_h']:.6f} final d_h={log[-1]['d_h']:.6f} "
           f"({args.iterations} iterations, feedforward={config.feedforward})")

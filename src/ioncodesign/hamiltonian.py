@@ -89,9 +89,8 @@ class ExactEvolver:
 
     def evolve(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         coeff = self.eigenvectors.conj().T @ amplitudes
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t)[:, None] * coeff
-                                    if amplitudes.ndim > 1
-                                    else np.exp(-1j * self.eigenvalues * t) * coeff)
+        phases = np.exp(-1j * self.eigenvalues * t)
+        return self.eigenvectors @ (phases.reshape((-1,) + (1,) * (coeff.ndim - 1)) * coeff)
 
 
 def exact_unitary(ham: SpinHamiltonian, t: float) -> UnitaryMatrix:

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -26,7 +27,6 @@ from .spectroscopy import (
     exact_response,
     fidelity_trace,
     hellinger,
-    noiseless_response,
     noisy_response,
     spectrum,
 )
@@ -78,6 +78,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
                 raise ConfigError(name, "must be a number")
+            if not abs(value) < math.inf:
+                raise ConfigError(name, "must be finite")
         if self.seed < 0:
             raise ConfigError("seed", "must be non-negative")
         if self.c2 < 0:
@@ -182,13 +184,9 @@ def simulate_spectrum(config: ExperimentConfig, r: int | None = None,
     """Trotterized (noisy if c2 > 0) response and its normalized spectrum."""
     r = config.r if r is None else r
     runs = config.runs(SPECTRUM_RUNS_DEFAULT) if n_runs is None else n_runs
-    times = config.times()
-    noise = config.noise()
-    if noise is None:
-        series = noiseless_response(config.hamiltonian, times, r, config.timing())
-    else:
-        series = noisy_response(config.hamiltonian, times, r, noise, config.timing(),
-                                feedforward=config.feedforward, n_runs=runs, table=table)
+    series = noisy_response(config.hamiltonian, config.times(), r, config.noise(),
+                            config.timing(), feedforward=config.feedforward, n_runs=runs,
+                            table=table)
     return series, spectrum(series, config.gamma, config.omega_grid())
 
 
@@ -305,43 +303,10 @@ def write_manifest(path, command: str, config: ExperimentConfig) -> None:
         fh.write("\n")
 
 
-def write_response_csv(path, series: ResponseSeries) -> None:
+def write_csv(path, header, rows) -> None:
+    """Header row, then one row per item. Pass Python floats (not NumPy
+    scalars): csv writes them as str(), which is their exact repr()."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t_ms", "s"])
-        for t, s in zip(series.times, series.values):
-            writer.writerow([repr(float(t)), repr(float(s))])
-
-
-def write_spectrum_csv(path, spec: Spectrum) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_rad_per_ms", "a_raw", "a_norm"])
-        for w, raw, norm in zip(spec.omega, spec.a_raw, spec.a_norm):
-            writer.writerow([repr(float(w)), repr(float(raw)), repr(float(norm))])
-
-
-def write_trace_csv(path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ms", "fidelity"])
-        for t, f in zip(trace.times, trace.fidelity):
-            writer.writerow([repr(float(t)), repr(float(f))])
-
-
-def write_sweep_csv(path, result: SweepResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "gates_total", "gates_two_qubit", "f_int", "d_h"])
-        for rec in result.records:
-            writer.writerow([rec["r"], rec["gates_total"], rec["gates_two_qubit"],
-                             repr(rec["f_int"]), repr(rec["d_h"])])
-
-
-def write_inference_csv(path, log: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "d_h", "accepted", "params"])
-        for rec in log:
-            writer.writerow([rec["iteration"], repr(rec["d_h"]), int(rec["accepted"]),
-                             json.dumps(rec["params"])])
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -54,12 +54,28 @@ def positive_magnetization_states(n_spins: int) -> list[tuple[int, float]]:
     return [(int(i), float(m)) for i, m in enumerate(diag) if m > 0]
 
 
-def response_function(evolve, n_spins: int, times) -> ResponseSeries:
-    """S(t) = 2 sum_{j: m_j > 0} (m_j / 2^N) <z_j(t)| S^z_tot |z_j(t)>.
+def _run_average(evolve, times: np.ndarray, runs: int, columns: np.ndarray,
+                 reduce) -> np.ndarray:
+    """Per time, the mean over runs of reduce(it, evolve(columns, run, t)).
 
-    `evolve(columns, t)` must map a (2^N, k) batch of initial basis
-    states to the evolved batch; it may average internally over noise
-    realizations by returning per-state expectation weights instead.
+    Times are the outer loop, so a noisy evolver registers them in grid
+    order; per time the run values are added in run order.
+    """
+    values = np.empty(times.size)
+    for it, t in enumerate(times):
+        total = 0.0
+        for run in range(runs):
+            total += reduce(it, evolve(columns, run, t))
+        values[it] = total / runs
+    return values
+
+
+def response_function(evolve, n_spins: int, times, runs: int = 1) -> ResponseSeries:
+    """S(t) = 2 sum_{j: m_j > 0} (m_j / 2^N) <z_j(t)| S^z_tot |z_j(t)>, run-averaged.
+
+    `evolve(columns, run, t)` must map the (2^N, k) batch of basis states
+    with m_j > 0 to the batch evolved under noise realization `run`
+    (0 <= run < runs); S(t) is the mean over runs of the per-run value.
     """
     times = np.asarray(times, dtype=float)
     dim = 2**n_spins
@@ -69,42 +85,44 @@ def response_function(evolve, n_spins: int, times) -> ResponseSeries:
         columns[idx, k] = 1.0
     weights = np.array([m for _, m in states]) / dim
     diag = sz_tot_diagonal(n_spins)
-    values = np.empty(times.size)
-    for it, t in enumerate(times):
-        evolved = evolve(columns, t)
+
+    def magnetization(it, evolved):
         expect = np.real(np.einsum("d,dk->k", diag, np.abs(evolved) ** 2))
-        values[it] = 2.0 * float(weights @ expect)
-    return ResponseSeries(times, values)
+        return 2.0 * float(weights @ expect)
+
+    return ResponseSeries(times, _run_average(evolve, times, runs, columns, magnetization))
 
 
 def exact_response(ham: SpinHamiltonian, times) -> ResponseSeries:
     evolver = ExactEvolver(ham)
-    return response_function(lambda cols, t: evolver.evolve(cols, t), ham.n_spins, times)
+    return response_function(lambda cols, run, t: evolver.evolve(cols, t), ham.n_spins, times)
 
 
 class TrotterEvolver:
     """Trotterized evolution with optional motional noise and feedforward.
 
-    For noisy evolution the expectation in the response function is
-    averaged over n_runs diffusion paths; within one run all initial
-    states share the same path. Seeds derive deterministically from
-    (seed, run index, time index).
+    Noise with c2 = 0 counts as no noise. For noisy evolution one run is
+    one diffusion path; within one run all initial states share the same
+    path. Seeds derive deterministically from (seed, run index, time index).
     """
 
     def __init__(self, ham: SpinHamiltonian, r: int, timing: GateTiming = GateTiming(),
                  noise: NoiseParams | None = None, feedforward: bool = False,
-                 n_runs: int = 1, table: FeedforwardTable | None = None):
+                 table: FeedforwardTable | None = None):
         if r < 1:
             raise ValueError("r must be at least 1")
         self.ham = ham
         self.r = r
         self.timing = timing
-        self.noise = noise
+        self.noise = noise if noise is not None and noise.c2 > 0 else None
         self.feedforward = feedforward
-        self.n_runs = n_runs
         self.table = table if table is not None else FeedforwardTable()
         self._time_index = {}
         self._circuit_cache: dict[float, tuple[TimedCircuit, CompiledCircuit]] = {}
+
+    def runs(self, n_runs: int) -> int:
+        """Noise runs worth averaging: one when the evolution is deterministic."""
+        return n_runs if self.noise is not None else 1
 
     def circuit_for(self, t: float) -> TimedCircuit:
         return self._prepared(t)[0]
@@ -114,7 +132,7 @@ class TrotterEvolver:
         key = float(t)
         if key not in self._circuit_cache:
             circuit = build_trotter_circuit(self.ham, t, self.r, self.timing)
-            if self.feedforward and self.noise is not None and self.noise.c2 > 0:
+            if self.feedforward and self.noise is not None:
                 circuit = correct_circuit(circuit, self.noise.c2, self.table)
             self._circuit_cache[key] = (circuit, CompiledCircuit(circuit))
         return self._circuit_cache[key]
@@ -126,7 +144,7 @@ class TrotterEvolver:
 
     def realized_angles(self, circuit: TimedCircuit, run: int, t: float) -> list[float]:
         """Noisy angle realization for one run; nominal if noiseless."""
-        if self.noise is None or self.noise.c2 == 0:
+        if self.noise is None:
             return [g.spec.angle for g in circuit.gates]
         it = self._time_index.setdefault(float(t), len(self._time_index))
         seed_seq = np.random.SeedSequence(entropy=self.noise.seed, spawn_key=(run, it))
@@ -139,22 +157,15 @@ class TrotterEvolver:
 
 def noiseless_response(ham: SpinHamiltonian, times, r: int,
                        timing: GateTiming = GateTiming()) -> ResponseSeries:
-    ev = TrotterEvolver(ham, r, timing)
-    return response_function(lambda cols, t: ev.evolve(cols, 0, t), ham.n_spins, times)
+    return noisy_response(ham, times, r, None, timing)
 
 
-def noisy_response(ham: SpinHamiltonian, times, r: int, noise: NoiseParams,
+def noisy_response(ham: SpinHamiltonian, times, r: int, noise: NoiseParams | None,
                    timing: GateTiming = GateTiming(), feedforward: bool = False,
                    n_runs: int = 1, table: FeedforwardTable | None = None) -> ResponseSeries:
-    """Run-averaged noisy response: mean of S(t) over diffusion paths."""
-    ev = TrotterEvolver(ham, r, timing, noise, feedforward, n_runs, table)
-    times = np.asarray(times, dtype=float)
-    total = np.zeros(times.size)
-    for run in range(n_runs):
-        series = response_function(lambda cols, t, run=run: ev.evolve(cols, run, t),
-                                   ham.n_spins, times)
-        total += series.values
-    return ResponseSeries(times, total / max(n_runs, 1))
+    """Run-averaged Trotterized response: mean of S(t) over diffusion paths."""
+    ev = TrotterEvolver(ham, r, timing, noise, feedforward, table)
+    return response_function(ev.evolve, ham.n_spins, times, ev.runs(n_runs))
 
 
 def spectrum(series: ResponseSeries, gamma: float, omega_grid) -> Spectrum:
@@ -192,19 +203,16 @@ def fidelity_trace(ham: SpinHamiltonian, times, r: int,
                    n_runs: int = 1, table: FeedforwardTable | None = None) -> FidelityTrace:
     """F(t) = |Tr(U1(t)^dag U(t)) / 2^N|^2 averaged over noise runs."""
     times = np.asarray(times, dtype=float)
-    ev = TrotterEvolver(ham, r, timing, noise, feedforward, n_runs, table)
+    ev = TrotterEvolver(ham, r, timing, noise, feedforward, table)
     exact = ExactEvolver(ham)
     dim = 2**ham.n_spins
-    runs = n_runs if (noise is not None and noise.c2 > 0) else 1
-    fid = np.zeros(times.size)
-    eye = np.eye(dim, dtype=complex)
-    for it, t in enumerate(times):
-        target = exact.unitary(t)
-        acc = 0.0
-        for run in range(runs):
-            u1 = ev.evolve(eye, run, t)
-            acc += abs(np.trace(u1.conj().T @ target) / dim) ** 2
-        fid[it] = acc / runs
+    targets = [exact.unitary(t) for t in times]
+
+    def trace_fidelity(it, u1):
+        return abs(np.trace(u1.conj().T @ targets[it]) / dim) ** 2
+
+    fid = _run_average(ev.evolve, times, ev.runs(n_runs), np.eye(dim, dtype=complex),
+                       trace_fidelity)
     if times.size > 1 and times[-1] > times[0]:
         f_int = float(np.trapezoid(fid, times) / (times[-1] - times[0]))
     else:

@@ -167,43 +167,47 @@ def gate_matrix(gate: GateSpec, n_qubits: int) -> UnitaryMatrix:
 class CompiledCircuit:
     """Per-gate application plan reusable across angle realizations.
 
-    Every gate in the set is cos(phi/4) I - i sin(phi/4) G with G^2 = I,
-    so for small registers the full-dimension generator of each gate is
-    precomputed once and each application costs one dense matmul. For
-    larger registers the local-kernel embedding is used instead.
+    Every gate in the set is cos(phi/4) I - i sin(phi/4) G, where the
+    generator G is a Pauli string (X, Y or Z on one site, or X (x) X on a
+    pair). Each row x of G has a single nonzero entry, so
+    (-i G a)[x] = phase[x] * a[source[x]]. The (source, phase) pair is
+    precomputed once per distinct (kind, sites), and applying a gate is
+    one gather: c * a + (s * phase) * a[source].
     """
-
-    _FULL_GENERATOR_MAX_DIM = 64
 
     def __init__(self, circuit):
         self.n_qubits = circuit.n_qubits
         self.dim = 2**circuit.n_qubits
-        self._use_full = self.dim <= self._FULL_GENERATOR_MAX_DIM
         self._plan = []
-        cache: dict[tuple, np.ndarray] = {}
+        cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         for gate in circuit.gates:
-            kind, sites = gate.spec.kind, gate.spec.sites
-            key = (kind, sites)
+            key = (gate.spec.kind, gate.spec.sites)
             if key not in cache:
-                gen = np.kron(SIGMA_X, SIGMA_X) if kind == "XX" else _SIGMA[kind[1]]
-                if self._use_full:
-                    gen = apply_kernel(np.eye(self.dim, dtype=complex), gen, sites, self.n_qubits)
-                cache[key] = gen
-            self._plan.append((cache[key], sites))
+                cache[key] = self._gather(*key)
+            self._plan.append(cache[key])
+
+    def _gather(self, kind: str, sites) -> tuple[np.ndarray, np.ndarray]:
+        """(source, phase) of -i G for one generator, phase as a column."""
+        index = np.arange(self.dim)
+        masks = [1 << (self.n_qubits - 1 - s) for s in sites]
+        up = (index & masks[0]) != 0
+        if kind == "RZ":
+            source, phase = index, np.where(up, -1j, 1j)
+        elif kind == "RY":
+            source, phase = index ^ masks[0], np.where(up, -1.0 + 0j, 1.0 + 0j)
+        else:  # RX and XX flip their sites with a constant -i
+            source, phase = index ^ sum(masks), np.full(self.dim, -1j)
+        return source, phase[:, None]
 
     def apply(self, array: np.ndarray, angles) -> np.ndarray:
+        """Apply the gates with the given angles to the leading 2**n axis."""
         out = np.asarray(array, dtype=complex)
-        if self._use_full:
-            for (gen, _), angle in zip(self._plan, angles):
-                theta = angle / 4.0
-                out = np.cos(theta) * out - (1j * np.sin(theta)) * (gen @ out)
-            return out
-        eyes = {2: np.eye(2, dtype=complex), 4: np.eye(4, dtype=complex)}
-        for (gen, sites), angle in zip(self._plan, angles):
-            theta = angle / 4.0
-            kernel = np.cos(theta) * eyes[gen.shape[0]] - 1j * np.sin(theta) * gen
-            out = apply_kernel(out, kernel, sites, self.n_qubits)
-        return out
+        shape = out.shape
+        out = out.reshape(self.dim, -1)
+        theta = np.asarray(angles, dtype=float) / 4.0
+        for (source, phase), c, s in zip(self._plan, np.cos(theta), np.sin(theta)):
+            out = c * out + (s * phase) * out[source]
+        return out.reshape(shape)
 
 
 def circuit_unitary(circuit, realized_angles=None) -> UnitaryMatrix:
@@ -213,9 +217,8 @@ def circuit_unitary(circuit, realized_angles=None) -> UnitaryMatrix:
     sequence of angles); unlisted gates use their nominal angle.
     """
     dim = 2**circuit.n_qubits
-    angles = _resolve_angles(circuit, realized_angles)
-    unitary = CompiledCircuit(circuit).apply(np.eye(dim, dtype=complex), angles)
-    return UnitaryMatrix(dim, unitary)
+    return UnitaryMatrix(dim, evolve_columns(circuit, np.eye(dim, dtype=complex),
+                                             realized_angles))
 
 
 def evolve_columns(circuit, columns: np.ndarray, realized_angles=None,

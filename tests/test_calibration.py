@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import minimize_scalar
+
 from ioncodesign.calibration import (
     CalibrationCurve,
     _model_residual,
+    _phase_damping_residual,
     fit_c2,
     fit_phase_damping,
     simulate_calibration,
@@ -109,3 +112,31 @@ def test_validation_errors():
         fit_c2(zero_phi)
     with pytest.raises(ValueError):
         simulate_calibration(np.array([1.0]), np.array([1.0]), 0.02, shots=0)
+
+
+def _scanned_phase_damping_residual(curve, gamma):
+    """Per-row delta scan plus bounded refinement, as before the closed form."""
+    decay = np.exp(-gamma * curve.tau)
+    total = 0.0
+    for i, phi_in in enumerate(curve.phi_in):
+        y = curve.p_return[i] - 0.5
+        deltas = np.linspace(-np.pi, np.pi, 181)
+        preds = 0.5 * decay[None, :] * np.cos(phi_in / 2.0 + deltas[:, None])
+        losses = np.sum((y[None, :] - preds) ** 2, axis=1)
+        k = int(np.argmin(losses))
+        res = minimize_scalar(
+            lambda d: float(np.sum((y - 0.5 * decay * np.cos(phi_in / 2.0 + d)) ** 2)),
+            bounds=(deltas[max(k - 1, 0)], deltas[min(k + 1, deltas.size - 1)]),
+            method="bounded", options={"xatol": 1e-8})
+        total += min(float(res.fun), float(losses[k]))
+    return total
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closed_form_phase_damping_matches_scan(seed):
+    curve = simulate_calibration(np.linspace(0.5, 2 * np.pi, 8), np.linspace(0.0, 60.0, 13),
+                                 0.02, 2000, seed=seed)
+    for gamma in (0.0, 1e-4, 0.01, 0.05, 1.0, 10.0):
+        closed = _phase_damping_residual(curve, gamma)
+        assert closed == pytest.approx(_scanned_phase_damping_residual(curve, gamma),
+                                       rel=1e-12, abs=1e-12)

@@ -1,6 +1,7 @@
 """Unit tests for the experiment harness and CLI."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -70,6 +71,37 @@ def test_config_field_types_are_enforced(name, value, tmp_path, capsys):
     code = main(["simulate-spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert repr(name) in capsys.readouterr().err
+
+
+NUMBER_FIELDS = ["c2", "t_g", "gamma", "t_max", "omega_min", "omega_max"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", NUMBER_FIELDS)
+def test_config_rejects_non_finite_numbers(name, value, tmp_path, capsys):
+    data = {"hamiltonian": default_instance().to_dict(), name: value}
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(data)
+    assert exc.value.field == name
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # NaN / Infinity, which json.load accepts
+    code = main(["simulate-spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert repr(name) in capsys.readouterr().err
+
+
+def test_cli_non_finite_flag_exits_2(tmp_path, capsys):
+    code = main(["noise-stats", "--c2", "nan", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'c2'" in capsys.readouterr().err
+
+
+def test_cli_bad_seed_environment_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("IONCODESIGN_SEED", "abc")
+    code = main(["noise-stats", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "IONCODESIGN_SEED" in err
 
 
 def test_cli_negative_seed_exits_2(tmp_path, capsys):

@@ -91,6 +91,18 @@ def test_noisy_response_is_seed_deterministic():
     assert not np.array_equal(a.values, c.values)
 
 
+def test_inactive_noise_is_one_noiseless_run():
+    ham = four_spin()
+    times = np.linspace(0.0, 2.0, 5)
+    clean = noiseless_response(ham, times, 4)
+    for noise in (None, NoiseParams(c2=0.0, seed=3)):
+        assert np.array_equal(noisy_response(ham, times, 4, noise, n_runs=3).values,
+                              clean.values)
+    assert np.array_equal(fidelity_trace(ham, times, 4, noise=NoiseParams(c2=0.0),
+                                         n_runs=3).fidelity,
+                          fidelity_trace(ham, times, 4).fidelity)
+
+
 def test_realized_angles_damp_only_noisy_gates():
     ham = four_spin()
     ev = TrotterEvolver(ham, r=2, noise=NoiseParams(c2=0.5, seed=0))

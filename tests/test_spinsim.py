@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioncodesign.spinsim import (
     CompiledCircuit,
@@ -18,7 +20,7 @@ from ioncodesign.spinsim import (
     sz_tot_diagonal,
 )
 from ioncodesign.hamiltonian import SpinHamiltonian
-from ioncodesign.trotter import build_trotter_circuit
+from ioncodesign.trotter import TimedCircuit, TimedGate, build_trotter_circuit
 
 
 def random_instance(n, seed=0):
@@ -148,3 +150,45 @@ def test_gate_spec_validation():
 def test_statevector_shape_check():
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3))
+
+
+def test_compiled_circuit_applies_to_a_single_statevector():
+    ham = random_instance(4, seed=11)
+    circuit = build_trotter_circuit(ham, 0.9, 2)
+    rng = np.random.default_rng(4)
+    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    angles = [g.spec.angle * rng.uniform(0.9, 1.0) for g in circuit.gates]
+    compiled = CompiledCircuit(circuit)
+    out = compiled.apply(psi, angles)
+    assert out.shape == (16,)
+    assert np.array_equal(out, compiled.apply(psi[:, None], angles)[:, 0])
+
+
+@st.composite
+def random_circuits(draw):
+    n = draw(st.integers(1, 7))
+    site = st.integers(0, n - 1)
+    angle = st.floats(-20.0, 20.0, allow_nan=False)
+    kinds = ["RX", "RY", "RZ"] + (["XX"] if n > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "XX":
+            sites = tuple(draw(st.lists(site, min_size=2, max_size=2, unique=True)))
+        else:
+            sites = (draw(site),)
+        gates.append(TimedGate(GateSpec(kind, sites, draw(angle)), 0.0, False))
+    return TimedCircuit(n, tuple(gates), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_circuits())
+def test_compiled_circuit_matches_gate_matrix_product(circuit):
+    # n = 1..7 covers registers on both sides of dimension 64.
+    dim = 2**circuit.n_qubits
+    ref = np.eye(dim, dtype=complex)
+    for g in circuit.gates:
+        ref = gate_matrix(g.spec, circuit.n_qubits).entries @ ref
+    out = CompiledCircuit(circuit).apply(np.eye(dim, dtype=complex),
+                                         [g.spec.angle for g in circuit.gates])
+    assert np.max(np.abs(out - ref)) < 1e-12
