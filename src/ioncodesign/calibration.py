@@ -90,30 +90,33 @@ def _model_residual(curve: CalibrationCurve, c2: float) -> float:
     return float(np.sum((curve.p_return - pred) ** 2))
 
 
+def _scan_refine(loss, x_max: float) -> tuple[float, float]:
+    """(x, loss(x)) at the minimum of loss on [0, x_max].
+
+    A scan over 0 and a log-spaced grid brackets the minimum, then a
+    bounded scalar minimization refines it; the scan point wins a tie.
+    """
+    grid = np.concatenate(([0.0], np.geomspace(1e-6, x_max, 60)))
+    losses = np.array([loss(x) for x in grid])
+    k = int(np.argmin(losses))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, grid.size - 1)]
+    res = minimize_scalar(loss, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    if res.fun < losses[k]:
+        return float(res.x), float(res.fun)
+    return float(grid[k]), float(losses[k])
+
+
 def fit_c2(curve: CalibrationCurve, c2_max: float = 10.0) -> dict:
     """Least-squares heating-rate estimate pooling all grid points.
 
-    A log-spaced coarse scan brackets the minimum, then a bounded
-    scalar minimization refines it. Returns {"c2_hat", "residual"}.
+    Returns {"c2_hat", "residual"}.
     """
     if curve.tau.size < 2:
         raise ValueError("need at least 2 distinct tau values")
     if np.all(curve.phi_in == 0):
         raise ValueError("all phi_in are zero; c2 is unidentifiable")
-    grid = np.concatenate(([0.0], np.geomspace(1e-6, c2_max, 60)))
-    losses = np.array([_model_residual(curve, c2) for c2 in grid])
-    k = int(np.argmin(losses))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    if hi > lo:
-        res = minimize_scalar(lambda c2: _model_residual(curve, c2),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        candidates = [(float(res.x), float(res.fun))]
-    else:
-        candidates = []
-    candidates.append((float(grid[k]), float(losses[k])))
-    c2_hat, residual = min(candidates, key=lambda c: c[1])
+    c2_hat, residual = _scan_refine(lambda c2: _model_residual(curve, c2), c2_max)
     return {"c2_hat": c2_hat, "residual": residual}
 
 
@@ -133,14 +136,5 @@ def _phase_damping_residual(curve: CalibrationCurve, gamma: float) -> float:
 
 def fit_phase_damping(curve: CalibrationCurve, gamma_max: float = 10.0) -> dict:
     """Reference fit of the phase-damping model, for model discrimination."""
-    grid = np.concatenate(([0.0], np.geomspace(1e-6, gamma_max, 60)))
-    losses = np.array([_phase_damping_residual(curve, g) for g in grid])
-    k = int(np.argmin(losses))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    res = minimize_scalar(lambda g: _phase_damping_residual(curve, g),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    if res.fun < losses[k]:
-        return {"gamma_hat": float(res.x), "residual": float(res.fun)}
-    return {"gamma_hat": float(grid[k]), "residual": float(losses[k])}
+    gamma_hat, residual = _scan_refine(lambda g: _phase_damping_residual(curve, g), gamma_max)
+    return {"gamma_hat": gamma_hat, "residual": residual}

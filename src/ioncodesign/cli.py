@@ -1,8 +1,9 @@
 """Command-line interface for the simulation and co-design workflows.
 
 Subcommands: simulate-spectrum, depth-sweep, calibrate, feedforward-table,
-noise-stats, infer. All results land as CSV plus a manifest JSON in the
-output directory; identical config and seed give byte-identical files.
+noise-stats, infer. Each writes its CSV or JSON results into the output
+directory; `main` then writes `manifest.json`, only on success. Identical
+config and seed give byte-identical files.
 The environment variable IONCODESIGN_SEED overrides the seed (CI hook).
 """
 
@@ -29,6 +30,7 @@ from .harness import (
     run_inference_demo,
     simulate_spectrum,
     write_csv,
+    write_json,
     write_manifest,
 )
 from .motional_noise import (
@@ -111,9 +113,7 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _cmd_simulate_spectrum(args) -> int:
-    config = _load_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
+def _cmd_simulate_spectrum(args, config) -> str:
     series, spec = simulate_spectrum(config)
     target = exact_spectrum(config)
     d_h = hellinger(spec, target)
@@ -122,31 +122,20 @@ def _cmd_simulate_spectrum(args) -> int:
     for name, s in (("spectrum.csv", spec), ("exact_spectrum.csv", target)):
         write_csv(os.path.join(config.out_dir, name), ["omega_rad_per_ms", "a_raw", "a_norm"],
                   zip(s.omega.tolist(), s.a_raw.tolist(), s.a_norm.tolist()))
-    write_manifest(os.path.join(config.out_dir, "manifest.json"),
-                   "simulate-spectrum", config)
-    print(f"r={config.r} c2={config.c2} feedforward={config.feedforward} "
-          f"hellinger_vs_exact={d_h:.6f}")
-    return 0
+    return (f"r={config.r} c2={config.c2} feedforward={config.feedforward} "
+            f"hellinger_vs_exact={d_h:.6f}")
 
 
-def _cmd_depth_sweep(args) -> int:
-    config = _load_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
+def _cmd_depth_sweep(args, config) -> str:
     result = run_depth_sweep(config)
     header = ["r", "gates_total", "gates_two_qubit", "f_int", "d_h"]
     write_csv(os.path.join(config.out_dir, "sweep.csv"), header,
               ([rec[k] for k in header] for rec in result.records))
-    with open(os.path.join(config.out_dir, "sweep_result.json"), "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(os.path.join(config.out_dir, "manifest.json"), "depth-sweep", config)
-    print(f"r_opt_by_fint={result.r_opt_by_fint} r_opt_by_dh={result.r_opt_by_dh}")
-    return 0
+    write_json(os.path.join(config.out_dir, "sweep_result.json"), result.to_dict())
+    return f"r_opt_by_fint={result.r_opt_by_fint} r_opt_by_dh={result.r_opt_by_dh}"
 
 
-def _cmd_calibrate(args) -> int:
-    config = _load_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
+def _cmd_calibrate(args, config) -> str:
     if args.shots < 1:
         raise ConfigError("shots", "must be a positive integer")
     phi_grid = np.linspace(0.5, 2.0 * np.pi, 8)
@@ -156,21 +145,15 @@ def _cmd_calibrate(args) -> int:
     curve.to_csv(os.path.join(config.out_dir, "calibration.csv"))
     fit = fit_c2(curve)
     alt = fit_phase_damping(curve)
-    report = {"c2_true": config.c2, "shots": args.shots,
-              "c2_hat": fit["c2_hat"], "residual": fit["residual"],
-              "phase_damping_residual": alt["residual"]}
-    with open(os.path.join(config.out_dir, "calibration_fit.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(os.path.join(config.out_dir, "manifest.json"), "calibrate", config)
-    print(f"c2_hat={fit['c2_hat']:.6g} (true {config.c2}) "
-          f"residual={fit['residual']:.4g} phase_damping={alt['residual']:.4g}")
-    return 0
+    write_json(os.path.join(config.out_dir, "calibration_fit.json"),
+               {"c2_true": config.c2, "shots": args.shots,
+                "c2_hat": fit["c2_hat"], "residual": fit["residual"],
+                "phase_damping_residual": alt["residual"]})
+    return (f"c2_hat={fit['c2_hat']:.6g} (true {config.c2}) "
+            f"residual={fit['residual']:.4g} phase_damping={alt['residual']:.4g}")
 
 
-def _cmd_feedforward_table(args) -> int:
-    config = _load_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
+def _cmd_feedforward_table(args, config) -> str:
     if args.phi_cap <= 0 or args.n_phi < 1 or args.n_lam < 1 or args.lam_max < 0:
         raise ConfigError("feedforward-table", "grid parameters must be positive")
     phis = np.linspace(args.phi_cap / args.n_phi, args.phi_cap, args.n_phi)
@@ -182,15 +165,10 @@ def _cmd_feedforward_table(args) -> int:
             res = optimal_input_angle(ControlQuery(phi_p, lam, args.phi_cap))
             rows.append([phi_p, lam, float(res["phi_in_star"]), float(res["fidelity_star"])])
     write_csv(path, ["phi_p", "lambda", "phi_in_star", "fidelity_star"], rows)
-    write_manifest(os.path.join(config.out_dir, "manifest.json"),
-                   "feedforward-table", config)
-    print(f"wrote {args.n_phi * args.n_lam} rows to {path}")
-    return 0
+    return f"wrote {args.n_phi * args.n_lam} rows to {path}"
 
 
-def _cmd_noise_stats(args) -> int:
-    config = _load_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
+def _cmd_noise_stats(args, config) -> str:
     if args.tau <= 0:
         raise ConfigError("tau", "must be positive")
     lam = config.c2 * args.tau
@@ -206,17 +184,11 @@ def _cmd_noise_stats(args) -> int:
         "correlations": {repr(float(d)): float(angle_correlation(args.tau, d, config.c2))
                          for d in deltas},
     }
-    with open(os.path.join(config.out_dir, "noise_stats.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(os.path.join(config.out_dir, "manifest.json"), "noise-stats", config)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+    write_json(os.path.join(config.out_dir, "noise_stats.json"), report)
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _cmd_infer(args) -> int:
-    config = _load_config(args)
-    os.makedirs(config.out_dir, exist_ok=True)
+def _cmd_infer(args, config) -> str:
     if args.iterations < 0:
         raise ConfigError("iterations", "must be non-negative")
     target = exact_spectrum(config)
@@ -228,10 +200,8 @@ def _cmd_infer(args) -> int:
               ["iteration", "d_h", "accepted", "params"],
               ([rec["iteration"], rec["d_h"], int(rec["accepted"]), json.dumps(rec["params"])]
                for rec in log))
-    write_manifest(os.path.join(config.out_dir, "manifest.json"), "infer", config)
-    print(f"initial d_h={log[0]['d_h']:.6f} final d_h={log[-1]['d_h']:.6f} "
-          f"({args.iterations} iterations, feedforward={config.feedforward})")
-    return 0
+    return (f"initial d_h={log[0]['d_h']:.6f} final d_h={log[-1]['d_h']:.6f} "
+            f"({args.iterations} iterations, feedforward={config.feedforward})")
 
 
 _COMMANDS = {
@@ -251,7 +221,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        config = _load_config(args)
+        os.makedirs(config.out_dir, exist_ok=True)
+        summary = _COMMANDS[args.command](args, config)
+        write_manifest(os.path.join(config.out_dir, "manifest.json"), args.command, config)
+        print(summary)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -298,8 +298,13 @@ def write_manifest(path, command: str, config: ExperimentConfig) -> None:
         "seed": config.seed,
         "package_version": __version__,
     }
+    write_json(path, manifest)
+
+
+def write_json(path, obj) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -209,7 +209,7 @@ def fidelity_trace(ham: SpinHamiltonian, times, r: int,
     targets = [exact.unitary(t) for t in times]
 
     def trace_fidelity(it, u1):
-        return abs(np.trace(u1.conj().T @ targets[it]) / dim) ** 2
+        return abs(np.vdot(u1, targets[it]) / dim) ** 2
 
     fid = _run_average(ev.evolve, times, ev.runs(n_runs), np.eye(dim, dtype=complex),
                        trace_fidelity)

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MAX_QUBITS = 12
-
 # Pauli matrices in the (down, up) local basis ordering fixed above.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
@@ -155,8 +153,6 @@ def expect_sz_tot(state: StateVector) -> float:
 
 def gate_matrix(gate: GateSpec, n_qubits: int) -> UnitaryMatrix:
     """Full 2**n x 2**n embedding of the gate."""
-    if n_qubits > MAX_QUBITS:
-        raise ResourceWarning(f"n_qubits={n_qubits} exceeds supported maximum {MAX_QUBITS}")
     if any(s >= n_qubits for s in gate.sites):
         raise ValueError("gate site index out of range")
     dim = 2**n_qubits
@@ -221,13 +217,10 @@ def circuit_unitary(circuit, realized_angles=None) -> UnitaryMatrix:
                                              realized_angles))
 
 
-def evolve_columns(circuit, columns: np.ndarray, realized_angles=None,
-                   compiled: "CompiledCircuit | None" = None) -> np.ndarray:
+def evolve_columns(circuit, columns: np.ndarray, realized_angles=None) -> np.ndarray:
     """Run the circuit on a (2**n, m) batch of statevector columns."""
     angles = _resolve_angles(circuit, realized_angles)
-    if compiled is None:
-        compiled = CompiledCircuit(circuit)
-    return compiled.apply(columns, angles)
+    return CompiledCircuit(circuit).apply(columns, angles)
 
 
 def _resolve_angles(circuit, realized_angles):

@@ -27,12 +27,10 @@ class GateTiming:
 
     t_g: float = 0.01  # ms per gate
     tau_0: float = 0.0  # experiment time when the first gate starts, ms
-    noisy_gate_kinds: frozenset = frozenset({"XX"})
 
     def __post_init__(self):
         if self.t_g <= 0:
             raise ValueError("t_g must be positive")
-        object.__setattr__(self, "noisy_gate_kinds", frozenset(self.noisy_gate_kinds))
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
             gates.append(TimedGate(
                 spec=spec,
                 start_time=timing.tau_0 + m * timing.t_g,
-                noisy=spec.kind in timing.noisy_gate_kinds,
+                noisy=spec.kind == "XX",
             ))
             m += 1
     duration = (gates[-1].start_time + timing.t_g) if gates else timing.tau_0

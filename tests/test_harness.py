@@ -222,3 +222,45 @@ def test_cli_feedforward_table(tmp_path):
     lines = (out / "feedforward_table.csv").read_text().splitlines()
     assert lines[0] == "phi_p,lambda,phi_in_star,fidelity_star"
     assert len(lines) == 1 + 3 * 2
+
+
+TINY_CLI_CONFIG = {"hamiltonian": {"n": 2, "J": [[0, 0.5], [0.5, 0]], "h": [1.0, -2.0]},
+                   "c2": 0.02, "seed": 3, "n_runs": 1, "r": 2, "r_values": [1, 2],
+                   "t_max": 1.0, "n_times": 3, "n_omega": 21}
+SUBCOMMAND_FILES = [
+    ("simulate-spectrum", [], {"response.csv", "spectrum.csv", "exact_spectrum.csv"}),
+    ("depth-sweep", [], {"sweep.csv", "sweep_result.json"}),
+    ("calibrate", ["--shots", "50"], {"calibration.csv", "calibration_fit.json"}),
+    ("feedforward-table", ["--n-phi", "2", "--n-lam", "2"], {"feedforward_table.csv"}),
+    ("noise-stats", [], {"noise_stats.json"}),
+    ("infer", ["--iterations", "1"], {"inference_log.csv"}),
+]
+
+
+@pytest.mark.parametrize("command,extra,files", SUBCOMMAND_FILES,
+                         ids=[c for c, _, _ in SUBCOMMAND_FILES])
+def test_cli_subcommand_writes_results_manifest_and_summary(command, extra, files,
+                                                            tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CLI_CONFIG))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), *extra, "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+    assert json.loads((out / "manifest.json").read_text())["command"] == command
+    stdout = capsys.readouterr().out
+    if command == "noise-stats":
+        # Its summary is the report itself, printed as one indented JSON block.
+        assert stdout == (out / "noise_stats.json").read_text()
+    else:
+        assert stdout.endswith("\n") and stdout.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["calibrate", "--shots", "0"],
+                                  ["infer", "--iterations", "-1"]])
+def test_cli_failed_subcommand_writes_no_manifest(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CLI_CONFIG))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+    assert capsys.readouterr().out == ""
