@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .artifacts import write_csv
 from .motional_noise import return_probability
 
 
@@ -34,13 +35,11 @@ class CalibrationCurve:
             raise ValueError("probabilities must lie in [0, 1]")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phi_in", "tau_ms", "p_return", "shots"])
-            for i, phi in enumerate(self.phi_in):
-                for j, tau in enumerate(self.tau):
-                    writer.writerow([repr(float(phi)), repr(float(tau)),
-                                     repr(float(self.p_return[i, j])), self.shots])
+        """One row per (phi_in, tau) grid point, phi_in outer."""
+        write_csv(path, ["phi_in", "tau_ms", "p_return", "shots"],
+                  ([phi, tau, p, self.shots]
+                   for phi, row in zip(self.phi_in.tolist(), self.p_return.tolist())
+                   for tau, p in zip(self.tau.tolist(), row)))
 
     @classmethod
     def from_csv(cls, path) -> "CalibrationCurve":

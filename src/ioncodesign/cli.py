@@ -1,9 +1,11 @@
 """Command-line interface for the simulation and co-design workflows.
 
 Subcommands: simulate-spectrum, depth-sweep, calibrate, feedforward-table,
-noise-stats, infer. Each writes its CSV or JSON results into the output
-directory; `main` then writes `manifest.json`, only on success. Identical
-config and seed give byte-identical files.
+noise-stats, infer. `main` checks the subcommand's options before it
+creates the output directory; each subcommand writes its CSV or JSON
+results there, and `main` then writes `manifest.json` (including those
+options), only on success. Identical config and seed give byte-identical
+files.
 The environment variable IONCODESIGN_SEED overrides the seed (CI hook).
 """
 
@@ -40,6 +42,11 @@ from .motional_noise import (
     markovian_noise_to_signal,
 )
 from .spectroscopy import hellinger
+
+
+# Parsed names that are not a subcommand's own options; the manifest
+# records them as its command and config fields.
+_COMMON_OPTIONS = ("command", "config", "c2", "seed", "runs", "feedforward", "out")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,6 +120,27 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
+def _check_options(args) -> None:
+    """Reject bad subcommand options before anything is written to --out."""
+    command = args.command
+    if command == "calibrate" and args.shots < 1:
+        raise ConfigError("shots", "must be a positive integer")
+    if command == "feedforward-table" and (
+            args.phi_cap <= 0 or args.n_phi < 1 or args.n_lam < 1 or args.lam_max < 0):
+        raise ConfigError("feedforward-table", "grid parameters must be positive")
+    if command == "noise-stats" and args.tau <= 0:
+        raise ConfigError("tau", "must be positive")
+    if command == "noise-stats" and args.r < 1:
+        raise ConfigError("r", "must be a positive integer")
+    if command == "infer" and args.iterations < 0:
+        raise ConfigError("iterations", "must be non-negative")
+
+
+def _subcommand_options(args) -> dict:
+    """The parsed options of the subcommand itself, for the manifest."""
+    return {name: value for name, value in vars(args).items() if name not in _COMMON_OPTIONS}
+
+
 def _cmd_simulate_spectrum(args, config) -> str:
     series, spec = simulate_spectrum(config)
     target = exact_spectrum(config)
@@ -136,8 +164,6 @@ def _cmd_depth_sweep(args, config) -> str:
 
 
 def _cmd_calibrate(args, config) -> str:
-    if args.shots < 1:
-        raise ConfigError("shots", "must be a positive integer")
     phi_grid = np.linspace(0.5, 2.0 * np.pi, 8)
     tau_grid = np.linspace(0.0, 60.0, 13)
     curve = simulate_calibration(phi_grid, tau_grid, config.c2, args.shots,
@@ -154,8 +180,6 @@ def _cmd_calibrate(args, config) -> str:
 
 
 def _cmd_feedforward_table(args, config) -> str:
-    if args.phi_cap <= 0 or args.n_phi < 1 or args.n_lam < 1 or args.lam_max < 0:
-        raise ConfigError("feedforward-table", "grid parameters must be positive")
     phis = np.linspace(args.phi_cap / args.n_phi, args.phi_cap, args.n_phi)
     lams = np.linspace(0.0, args.lam_max, args.n_lam)
     path = os.path.join(config.out_dir, "feedforward_table.csv")
@@ -169,8 +193,6 @@ def _cmd_feedforward_table(args, config) -> str:
 
 
 def _cmd_noise_stats(args, config) -> str:
-    if args.tau <= 0:
-        raise ConfigError("tau", "must be positive")
     lam = config.c2 * args.tau
     moments = angle_moments(AngleDistribution(args.phi_in, lam))
     nts = markovian_noise_to_signal(args.r, lam)
@@ -189,8 +211,6 @@ def _cmd_noise_stats(args, config) -> str:
 
 
 def _cmd_infer(args, config) -> str:
-    if args.iterations < 0:
-        raise ConfigError("iterations", "must be non-negative")
     target = exact_spectrum(config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed,
                                                        spawn_key=(123456789,)))
@@ -222,9 +242,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = _load_config(args)
+        _check_options(args)
         os.makedirs(config.out_dir, exist_ok=True)
         summary = _COMMANDS[args.command](args, config)
-        write_manifest(os.path.join(config.out_dir, "manifest.json"), args.command, config)
+        write_manifest(os.path.join(config.out_dir, "manifest.json"), args.command, config,
+                       _subcommand_options(args))
         print(summary)
         return 0
     except ConfigError as exc:

@@ -2,13 +2,13 @@
 
 Everything here is plumbing around the physics modules: a validated JSON
 config, the depth sweep that locates the optimal gate count, a small
-derivative-free inference demo, and deterministic CSV/JSON emitters so
+derivative-free inference demo, and the run manifest. Result files go
+through the deterministic writers of `artifacts` (re-exported here), so
 identical config and seed reproduce byte-identical output files.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv, write_json  # noqa: F401  (re-exported for the CLI)
 from .feedforward import FeedforwardTable
 from .hamiltonian import SpinHamiltonian
 from .motional_noise import NoiseParams
@@ -283,35 +284,18 @@ def run_inference_demo(target_spectrum: Spectrum, initial_guess: SpinHamiltonian
     return log
 
 
-# ---------------------------------------------------------------------------
-# artifact emitters (deterministic: repr() floats, sorted JSON keys)
-
-def write_manifest(path, command: str, config: ExperimentConfig) -> None:
+def write_manifest(path, command: str, config: ExperimentConfig, options: dict) -> None:
+    """Provenance of one run: command, its own options, config and its hash."""
     from . import __version__
 
     cfg = config.to_dict()
     blob = json.dumps(cfg, sort_keys=True).encode()
     manifest = {
         "command": command,
+        "options": options,
         "config": cfg,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "seed": config.seed,
         "package_version": __version__,
     }
     write_json(path, manifest)
-
-
-def write_json(path, obj) -> None:
-    """Indented JSON with sorted keys and a trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_csv(path, header, rows) -> None:
-    """Header row, then one row per item. Pass Python floats (not NumPy
-    scalars): csv writes them as str(), which is their exact repr()."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

@@ -56,16 +56,19 @@ def positive_magnetization_states(n_spins: int) -> list[tuple[int, float]]:
 
 def _run_average(evolve, times: np.ndarray, runs: int, columns: np.ndarray,
                  reduce) -> np.ndarray:
-    """Per time, the mean over runs of reduce(it, evolve(columns, run, t)).
+    """Per time, the mean over runs of reduce(it, evolved run).
 
-    Times are the outer loop, so a noisy evolver registers them in grid
-    order; per time the run values are added in run order.
+    `evolve(columns, t, runs)` returns every run of one time as a
+    (2^N, runs, k) batch. Times are the outer loop, so a noisy evolver
+    registers them in grid order; per time the run values are added in
+    run order, each reduced on a contiguous copy of its run.
     """
     values = np.empty(times.size)
     for it, t in enumerate(times):
+        batch = evolve(columns, t, runs)
         total = 0.0
         for run in range(runs):
-            total += reduce(it, evolve(columns, run, t))
+            total += reduce(it, np.ascontiguousarray(batch[:, run]))
         values[it] = total / runs
     return values
 
@@ -73,9 +76,10 @@ def _run_average(evolve, times: np.ndarray, runs: int, columns: np.ndarray,
 def response_function(evolve, n_spins: int, times, runs: int = 1) -> ResponseSeries:
     """S(t) = 2 sum_{j: m_j > 0} (m_j / 2^N) <z_j(t)| S^z_tot |z_j(t)>, run-averaged.
 
-    `evolve(columns, run, t)` must map the (2^N, k) batch of basis states
-    with m_j > 0 to the batch evolved under noise realization `run`
-    (0 <= run < runs); S(t) is the mean over runs of the per-run value.
+    `evolve(columns, t, runs)` must map the (2^N, k) batch of basis states
+    with m_j > 0 to the (2^N, runs, k) batch evolved under noise
+    realizations 0 <= run < runs; S(t) is the mean over runs of the
+    per-run value.
     """
     times = np.asarray(times, dtype=float)
     dim = 2**n_spins
@@ -95,7 +99,8 @@ def response_function(evolve, n_spins: int, times, runs: int = 1) -> ResponseSer
 
 def exact_response(ham: SpinHamiltonian, times) -> ResponseSeries:
     evolver = ExactEvolver(ham)
-    return response_function(lambda cols, run, t: evolver.evolve(cols, t), ham.n_spins, times)
+    return response_function(lambda cols, t, runs: evolver.evolve(cols, t)[:, None],
+                             ham.n_spins, times)
 
 
 class TrotterEvolver:
@@ -138,21 +143,37 @@ class TrotterEvolver:
         return self._circuit_cache[key]
 
     def evolve(self, columns: np.ndarray, run: int, t: float) -> np.ndarray:
+        """Columns evolved under noise realization `run` at time t."""
         circuit, compiled = self._prepared(t)
-        angles = self.realized_angles(circuit, run, t)
-        return compiled.apply(columns, angles)
+        return compiled.apply(columns, self._angles(circuit, t, [run])[:, 0])
+
+    def evolve_runs(self, columns: np.ndarray, t: float, runs: int) -> np.ndarray:
+        """The (2^N, k) columns evolved under runs 0..runs-1: (2^N, runs, k)."""
+        circuit, compiled = self._prepared(t)
+        return compiled.apply(columns[:, None], self._angles(circuit, t, range(runs)))
 
     def realized_angles(self, circuit: TimedCircuit, run: int, t: float) -> list[float]:
         """Noisy angle realization for one run; nominal if noiseless."""
+        return self._angles(circuit, t, [run])[:, 0].tolist()
+
+    def _angles(self, circuit: TimedCircuit, t: float, runs) -> np.ndarray:
+        """(gates, len(runs)) realized angles, one column per noise run.
+
+        Run `run` at the time index of t draws its diffusion path from
+        SeedSequence(seed, spawn_key=(run, time index)); the path damps
+        each noisy gate's angle by exp(-u).
+        """
+        nominal = np.array([g.spec.angle for g in circuit.gates])[:, None]
         if self.noise is None:
-            return [g.spec.angle for g in circuit.gates]
+            return np.repeat(nominal, len(runs), axis=1)
         it = self._time_index.setdefault(float(t), len(self._time_index))
-        seed_seq = np.random.SeedSequence(entropy=self.noise.seed, spawn_key=(run, it))
-        rng = np.random.default_rng(seed_seq)
-        traj = sample_trajectory(circuit.gate_times(), self.noise, rng=rng)
-        damp = np.exp(-traj.u)
-        return [g.spec.angle * damp[m] if g.noisy else g.spec.angle
-                for m, g in enumerate(circuit.gates)]
+        times = circuit.gate_times()
+        u = np.empty((nominal.size, len(runs)))
+        for col, run in enumerate(runs):
+            seed_seq = np.random.SeedSequence(entropy=self.noise.seed, spawn_key=(run, it))
+            u[:, col] = sample_trajectory(times, self.noise, rng=np.random.default_rng(seed_seq)).u
+        noisy = np.array([g.noisy for g in circuit.gates])[:, None]
+        return np.where(noisy, nominal * np.exp(-u), nominal)
 
 
 def noiseless_response(ham: SpinHamiltonian, times, r: int,
@@ -165,7 +186,7 @@ def noisy_response(ham: SpinHamiltonian, times, r: int, noise: NoiseParams | Non
                    n_runs: int = 1, table: FeedforwardTable | None = None) -> ResponseSeries:
     """Run-averaged Trotterized response: mean of S(t) over diffusion paths."""
     ev = TrotterEvolver(ham, r, timing, noise, feedforward, table)
-    return response_function(ev.evolve, ham.n_spins, times, ev.runs(n_runs))
+    return response_function(ev.evolve_runs, ham.n_spins, times, ev.runs(n_runs))
 
 
 def spectrum(series: ResponseSeries, gamma: float, omega_grid) -> Spectrum:
@@ -211,7 +232,7 @@ def fidelity_trace(ham: SpinHamiltonian, times, r: int,
     def trace_fidelity(it, u1):
         return abs(np.vdot(u1, targets[it]) / dim) ** 2
 
-    fid = _run_average(ev.evolve, times, ev.runs(n_runs), np.eye(dim, dtype=complex),
+    fid = _run_average(ev.evolve_runs, times, ev.runs(n_runs), np.eye(dim, dtype=complex),
                        trace_fidelity)
     if times.size > 1 and times[-1] > times[0]:
         f_int = float(np.trapezoid(fid, times) / (times[-1] - times[0]))

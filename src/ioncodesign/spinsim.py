@@ -25,6 +25,10 @@ SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 _SIGMA = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
+# Largest working set, in complex entries (128 KiB), that one pass of the
+# batched gate loop touches; bigger batches are split into chunks.
+BATCH_ENTRIES = 2**13
+
 ROTATION_KINDS = ("RX", "RY", "RZ")
 GATE_KINDS = ROTATION_KINDS + ("XX",)
 
@@ -169,6 +173,14 @@ class CompiledCircuit:
     (-i G a)[x] = phase[x] * a[source[x]]. The (source, phase) pair is
     precomputed once per distinct (kind, sites), and applying a gate is
     one gather: c * a + (s * phase) * a[source].
+
+    `apply` also runs a batch of B angle realizations in one gate loop:
+    with (gates, B) angles the array is (2**n, B or 1, k) and realization
+    b evolves column b (a width-1 batch axis is shared by all of them).
+    B is split into chunks whose working set 2**n * B * k stays within
+    BATCH_ENTRIES complex entries (a chunk holds at least one
+    realization), so small registers batch every realization while large
+    ones run one at a time.
     """
 
     def __init__(self, circuit):
@@ -183,7 +195,7 @@ class CompiledCircuit:
             self._plan.append(cache[key])
 
     def _gather(self, kind: str, sites) -> tuple[np.ndarray, np.ndarray]:
-        """(source, phase) of -i G for one generator, phase as a column."""
+        """(source, phase) of -i G for one generator, phase shaped (2**n, 1, 1)."""
         index = np.arange(self.dim)
         masks = [1 << (self.n_qubits - 1 - s) for s in sites]
         up = (index & masks[0]) != 0
@@ -193,17 +205,39 @@ class CompiledCircuit:
             source, phase = index ^ masks[0], np.where(up, -1.0 + 0j, 1.0 + 0j)
         else:  # RX and XX flip their sites with a constant -i
             source, phase = index ^ sum(masks), np.full(self.dim, -1j)
-        return source, phase[:, None]
+        return source, phase[:, None, None]
 
     def apply(self, array: np.ndarray, angles) -> np.ndarray:
-        """Apply the gates with the given angles to the leading 2**n axis."""
+        """Apply the gates with the given angles to the leading 2**n axis.
+
+        1-D angles act on an array of any (2**n, ...) shape. 2-D angles
+        (gates, B) act on a (2**n, B or 1, k) array and return
+        (2**n, B, k), realization b on column b.
+        """
         out = np.asarray(array, dtype=complex)
-        shape = out.shape
-        out = out.reshape(self.dim, -1)
         theta = np.asarray(angles, dtype=float) / 4.0
-        for (source, phase), c, s in zip(self._plan, np.cos(theta), np.sin(theta)):
-            out = c * out + (s * phase) * out[source]
-        return out.reshape(shape)
+        if theta.ndim == 1:
+            theta = theta[:, None]
+            return self._gate_loop(out.reshape(self.dim, 1, -1), np.cos(theta),
+                                   np.sin(theta)).reshape(out.shape)
+        batch = theta.shape[1]
+        if out.ndim != 3 or out.shape[0] != self.dim or out.shape[1] not in (1, batch):
+            raise ValueError(f"need a (2**n, 1 or {batch}, k) array for {batch} realizations, "
+                             f"got {out.shape}")
+        cos, sin = np.cos(theta), np.sin(theta)
+        chunk = max(1, BATCH_ENTRIES // (self.dim * out.shape[2]))
+        if batch <= chunk:
+            return self._gate_loop(out, cos, sin)
+        return np.concatenate([
+            self._gate_loop(out if out.shape[1] == 1 else out[:, b:b + chunk],
+                            cos[:, b:b + chunk], sin[:, b:b + chunk])
+            for b in range(0, batch, chunk)], axis=1)
+
+    def _gate_loop(self, out: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+        """All gates on a (2**n, B or 1, k) block, with (gates, B) cos and sin of angle/4."""
+        for (source, phase), c, s in zip(self._plan, cos, sin):
+            out = c[:, None] * out + (s[:, None] * phase) * out[source]
+        return out
 
 
 def circuit_unitary(circuit, realized_angles=None) -> UnitaryMatrix:

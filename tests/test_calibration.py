@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from ioncodesign.calibration import (
@@ -50,6 +51,14 @@ def test_fit_recovers_exactly_from_analytic_data():
     assert fit["residual"] < 1e-10
 
 
+@settings(max_examples=25, deadline=None)
+@given(c2=st.floats(1e-3, 1.0), tau_max=st.floats(20.0, 80.0))
+def test_fit_recovers_any_rate_from_analytic_data(c2, tau_max):
+    fit = fit_c2(analytic_curve(c2, tau_grid=np.linspace(0.0, tau_max, 9)))
+    assert fit["c2_hat"] == pytest.approx(c2, rel=1e-6)
+    assert fit["residual"] < 1e-12
+
+
 def test_fit_recovers_within_tolerance_from_shots():
     c2 = 0.02
     curve = simulate_calibration(np.linspace(0.5, 2 * np.pi, 8),
@@ -84,6 +93,19 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.tau, curve.tau)
     assert np.array_equal(loaded.p_return, curve.p_return)
     assert loaded.shots == curve.shots
+
+
+def test_csv_bytes_match_the_row_by_row_writer(tmp_path):
+    curve = simulate_calibration(np.linspace(0.5, 2 * np.pi, 8), np.linspace(0.0, 60.0, 13),
+                                 c2_true=0.02, shots=1000, seed=4)
+    path = tmp_path / "cal.csv"
+    curve.to_csv(path)
+    lines = ["phi_in,tau_ms,p_return,shots"]
+    for i, phi in enumerate(curve.phi_in):
+        for j, tau in enumerate(curve.tau):
+            lines.append(",".join([repr(float(phi)), repr(float(tau)),
+                                   repr(float(curve.p_return[i, j])), str(curve.shots)]))
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
 
 def test_simulate_calibration_is_seed_deterministic():

@@ -6,8 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioncodesign import default_instance
+from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.cli import main
 from ioncodesign.harness import (
     ConfigError,
@@ -264,3 +267,62 @@ def test_cli_failed_subcommand_writes_no_manifest(argv, tmp_path, capsys):
     assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "manifest.json").exists()
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["calibrate", "--shots", "0"],
+                                  ["infer", "--iterations", "-1"],
+                                  ["noise-stats", "--tau", "0"],
+                                  ["noise-stats", "--r", "0"],
+                                  ["feedforward-table", "--n-phi", "0"]])
+def test_cli_bad_option_exits_2_without_creating_out(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_manifest_records_subcommand_options(tmp_path):
+    out = tmp_path / "out"
+    manifests = []
+    for tau in ("10", "5", "10"):
+        assert main(["noise-stats", "--c2", "0.02", "--tau", tau, "--out", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] != manifests[1]
+    assert manifests[0] == manifests[2]
+    options = json.loads(manifests[1])["options"]
+    assert options == {"phi_in": math.pi / 2.0, "r": 100, "tau": 5.0}
+    out = tmp_path / "table"
+    assert main(["feedforward-table", "--n-phi", "2", "--n-lam", "3", "--out", str(out)]) == 0
+    options = json.loads((out / "manifest.json").read_text())["options"]
+    assert options == {"lam_max": 5.0, "n_lam": 3, "n_phi": 2, "phi_cap": 4.0 * math.pi}
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+positive = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(1, 4))
+    J = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            J[i, j] = J[j, i] = draw(finite)
+    h = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    omega_min = draw(finite)
+    return ExperimentConfig(
+        hamiltonian=SpinHamiltonian(n, J, h), c2=draw(st.floats(0.0, 1e3)), t_g=draw(positive),
+        r_values=tuple(draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=8))),
+        r=draw(st.integers(1, 10**4)), n_runs=draw(st.none() | st.integers(1, 10**4)),
+        seed=draw(st.integers(0, 2**63)), feedforward=draw(st.booleans()),
+        correlated=draw(st.booleans()), gamma=draw(positive), t_max=draw(positive),
+        n_times=draw(st.integers(2, 10**4)), omega_min=omega_min,
+        omega_max=omega_min + draw(st.floats(1e-3, 1e6)), n_omega=draw(st.integers(2, 10**4)),
+        out_dir=draw(st.text(max_size=20)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_config_dict_round_trip(config):
+    data = config.to_dict()
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(data))).to_dict() == data

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ioncodesign.hamiltonian import SpinHamiltonian
+from ioncodesign.hamiltonian import ExactEvolver, SpinHamiltonian
 from ioncodesign.motional_noise import NoiseParams
 from ioncodesign.spectroscopy import (
     ResponseSeries,
@@ -17,19 +17,20 @@ from ioncodesign.spectroscopy import (
     positive_magnetization_states,
     spectrum,
 )
+from ioncodesign.spinsim import CompiledCircuit, sz_tot_diagonal
 
 
 def single_spin(h0):
     return SpinHamiltonian(1, np.zeros((1, 1)), np.array([h0]))
 
 
-def four_spin(seed=42):
+def four_spin(seed=42, n=4):
     rng = np.random.default_rng(seed)
-    J = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i + 1, 4):
+    J = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
             J[i, j] = J[j, i] = rng.uniform(-1, 1)
-    return SpinHamiltonian(4, J, rng.uniform(-5, 5, 4))
+    return SpinHamiltonian(n, J, rng.uniform(-5, 5, n))
 
 
 def test_positive_magnetization_states():
@@ -161,3 +162,76 @@ def test_spectrum_input_validation():
         ResponseSeries(np.linspace(0, 1, 5), np.zeros(4))
     with pytest.raises(ValueError):
         TrotterEvolver(four_spin(), r=0)
+
+
+def _per_run_loop(ev, times, runs, columns, reduce):
+    """Reference: one TrotterEvolver.evolve per (time, run), runs summed in order."""
+    values = np.empty(times.size)
+    for it, t in enumerate(times):
+        total = 0.0
+        for run in range(runs):
+            total += reduce(it, ev.evolve(columns, run, t))
+        values[it] = total / runs
+    return values
+
+
+BATCH_CASES = [
+    # (spins, r, c2, feedforward, runs)
+    (4, 3, 0.05, False, 4),
+    (4, 2, 0.05, True, 3),
+    (4, 1, 0.05, False, 40),  # more runs than one chunk of unitary columns
+    (5, 1, 0.05, False, 10),  # two chunks at dimension 32
+    (4, 2, 0.0, False, 3),  # inactive noise: one run
+]
+
+
+@pytest.mark.parametrize("n,r,c2,feedforward,runs", BATCH_CASES)
+def test_batched_response_equals_per_run_loop(n, r, c2, feedforward, runs):
+    ham = four_spin(seed=7, n=n)
+    times = np.linspace(0.0, 2.0, 5)
+    noise = NoiseParams(c2=c2, seed=5)
+    got = noisy_response(ham, times, r, noise, feedforward=feedforward, n_runs=runs)
+    ev = TrotterEvolver(ham, r, noise=noise, feedforward=feedforward)
+    states = positive_magnetization_states(n)
+    columns = np.zeros((2**n, len(states)), dtype=complex)
+    for k, (idx, _) in enumerate(states):
+        columns[idx, k] = 1.0
+    weights = np.array([m for _, m in states]) / 2**n
+    diag = sz_tot_diagonal(n)
+
+    def magnetization(it, evolved):
+        return 2.0 * float(weights @ np.real(np.einsum("d,dk->k", diag, np.abs(evolved) ** 2)))
+
+    want = _per_run_loop(ev, times, ev.runs(runs), columns, magnetization)
+    assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("n,r,c2,feedforward,runs", BATCH_CASES)
+def test_batched_fidelity_equals_per_run_loop(n, r, c2, feedforward, runs):
+    ham = four_spin(seed=7, n=n)
+    times = np.linspace(0.0, 2.0, 5)
+    noise = NoiseParams(c2=c2, seed=5)
+    got = fidelity_trace(ham, times, r, noise=noise, feedforward=feedforward, n_runs=runs)
+    ev = TrotterEvolver(ham, r, noise=noise, feedforward=feedforward)
+    exact = ExactEvolver(ham)
+    dim = 2**n
+    targets = [exact.unitary(t) for t in times]
+    want = _per_run_loop(ev, times, ev.runs(runs), np.eye(dim, dtype=complex),
+                         lambda it, u1: abs(np.vdot(u1, targets[it]) / dim) ** 2)
+    assert np.array_equal(got.fidelity, want)
+    assert got.f_int == float(np.trapezoid(want, times) / (times[-1] - times[0]))
+
+
+def test_batched_evolution_uses_the_per_run_realizations():
+    ham = four_spin()
+    noise = NoiseParams(c2=0.3, seed=2)
+    batch = TrotterEvolver(ham, 2, noise=noise)
+    single = TrotterEvolver(ham, 2, noise=noise)
+    eye = np.eye(16, dtype=complex)
+    out = batch.evolve_runs(eye, 1.0, 3)
+    compiled = CompiledCircuit(single.circuit_for(1.0))
+    for run in range(3):
+        angles = single.realized_angles(single.circuit_for(1.0), run, 1.0)
+        assert isinstance(angles, list)
+        assert np.array_equal(out[:, run], compiled.apply(eye, angles))
+        assert np.array_equal(out[:, run], single.evolve(eye, run, 1.0))

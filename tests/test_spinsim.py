@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioncodesign.spinsim import (
+    BATCH_ENTRIES,
     CompiledCircuit,
     GateSpec,
     StateVector,
@@ -192,3 +193,57 @@ def test_compiled_circuit_matches_gate_matrix_product(circuit):
     out = CompiledCircuit(circuit).apply(np.eye(dim, dtype=complex),
                                          [g.spec.angle for g in circuit.gates])
     assert np.max(np.abs(out - ref)) < 1e-12
+
+
+def _batch_inputs(n, batch, width, seed=0, broadcast=False):
+    circuit = build_trotter_circuit(random_instance(n, seed=seed), 0.7, 2)
+    rng = np.random.default_rng(seed)
+    nominal = np.array([g.spec.angle for g in circuit.gates])
+    angles = nominal[:, None] * rng.uniform(0.5, 1.0, (nominal.size, batch))
+    shape = (2**n, 1 if broadcast else batch, width)
+    array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return CompiledCircuit(circuit), array, angles
+
+
+@pytest.mark.parametrize("n,width,batch", [
+    (4, 16, 5),  # below the chunk of 2**13 // (16 * 16) = 32 realizations
+    (4, 16, 32),  # exactly one chunk
+    (4, 16, 70),  # three chunks, the last one partial
+    (4, 5, 103),  # wide chunk (102) for the S(t) column count
+    (7, 128, 3),  # one realization per chunk
+])
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_batched_apply_equals_separate_runs_bitwise(n, width, batch, broadcast):
+    compiled, array, angles = _batch_inputs(n, batch, width, seed=n + batch,
+                                            broadcast=broadcast)
+    out = compiled.apply(array, angles)
+    assert out.shape == (2**n, batch, width)
+    for b in range(batch):
+        column = array[:, 0 if broadcast else b]
+        assert np.array_equal(out[:, b], compiled.apply(column, angles[:, b]))
+
+
+@pytest.mark.parametrize("n,width,batch,chunks", [(4, 16, 10, [10]), (4, 16, 70, [32, 32, 6]),
+                                                  (7, 64, 2, [1, 1]), (7, 128, 3, [1, 1, 1])])
+def test_batched_apply_chunks_stay_within_the_working_set(n, width, batch, chunks,
+                                                          monkeypatch):
+    compiled, array, angles = _batch_inputs(n, batch, width, broadcast=True)
+    seen = []
+    original = CompiledCircuit._gate_loop
+
+    def record(self, out, cos, sin):
+        seen.append(cos.shape[1])
+        return original(self, out, cos, sin)
+
+    monkeypatch.setattr(CompiledCircuit, "_gate_loop", record)
+    compiled.apply(array, angles)
+    assert seen == chunks
+    assert all(2**n * b * width <= BATCH_ENTRIES or b == 1 for b in seen)
+
+
+def test_batched_apply_rejects_mismatched_batch():
+    compiled, array, angles = _batch_inputs(3, 4, 2)
+    with pytest.raises(ValueError):
+        compiled.apply(array[:, :3], angles)
+    with pytest.raises(ValueError):
+        compiled.apply(array[:, 0], angles)
