@@ -48,11 +48,9 @@ from .spinsim import (
     CompiledCircuit,
     GateSpec,
     StateVector,
-    UnitaryMatrix,
     apply_gate,
     basis_state,
     circuit_unitary,
-    evolve_columns,
     expect_sz_tot,
     gate_matrix,
 )
@@ -64,9 +62,7 @@ from .spectroscopy import (
     exact_response,
     fidelity_trace,
     hellinger,
-    noiseless_response,
     noisy_response,
-    response_function,
     spectrum,
 )
 from .trotter import (

@@ -49,6 +49,8 @@ class CalibrationCurve:
             for row in reader:
                 rows.append((float(row["phi_in"]), float(row["tau_ms"]),
                              float(row["p_return"]), int(row["shots"])))
+        if not rows:
+            raise ValueError(f"calibration CSV {path} has no rows")
         phis = sorted({r[0] for r in rows})
         taus = sorted({r[1] for r in rows})
         p = np.full((len(phis), len(taus)), np.nan)

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import default_instance
+from .artifacts import write_csv, write_json
 from .calibration import fit_c2, fit_phase_damping, simulate_calibration
 from .feedforward import ControlQuery, optimal_input_angle
 from .harness import (
@@ -31,8 +32,6 @@ from .harness import (
     run_depth_sweep,
     run_inference_demo,
     simulate_spectrum,
-    write_csv,
-    write_json,
     write_manifest,
 )
 from .motional_noise import (
@@ -47,6 +46,9 @@ from .spectroscopy import hellinger
 # Parsed names that are not a subcommand's own options; the manifest
 # records them as its command and config fields.
 _COMMON_OPTIONS = ("command", "config", "c2", "seed", "runs", "feedforward", "out")
+# Float options of the subcommands: lower bound, and whether it is allowed.
+_FLOAT_OPTIONS = {"tau": (0.0, False), "phi_in": (0.0, True), "phi_cap": (0.0, False),
+                  "lam_max": (0.0, True), "perturb": (-math.inf, True)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,14 +124,17 @@ def _load_config(args) -> ExperimentConfig:
 
 def _check_options(args) -> None:
     """Reject bad subcommand options before anything is written to --out."""
+    for name, (low, closed) in _FLOAT_OPTIONS.items():
+        value = vars(args).get(name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(name, "must be finite")
+        if value is not None and (value < low or value == low and not closed):
+            raise ConfigError(name, f"must be {'>=' if closed else '>'} {low:g}")
     command = args.command
     if command == "calibrate" and args.shots < 1:
         raise ConfigError("shots", "must be a positive integer")
-    if command == "feedforward-table" and (
-            args.phi_cap <= 0 or args.n_phi < 1 or args.n_lam < 1 or args.lam_max < 0):
-        raise ConfigError("feedforward-table", "grid parameters must be positive")
-    if command == "noise-stats" and args.tau <= 0:
-        raise ConfigError("tau", "must be positive")
+    if command == "feedforward-table" and (args.n_phi < 1 or args.n_lam < 1):
+        raise ConfigError("n_phi" if args.n_phi < 1 else "n_lam", "must be a positive integer")
     if command == "noise-stats" and args.r < 1:
         raise ConfigError("r", "must be a positive integer")
     if command == "infer" and args.iterations < 0:
@@ -252,7 +257,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector, UnitaryMatrix, apply_kernel
+from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector, apply_kernel
 
 
 @dataclass
@@ -93,11 +93,11 @@ class ExactEvolver:
         return self.eigenvectors @ (phases.reshape((-1,) + (1,) * (coeff.ndim - 1)) * coeff)
 
 
-def exact_unitary(ham: SpinHamiltonian, t: float) -> UnitaryMatrix:
+def exact_unitary(ham: SpinHamiltonian, t: float) -> np.ndarray:
     """exp(-iHt) via Hermitian eigendecomposition."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    return UnitaryMatrix(2**ham.n_spins, ExactEvolver(ham).unitary(t))
+    return ExactEvolver(ham).unitary(t)
 
 
 def exact_evolve(ham: SpinHamiltonian, t: float, state: StateVector) -> StateVector:

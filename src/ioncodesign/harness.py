@@ -3,8 +3,8 @@
 Everything here is plumbing around the physics modules: a validated JSON
 config, the depth sweep that locates the optimal gate count, a small
 derivative-free inference demo, and the run manifest. Result files go
-through the deterministic writers of `artifacts` (re-exported here), so
-identical config and seed reproduce byte-identical output files.
+through the deterministic writers of `artifacts`, so identical config
+and seed reproduce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import write_csv, write_json  # noqa: F401  (re-exported for the CLI)
+from .artifacts import write_json
 from .feedforward import FeedforwardTable
 from .hamiltonian import SpinHamiltonian
 from .motional_noise import NoiseParams

@@ -1,11 +1,11 @@
 """Magnetization response, damped-Fourier spectra, and fidelity metrics.
 
-The response function S(t) is the infinite-temperature autocorrelation
-of the total magnetization, computed from the computational basis
-states with positive magnetization. Its damped Fourier transform is the
-spectrum; Hellinger distance between normalized spectra and the
-trace fidelity between noisy and exact evolutions are the two error
-metrics used to score circuits.
+The response S(t), the infinite-temperature autocorrelation of the total
+magnetization from the basis states with positive magnetization, and the
+trace fidelity F(t) against exact evolution are two run-averaged
+reductions of `TrotterEvolver` batches, whose noise depends on (seed,
+run, time index) only. The damped Fourier transform of S(t) is the
+spectrum; Hellinger distance between spectra, and F(t), score circuits.
 """
 
 from __future__ import annotations
@@ -54,34 +54,12 @@ def positive_magnetization_states(n_spins: int) -> list[tuple[int, float]]:
     return [(int(i), float(m)) for i, m in enumerate(diag) if m > 0]
 
 
-def _run_average(evolve, times: np.ndarray, runs: int, columns: np.ndarray,
-                 reduce) -> np.ndarray:
-    """Per time, the mean over runs of reduce(it, evolved run).
+def _magnetization(n_spins: int):
+    """The basis states with m_j > 0 as columns, and the S(t) reduce of them.
 
-    `evolve(columns, t, runs)` returns every run of one time as a
-    (2^N, runs, k) batch. Times are the outer loop, so a noisy evolver
-    registers them in grid order; per time the run values are added in
-    run order, each reduced on a contiguous copy of its run.
+    S(t) = 2 sum_{j: m_j > 0} (m_j / 2^N) <z_j(t)| S^z_tot |z_j(t)>, where
+    column j of the evolved (2^N, k) array is |z_j(t)>.
     """
-    values = np.empty(times.size)
-    for it, t in enumerate(times):
-        batch = evolve(columns, t, runs)
-        total = 0.0
-        for run in range(runs):
-            total += reduce(it, np.ascontiguousarray(batch[:, run]))
-        values[it] = total / runs
-    return values
-
-
-def response_function(evolve, n_spins: int, times, runs: int = 1) -> ResponseSeries:
-    """S(t) = 2 sum_{j: m_j > 0} (m_j / 2^N) <z_j(t)| S^z_tot |z_j(t)>, run-averaged.
-
-    `evolve(columns, t, runs)` must map the (2^N, k) batch of basis states
-    with m_j > 0 to the (2^N, runs, k) batch evolved under noise
-    realizations 0 <= run < runs; S(t) is the mean over runs of the
-    per-run value.
-    """
-    times = np.asarray(times, dtype=float)
     dim = 2**n_spins
     states = positive_magnetization_states(n_spins)
     columns = np.zeros((dim, len(states)), dtype=complex)
@@ -94,13 +72,16 @@ def response_function(evolve, n_spins: int, times, runs: int = 1) -> ResponseSer
         expect = np.real(np.einsum("d,dk->k", diag, np.abs(evolved) ** 2))
         return 2.0 * float(weights @ expect)
 
-    return ResponseSeries(times, _run_average(evolve, times, runs, columns, magnetization))
+    return columns, magnetization
 
 
 def exact_response(ham: SpinHamiltonian, times) -> ResponseSeries:
+    """S(t) under exact evolution."""
+    times = np.asarray(times, dtype=float)
+    columns, magnetization = _magnetization(ham.n_spins)
     evolver = ExactEvolver(ham)
-    return response_function(lambda cols, t, runs: evolver.evolve(cols, t)[:, None],
-                             ham.n_spins, times)
+    return ResponseSeries(times, [magnetization(it, evolver.evolve(columns, t))
+                                  for it, t in enumerate(times)])
 
 
 class TrotterEvolver:
@@ -123,34 +104,28 @@ class TrotterEvolver:
         self.feedforward = feedforward
         self.table = table if table is not None else FeedforwardTable()
         self._time_index = {}
-        self._circuit_cache: dict[float, tuple[TimedCircuit, CompiledCircuit]] = {}
 
     def runs(self, n_runs: int) -> int:
         """Noise runs worth averaging: one when the evolution is deterministic."""
         return n_runs if self.noise is not None else 1
 
     def circuit_for(self, t: float) -> TimedCircuit:
-        return self._prepared(t)[0]
-
-    def _prepared(self, t: float) -> tuple[TimedCircuit, CompiledCircuit]:
-        """Circuit and its application plan, cached per sample time."""
-        key = float(t)
-        if key not in self._circuit_cache:
-            circuit = build_trotter_circuit(self.ham, t, self.r, self.timing)
-            if self.feedforward and self.noise is not None:
-                circuit = correct_circuit(circuit, self.noise.c2, self.table)
-            self._circuit_cache[key] = (circuit, CompiledCircuit(circuit))
-        return self._circuit_cache[key]
+        """The circuit approximating exp(-iHt), feedforward-corrected if enabled."""
+        circuit = build_trotter_circuit(self.ham, t, self.r, self.timing)
+        if self.feedforward and self.noise is not None:
+            circuit = correct_circuit(circuit, self.noise.c2, self.table)
+        return circuit
 
     def evolve(self, columns: np.ndarray, run: int, t: float) -> np.ndarray:
         """Columns evolved under noise realization `run` at time t."""
-        circuit, compiled = self._prepared(t)
-        return compiled.apply(columns, self._angles(circuit, t, [run])[:, 0])
+        circuit = self.circuit_for(t)
+        return CompiledCircuit(circuit).apply(columns, self._angles(circuit, t, [run])[:, 0])
 
     def evolve_runs(self, columns: np.ndarray, t: float, runs: int) -> np.ndarray:
         """The (2^N, k) columns evolved under runs 0..runs-1: (2^N, runs, k)."""
-        circuit, compiled = self._prepared(t)
-        return compiled.apply(columns[:, None], self._angles(circuit, t, range(runs)))
+        circuit = self.circuit_for(t)
+        return CompiledCircuit(circuit).apply(columns[:, None],
+                                              self._angles(circuit, t, range(runs)))
 
     def realized_angles(self, circuit: TimedCircuit, run: int, t: float) -> list[float]:
         """Noisy angle realization for one run; nominal if noiseless."""
@@ -176,17 +151,36 @@ class TrotterEvolver:
         return np.where(noisy, nominal * np.exp(-u), nominal)
 
 
-def noiseless_response(ham: SpinHamiltonian, times, r: int,
-                       timing: GateTiming = GateTiming()) -> ResponseSeries:
-    return noisy_response(ham, times, r, None, timing)
+def _run_average(ev: TrotterEvolver, times: np.ndarray, n_runs: int, columns: np.ndarray,
+                 reduce) -> np.ndarray:
+    """Per time, the mean over the evolver's noise runs of reduce(it, evolved run).
+
+    Times are the outer loop, so the evolver registers them in grid
+    order; per time the run values are added in run order, each reduced
+    on a contiguous copy of its run.
+    """
+    runs = ev.runs(n_runs)
+    values = np.empty(times.size)
+    for it, t in enumerate(times):
+        batch = ev.evolve_runs(columns, t, runs)
+        total = 0.0
+        for run in range(runs):
+            total += reduce(it, np.ascontiguousarray(batch[:, run]))
+        values[it] = total / runs
+    return values
 
 
 def noisy_response(ham: SpinHamiltonian, times, r: int, noise: NoiseParams | None,
                    timing: GateTiming = GateTiming(), feedforward: bool = False,
                    n_runs: int = 1, table: FeedforwardTable | None = None) -> ResponseSeries:
-    """Run-averaged Trotterized response: mean of S(t) over diffusion paths."""
+    """Run-averaged Trotterized response: mean of S(t) over diffusion paths.
+
+    With `noise` None (or c2 = 0) this is the noiseless Trotter response.
+    """
+    times = np.asarray(times, dtype=float)
     ev = TrotterEvolver(ham, r, timing, noise, feedforward, table)
-    return response_function(ev.evolve_runs, ham.n_spins, times, ev.runs(n_runs))
+    columns, magnetization = _magnetization(ham.n_spins)
+    return ResponseSeries(times, _run_average(ev, times, n_runs, columns, magnetization))
 
 
 def spectrum(series: ResponseSeries, gamma: float, omega_grid) -> Spectrum:
@@ -232,8 +226,7 @@ def fidelity_trace(ham: SpinHamiltonian, times, r: int,
     def trace_fidelity(it, u1):
         return abs(np.vdot(u1, targets[it]) / dim) ** 2
 
-    fid = _run_average(ev.evolve_runs, times, ev.runs(n_runs), np.eye(dim, dtype=complex),
-                       trace_fidelity)
+    fid = _run_average(ev, times, n_runs, np.eye(dim, dtype=complex), trace_fidelity)
     if times.size > 1 and times[-1] > times[0]:
         f_int = float(np.trapezoid(fid, times) / (times[-1] - times[0]))
     else:

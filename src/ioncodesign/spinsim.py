@@ -1,4 +1,7 @@
-"""Dense statevector and unitary-matrix engine for small spin-1/2 registers.
+"""Dense statevector engine for small spin-1/2 registers.
+
+`CompiledCircuit` runs a circuit on statevector columns under one or a batch
+of angle realizations; `circuit_unitary` and `gate_matrix` return ndarrays.
 
 Conventions used throughout the package:
 
@@ -15,7 +18,7 @@ evolution go through |Tr| or density matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,19 +72,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass
-class UnitaryMatrix:
-    """Dense unitary on the full register Hilbert space."""
-
-    dim: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (self.dim, self.dim):
-            raise ValueError("entries must be dim x dim")
 
 
 def basis_state(n_qubits: int, bits) -> StateVector:
@@ -155,13 +145,12 @@ def expect_sz_tot(state: StateVector) -> float:
     return float(np.real(np.sum(diag * np.abs(state.amplitudes) ** 2)))
 
 
-def gate_matrix(gate: GateSpec, n_qubits: int) -> UnitaryMatrix:
+def gate_matrix(gate: GateSpec, n_qubits: int) -> np.ndarray:
     """Full 2**n x 2**n embedding of the gate."""
     if any(s >= n_qubits for s in gate.sites):
         raise ValueError("gate site index out of range")
-    dim = 2**n_qubits
-    entries = apply_kernel(np.eye(dim, dtype=complex), gate_kernel(gate), gate.sites, n_qubits)
-    return UnitaryMatrix(dim, entries)
+    return apply_kernel(np.eye(2**n_qubits, dtype=complex), gate_kernel(gate), gate.sites,
+                        n_qubits)
 
 
 class CompiledCircuit:
@@ -240,34 +229,11 @@ class CompiledCircuit:
         return out
 
 
-def circuit_unitary(circuit, realized_angles=None) -> UnitaryMatrix:
-    """Ordered product of the circuit's gates; gates[0] acts first.
-
-    `realized_angles` optionally maps gate index -> angle (or is a full
-    sequence of angles); unlisted gates use their nominal angle.
-    """
-    dim = 2**circuit.n_qubits
-    return UnitaryMatrix(dim, evolve_columns(circuit, np.eye(dim, dtype=complex),
-                                             realized_angles))
-
-
-def evolve_columns(circuit, columns: np.ndarray, realized_angles=None) -> np.ndarray:
-    """Run the circuit on a (2**n, m) batch of statevector columns."""
-    angles = _resolve_angles(circuit, realized_angles)
-    return CompiledCircuit(circuit).apply(columns, angles)
-
-
-def _resolve_angles(circuit, realized_angles):
-    m = len(circuit.gates)
-    nominal = [g.nominal_angle for g in circuit.gates]
-    if realized_angles is None:
-        return nominal
-    if isinstance(realized_angles, dict):
-        for idx in realized_angles:
-            if not 0 <= idx < m:
-                raise ValueError(f"realized angle index {idx} out of range")
-        return [realized_angles.get(i, nominal[i]) for i in range(m)]
-    realized = list(realized_angles)
-    if len(realized) != m:
-        raise ValueError(f"need {m} realized angles, got {len(realized)}")
-    return realized
+def circuit_unitary(circuit, angles=None) -> np.ndarray:
+    """Ordered product of the circuit's gates (gates[0] acts first) at the
+    realized `angles`, one per gate, or else at the nominal angles."""
+    if angles is None:
+        angles = [g.spec.angle for g in circuit.gates]
+    elif len(angles) != len(circuit.gates):
+        raise ValueError(f"need {len(circuit.gates)} realized angles, got {len(angles)}")
+    return CompiledCircuit(circuit).apply(np.eye(2**circuit.n_qubits, dtype=complex), angles)

@@ -13,12 +13,12 @@ Gates are scheduled serially: gate m starts at tau_0 + m * t_g.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import ExactEvolver, SpinHamiltonian
-from .spinsim import GateSpec, UnitaryMatrix, circuit_unitary
+from .spinsim import GateSpec, circuit_unitary
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class TimedGate:
     spec: GateSpec
     start_time: float  # ms
     noisy: bool
-
-    @property
-    def nominal_angle(self) -> float:
-        return self.spec.angle
 
 
 @dataclass
@@ -111,7 +107,7 @@ def trotter_error(ham: SpinHamiltonian, t: float, r: int,
                   timing: GateTiming = GateTiming()) -> float:
     """Spectral norm of (noiseless circuit unitary - exact unitary)."""
     circuit = build_trotter_circuit(ham, t, r, timing)
-    approx = circuit_unitary(circuit).entries
+    approx = circuit_unitary(circuit)
     exact = ExactEvolver(ham).unitary(t)
     return float(np.linalg.norm(approx - exact, ord=2))
 

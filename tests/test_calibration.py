@@ -95,6 +95,13 @@ def test_csv_round_trip(tmp_path):
     assert loaded.shots == curve.shots
 
 
+def test_csv_without_rows_is_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("phi_in,tau_ms,p_return,shots\n")
+    with pytest.raises(ValueError, match="no rows"):
+        CalibrationCurve.from_csv(path)
+
+
 def test_csv_bytes_match_the_row_by_row_writer(tmp_path):
     curve = simulate_calibration(np.linspace(0.5, 2 * np.pi, 8), np.linspace(0.0, 60.0, 13),
                                  c2_true=0.02, shots=1000, seed=4)

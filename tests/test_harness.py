@@ -273,12 +273,29 @@ def test_cli_failed_subcommand_writes_no_manifest(argv, tmp_path, capsys):
                                   ["infer", "--iterations", "-1"],
                                   ["noise-stats", "--tau", "0"],
                                   ["noise-stats", "--r", "0"],
-                                  ["feedforward-table", "--n-phi", "0"]])
+                                  ["feedforward-table", "--n-phi", "0"],
+                                  ["noise-stats", "--tau", "nan"],
+                                  ["noise-stats", "--tau", "inf"],
+                                  ["noise-stats", "--phi-in", "nan"],
+                                  ["noise-stats", "--phi-in=-1"],
+                                  ["feedforward-table", "--phi-cap", "nan"],
+                                  ["feedforward-table", "--phi-cap", "0"],
+                                  ["feedforward-table", "--lam-max", "nan"],
+                                  ["infer", "--perturb", "nan"]])
 def test_cli_bad_option_exits_2_without_creating_out(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert repr(argv[1].lstrip("-").split("=")[0].replace("-", "_")) in err
+
+
+def test_cli_overflow_is_an_error_without_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["noise-stats", "--tau", "1e200", "--out", str(out)]) == 1
+    assert not (out / "manifest.json").exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_manifest_records_subcommand_options(tmp_path):

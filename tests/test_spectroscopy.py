@@ -12,7 +12,6 @@ from ioncodesign.spectroscopy import (
     fidelity_trace,
     hellinger,
     lorentzian_pair_spectra,
-    noiseless_response,
     noisy_response,
     positive_magnetization_states,
     spectrum,
@@ -73,8 +72,8 @@ def test_noiseless_trotter_response_converges_to_exact():
     ham = four_spin()
     times = np.linspace(0.0, 2.0, 9)
     exact = exact_response(ham, times)
-    coarse = noiseless_response(ham, times, r=4)
-    fine = noiseless_response(ham, times, r=48)
+    coarse = noisy_response(ham, times, 4, None)
+    fine = noisy_response(ham, times, 48, None)
     err_coarse = np.max(np.abs(coarse.values - exact.values))
     err_fine = np.max(np.abs(fine.values - exact.values))
     assert err_fine < err_coarse / 5
@@ -95,7 +94,7 @@ def test_noisy_response_is_seed_deterministic():
 def test_inactive_noise_is_one_noiseless_run():
     ham = four_spin()
     times = np.linspace(0.0, 2.0, 5)
-    clean = noiseless_response(ham, times, 4)
+    clean = noisy_response(ham, times, 4, None)
     for noise in (None, NoiseParams(c2=0.0, seed=3)):
         assert np.array_equal(noisy_response(ham, times, 4, noise, n_runs=3).values,
                               clean.values)

@@ -77,8 +77,8 @@ def test_first_order_convergence_slope():
 def test_circuit_approaches_exact_unitary():
     ham = random_instance(3, seed=4)
     t = 1.5
-    exact = exact_unitary(ham, t).entries
-    approx = circuit_unitary(build_trotter_circuit(ham, t, 64)).entries
+    exact = exact_unitary(ham, t)
+    approx = circuit_unitary(build_trotter_circuit(ham, t, 64))
     assert np.linalg.norm(approx - exact, ord=2) < 0.05
 
 
