@@ -4,8 +4,9 @@ Subcommands: simulate-spectrum, depth-sweep, calibrate, feedforward-table,
 noise-stats, infer. `main` checks the subcommand's options before it
 creates the output directory; each subcommand writes its CSV or JSON
 results there, and `main` then writes `manifest.json` (including those
-options), only on success. Identical config and seed give byte-identical
-files.
+options), only on success. A runtime failure exits 1 with an error naming
+the subcommand and removes an output directory `main` created and left
+empty. Identical config and seed give byte-identical files.
 The environment variable IONCODESIGN_SEED overrides the seed (CI hook).
 """
 
@@ -245,9 +246,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    created = False
     try:
         config = _load_config(args)
         _check_options(args)
+        created = not os.path.exists(config.out_dir)
         os.makedirs(config.out_dir, exist_ok=True)
         summary = _COMMANDS[args.command](args, config)
         write_manifest(os.path.join(config.out_dir, "manifest.json"), args.command, config,
@@ -258,7 +261,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        if created and os.path.isdir(config.out_dir) and not os.listdir(config.out_dir):
+            os.rmdir(config.out_dir)
         return 1
 
 

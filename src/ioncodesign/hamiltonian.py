@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector, apply_kernel
+from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
 
 
 @dataclass
@@ -54,24 +54,31 @@ class SpinHamiltonian:
             return cls.from_dict(json.load(fh))
 
 
-def _site_operator(sigma: np.ndarray, site: int, n: int) -> np.ndarray:
-    dim = 2**n
-    return apply_kernel(np.eye(dim, dtype=complex), sigma, [site], n)
+def _spin_term(sigmas, sites, n: int) -> np.ndarray:
+    """Product of sigma / 2 over the sites: one entry per row, in the column
+    with the bits of the off-diagonal (X, Y) sites flipped."""
+    index = np.arange(2**n)
+    source, value = index, np.ones(2**n, dtype=complex)
+    for sigma, site in zip(sigmas, sites):
+        bit = (index >> (n - 1 - site)) & 1
+        flip = int(sigma[0, 0] == 0.0)
+        value = value * (sigma / 2.0)[bit, bit ^ flip]
+        source = source ^ (flip << (n - 1 - site))
+    term = np.zeros((2**n, 2**n), dtype=complex)
+    term[index, source] = value
+    return term
 
 
 def hamiltonian_matrix(ham: SpinHamiltonian) -> np.ndarray:
     """Dense 2**n x 2**n Hermitian matrix of the Hamiltonian."""
     n = ham.n_spins
-    dim = 2**n
-    sx = [_site_operator(SIGMA_X / 2.0, i, n) for i in range(n)]
-    sy = [_site_operator(SIGMA_Y / 2.0, i, n) for i in range(n)]
-    sz = [_site_operator(SIGMA_Z / 2.0, i, n) for i in range(n)]
-    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix = np.zeros((2**n, 2**n), dtype=complex)
     for i, j in ham.coupled_pairs():
-        matrix += ham.J[i, j] * (sx[i] @ sx[j] + sy[i] @ sy[j] + sz[i] @ sz[j])
+        xx, yy, zz = (_spin_term((s, s), (i, j), n) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+        matrix += ham.J[i, j] * (xx + yy + zz)
     for i in range(n):
         if ham.h[i] != 0.0:
-            matrix += ham.h[i] * sx[i]
+            matrix += ham.h[i] * _spin_term((SIGMA_X,), (i,), n)
     return matrix
 
 

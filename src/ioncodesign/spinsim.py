@@ -1,7 +1,9 @@
 """Dense statevector engine for small spin-1/2 registers.
 
-`CompiledCircuit` runs a circuit on statevector columns under one or a batch
-of angle realizations; `circuit_unitary` and `gate_matrix` return ndarrays.
+`CompiledCircuit` runs a circuit, fused into X-basis phase layers and
+per-site 2x2 layers, on statevector columns under one or a batch of angle
+realizations; `circuit_unitary` and `gate_matrix` return ndarrays. The
+per-gate `gate_kernel`, `apply_kernel` and `gate_matrix` are its oracle.
 
 Conventions used throughout the package:
 
@@ -18,6 +20,7 @@ evolution go through |Tr| or density matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +32,15 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 _SIGMA = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 # Largest working set, in complex entries (128 KiB), that one pass of the
-# batched gate loop touches; bigger batches are split into chunks.
+# batched layer loop touches; bigger batches are split into chunks.
 BATCH_ENTRIES = 2**13
 
-ROTATION_KINDS = ("RX", "RY", "RZ")
-GATE_KINDS = ROTATION_KINDS + ("XX",)
+# The identity and the Hadamard H, which maps sigma^x to diag(1, -1). In the X eigenbasis
+# R^y and R^z with Pauli generator G have kernel cos(phi/4) I + sin(phi/4) (-i H G H).
+_EYE_AND_H = np.array([np.eye(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)], dtype=complex)
+_FRAME_GENERATORS = {"RY": np.array([[0, -1], [1, 0]]), "RZ": np.array([[0, 1j], [1j, 0]])}
+
+GATE_KINDS = ("RX", "RY", "RZ", "XX")
 
 
 @dataclass(frozen=True)
@@ -132,11 +139,7 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
 
 def sz_tot_diagonal(n_qubits: int) -> np.ndarray:
     """Diagonal of S^z_tot in the computational basis."""
-    idx = np.arange(2**n_qubits)
-    popcount = np.zeros(2**n_qubits, dtype=float)
-    for s in range(n_qubits):
-        popcount += (idx >> s) & 1
-    return popcount - n_qubits / 2.0
+    return np.bitwise_count(np.arange(2**n_qubits)) - n_qubits / 2.0
 
 
 def expect_sz_tot(state: StateVector) -> float:
@@ -154,47 +157,59 @@ def gate_matrix(gate: GateSpec, n_qubits: int) -> np.ndarray:
 
 
 class CompiledCircuit:
-    """Per-gate application plan reusable across angle realizations.
+    """Layer-fused plan of a circuit, reusable across angle realizations.
 
-    Every gate in the set is cos(phi/4) I - i sin(phi/4) G, where the
-    generator G is a Pauli string (X, Y or Z on one site, or X (x) X on a
-    pair). Each row x of G has a single nonzero entry, so
-    (-i G a)[x] = phase[x] * a[source[x]]. The (source, phase) pair is
-    precomputed once per distinct (kind, sites), and applying a gate is
-    one gather: c * a + (s * phase) * a[source].
+    The state is kept in the X eigenbasis (H on every site on entry and
+    exit; bit 0 of a site means sigma^x = +1). Each run of XX/RX gates is
+    one phase layer, exp(-i sum_g phi_g s_g(x) / 4) with s_g(x) = +-1;
+    each run of RY/RZ gates is one site layer: per touched site the
+    product of its H-conjugated kernels, applied as one gather
+    diag[x] psi[x] + off[x] psi[x ^ mask].
 
-    `apply` also runs a batch of B angle realizations in one gate loop:
-    with (gates, B) angles the array is (2**n, B or 1, k) and realization
-    b evolves column b (a width-1 batch axis is shared by all of them).
-    B is split into chunks whose working set 2**n * B * k stays within
-    BATCH_ENTRIES complex entries (a chunk holds at least one
-    realization), so small registers batch every realization while large
-    ones run one at a time.
+    (gates, B) angles run B realizations on a (2**n, B or 1, k) array,
+    realization b on column b, in chunks of 2**n * B * k <= BATCH_ENTRIES
+    complex entries (or one realization). A chunk builds its phases and
+    2x2 matrices in a fixed number of NumPy calls, each phase summed in
+    gate order, so no realization's arithmetic depends on the chunk width.
     """
 
     def __init__(self, circuit):
-        self.n_qubits = circuit.n_qubits
-        self.dim = 2**circuit.n_qubits
-        self._plan = []
-        cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        for gate in circuit.gates:
-            key = (gate.spec.kind, gate.spec.sites)
-            if key not in cache:
-                cache[key] = self._gather(*key)
-            self._plan.append(cache[key])
-
-    def _gather(self, kind: str, sites) -> tuple[np.ndarray, np.ndarray]:
-        """(source, phase) of -i G for one generator, phase shaped (2**n, 1, 1)."""
+        n = self.n_qubits = circuit.n_qubits
+        self.dim, self.n_gates = 2**n, len(circuit.gates)
+        # Kernel rows: the gates', the identity, then H, which every site gets first and last.
+        edge = [(self.n_gates + 1, "H", (site,)) for site in range(n)]
+        gates = [(g, gate.spec.kind, gate.spec.sites) for g, gate in enumerate(circuit.gates)]
+        # ("phase", [(gate, mask of its sites)]) or ("site", {site mask: kernel rows});
+        # a site past the register makes a negative shift, a ValueError.
+        layers = []
+        for row, kind, sites in edge + gates + edge:
+            kind = "phase" if kind in ("XX", "RX") else "site"
+            if not layers or layers[-1][0] != kind:
+                layers.append((kind, [] if kind == "phase" else {}))
+            if kind == "phase":
+                layers[-1][1].append((row, sum(1 << (n - 1 - site) for site in sites)))
+            else:
+                layers[-1][1].setdefault(1 << (n - 1 - sites[0]), []).append(row)
+        self._schedule, phase, starts, slots = [], [], [], []
+        for kind, layer in layers:
+            if kind == "phase":
+                self._schedule.append((kind, len(starts)))
+                starts.append(len(phase))
+                phase += layer
+            else:
+                self._schedule += [(kind, len(slots) + j) for j in range(len(layer))]
+                slots += sorted(layer.items())
         index = np.arange(self.dim)
-        masks = [1 << (self.n_qubits - 1 - s) for s in sites]
-        up = (index & masks[0]) != 0
-        if kind == "RZ":
-            source, phase = index, np.where(up, -1j, 1j)
-        elif kind == "RY":
-            source, phase = index ^ masks[0], np.where(up, -1.0 + 0j, 1.0 + 0j)
-        else:  # RX and XX flip their sites with a constant -i
-            source, phase = index ^ sum(masks), np.full(self.dim, -1j)
-        return source, phase[:, None, None]
+        self._phase_gates, masks = np.array(phase, dtype=int).reshape(-1, 2).T
+        self._signs = (1.0 - 2.0 * (np.bitwise_count(index & masks[:, None]) & 1))[:, :, None]
+        self._starts = np.array(starts, dtype=int)
+        self._generators = np.array([_FRAME_GENERATORS.get(gate.spec.kind, np.zeros((2, 2)))
+                                     for gate in circuit.gates]).reshape(-1, 1, 2, 2)
+        depth = max(len(rows) for _, rows in slots)
+        self._kernel_rows = np.array([rows + [self.n_gates] * (depth - len(rows))
+                                      for _, rows in slots]).T
+        slot_masks = np.array([mask for mask, _ in slots])[:, None]
+        self._bits, self._flip = np.bitwise_count(index & slot_masks), index ^ slot_masks
 
     def apply(self, array: np.ndarray, angles) -> np.ndarray:
         """Apply the gates with the given angles to the leading 2**n axis.
@@ -205,27 +220,42 @@ class CompiledCircuit:
         """
         out = np.asarray(array, dtype=complex)
         theta = np.asarray(angles, dtype=float) / 4.0
+        if theta.shape[0] != self.n_gates:
+            raise ValueError(f"need {self.n_gates} angles per realization, got {theta.shape[0]}")
         if theta.ndim == 1:
-            theta = theta[:, None]
-            return self._gate_loop(out.reshape(self.dim, 1, -1), np.cos(theta),
-                                   np.sin(theta)).reshape(out.shape)
+            return self._apply_chunk(out.reshape(self.dim, 1, -1),
+                                     theta[:, None]).reshape(out.shape)
         batch = theta.shape[1]
         if out.ndim != 3 or out.shape[0] != self.dim or out.shape[1] not in (1, batch):
             raise ValueError(f"need a (2**n, 1 or {batch}, k) array for {batch} realizations, "
                              f"got {out.shape}")
-        cos, sin = np.cos(theta), np.sin(theta)
         chunk = max(1, BATCH_ENTRIES // (self.dim * out.shape[2]))
-        if batch <= chunk:
-            return self._gate_loop(out, cos, sin)
         return np.concatenate([
-            self._gate_loop(out if out.shape[1] == 1 else out[:, b:b + chunk],
-                            cos[:, b:b + chunk], sin[:, b:b + chunk])
+            self._apply_chunk(out if out.shape[1] == 1 else out[:, b:b + chunk],
+                              theta[:, b:b + chunk])
             for b in range(0, batch, chunk)], axis=1)
 
-    def _gate_loop(self, out: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-        """All gates on a (2**n, B or 1, k) block, with (gates, B) cos and sin of angle/4."""
-        for (source, phase), c, s in zip(self._plan, cos, sin):
-            out = c[:, None] * out + (s[:, None] * phase) * out[source]
+    def _apply_chunk(self, out: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """All layers on a (2**n, B or 1, k) block, with (gates, B) angles / 4."""
+        phases = np.exp(-1j * np.add.reduceat(self._signs * theta[self._phase_gates][:, None],
+                                              self._starts, axis=0))[..., None]
+        t = theta[..., None, None]
+        kernels = np.concatenate([np.cos(t) * _EYE_AND_H[0] + np.sin(t) * self._generators,
+                                  np.broadcast_to(_EYE_AND_H[:, None], (2, t.shape[1], 2, 2))])
+        matrices = functools.reduce(lambda m, f: f @ m, kernels[self._kernel_rows])
+        rows = np.arange(len(matrices))[:, None]
+        diag = matrices[rows, :, self._bits, self._bits][..., None]
+        off = matrices[rows, :, self._bits, 1 - self._bits][..., None]
+        # The entry site layer's first gather allocates the full block.
+        out = np.broadcast_to(out, (self.dim, theta.shape[1], out.shape[2]))
+        for kind, index in self._schedule:
+            if kind == "phase":
+                out *= phases[index]
+                continue
+            flipped = out[self._flip[index]]
+            flipped *= off[index]
+            out = diag[index] * out
+            out += flipped
         return out
 
 
@@ -234,6 +264,4 @@ def circuit_unitary(circuit, angles=None) -> np.ndarray:
     realized `angles`, one per gate, or else at the nominal angles."""
     if angles is None:
         angles = [g.spec.angle for g in circuit.gates]
-    elif len(angles) != len(circuit.gates):
-        raise ValueError(f"need {len(circuit.gates)} realized angles, got {len(angles)}")
     return CompiledCircuit(circuit).apply(np.eye(2**circuit.n_qubits, dtype=complex), angles)

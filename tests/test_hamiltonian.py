@@ -13,7 +13,7 @@ from ioncodesign.hamiltonian import (
     exact_unitary,
     hamiltonian_matrix,
 )
-from ioncodesign.spinsim import basis_state
+from ioncodesign.spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z, apply_kernel, basis_state
 
 
 def two_spin(J, h=(0.0, 0.0)):
@@ -35,6 +35,36 @@ def test_matrix_is_hermitian():
     ham = SpinHamiltonian(3, J, rng.uniform(-5, 5, 3))
     m = hamiltonian_matrix(ham)
     assert np.allclose(m, m.conj().T)
+
+
+def _matmul_hamiltonian_matrix(ham):
+    """The Hamiltonian from dense embedded site operators and their products."""
+    n, dim = ham.n_spins, 2**ham.n_spins
+
+    def site(sigma, i):
+        return apply_kernel(np.eye(dim, dtype=complex), sigma / 2.0, [i], n)
+
+    sx, sy, sz = ([site(s, i) for i in range(n)] for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for i, j in ham.coupled_pairs():
+        matrix += ham.J[i, j] * (sx[i] @ sx[j] + sy[i] @ sy[j] + sz[i] @ sz[j])
+    for i in range(n):
+        if ham.h[i] != 0.0:
+            matrix += ham.h[i] * sx[i]
+    return matrix
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_matrix_is_bit_identical_to_dense_operator_products(n):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        J = np.triu(rng.uniform(-1, 1, (n, n)), 1)
+        if n > 2:
+            J[0, -1] = 0.0  # one uncoupled pair
+        h = rng.uniform(-5, 5, n)
+        h[-1] = 0.0  # and one site without a field
+        ham = SpinHamiltonian(n, J + J.T, h)
+        assert np.array_equal(hamiltonian_matrix(ham), _matmul_hamiltonian_matrix(ham))
 
 
 def test_exact_unitary_matches_expm():

@@ -298,6 +298,21 @@ def test_cli_overflow_is_an_error_without_manifest(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_runtime_failure_removes_only_the_out_it_created(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["noise-stats", "--tau", "1e200", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: noise-stats: ")
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    assert main(["noise-stats", "--tau", "1e200", "--out", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["noise-stats", "--tau", "1e200", "--out", str(empty)]) == 1
+    assert empty.is_dir()
+
+
 def test_cli_manifest_records_subcommand_options(tmp_path):
     out = tmp_path / "out"
     manifests = []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ioncodesign import default_instance
 from ioncodesign.hamiltonian import ExactEvolver, SpinHamiltonian
 from ioncodesign.motional_noise import NoiseParams
 from ioncodesign.spectroscopy import (
@@ -130,6 +131,10 @@ def test_fidelity_trace_noiseless_improves_with_depth():
     assert high.f_int > low.f_int
     assert high.fidelity[0] == pytest.approx(1.0)
     assert np.all(high.fidelity > 0.99)
+    # At t = 0 the deepest bundled circuit still applies its fixed +-pi
+    # rotations; they must cancel to the identity through every layer.
+    deep = fidelity_trace(default_instance(), [0.0], r=55)
+    assert deep.fidelity[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_trace_noise_hurts():

@@ -129,6 +129,15 @@ def test_realized_angles_wrong_length():
     circuit = build_trotter_circuit(ham, 0.5, 1)
     with pytest.raises(ValueError):
         circuit_unitary(circuit, [0.0])
+    with pytest.raises(ValueError):
+        CompiledCircuit(circuit).apply(np.eye(4), np.zeros((len(circuit.gates) + 1, 2)))
+
+
+@pytest.mark.parametrize("kind,sites", [("XX", (0, 2)), ("RX", (2,)), ("RY", (3,))])
+def test_compiled_circuit_rejects_sites_outside_the_register(kind, sites):
+    circuit = TimedCircuit(2, (TimedGate(GateSpec(kind, sites, 0.3), 0.0, False),), 0.0)
+    with pytest.raises(ValueError):
+        CompiledCircuit(circuit)
 
 
 def test_gate_spec_validation():
@@ -166,7 +175,7 @@ def random_circuits(draw):
     angle = st.floats(-20.0, 20.0, allow_nan=False)
     kinds = ["RX", "RY", "RZ"] + (["XX"] if n > 1 else [])
     gates = []
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(kinds))
         if kind == "XX":
             sites = tuple(draw(st.lists(site, min_size=2, max_size=2, unique=True)))
@@ -179,7 +188,9 @@ def random_circuits(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_circuits())
 def test_compiled_circuit_matches_gate_matrix_product(circuit):
-    # n = 1..7 covers registers on both sides of dimension 64.
+    # n = 1..7 covers registers on both sides of dimension 64; up to 40
+    # gates give long XX/RX phase layers and several RY/RZ gates on one
+    # site within a site layer.
     dim = 2**circuit.n_qubits
     ref = np.eye(dim, dtype=complex)
     for g in circuit.gates:
@@ -223,13 +234,13 @@ def test_batched_apply_chunks_stay_within_the_working_set(n, width, batch, chunk
                                                           monkeypatch):
     compiled, array, angles = _batch_inputs(n, batch, width, broadcast=True)
     seen = []
-    original = CompiledCircuit._gate_loop
+    original = CompiledCircuit._apply_chunk
 
-    def record(self, out, cos, sin):
-        seen.append(cos.shape[1])
-        return original(self, out, cos, sin)
+    def record(self, out, theta):
+        seen.append(theta.shape[1])
+        return original(self, out, theta)
 
-    monkeypatch.setattr(CompiledCircuit, "_gate_loop", record)
+    monkeypatch.setattr(CompiledCircuit, "_apply_chunk", record)
     compiled.apply(array, angles)
     assert seen == chunks
     assert all(2**n * b * width <= BATCH_ENTRIES or b == 1 for b in seen)
