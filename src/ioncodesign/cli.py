@@ -186,14 +186,16 @@ def _cmd_calibrate(args, config) -> str:
 
 
 def _cmd_feedforward_table(args, config) -> str:
-    phis = np.linspace(args.phi_cap / args.n_phi, args.phi_cap, args.n_phi)
-    lams = np.linspace(0.0, args.lam_max, args.n_lam)
+    phis = np.linspace(args.phi_cap / args.n_phi, args.phi_cap, args.n_phi).tolist()
+    lams = np.linspace(0.0, args.lam_max, args.n_lam).tolist()
     path = os.path.join(config.out_dir, "feedforward_table.csv")
-    rows = []
-    for phi_p in phis.tolist():
-        for lam in lams.tolist():
-            res = optimal_input_angle(ControlQuery(phi_p, lam, args.phi_cap))
-            rows.append([phi_p, lam, float(res["phi_in_star"]), float(res["fidelity_star"])])
+    # solved lambda by lambda, so that each lambda's dense scan is built
+    # once however many lambdas there are; written phi by phi
+    scan_rows = {}
+    solved = {(phi_p, lam): optimal_input_angle(ControlQuery(phi_p, lam, args.phi_cap), scan_rows)
+              for lam in lams for phi_p in phis}
+    rows = ([phi_p, lam, float(solved[phi_p, lam]["phi_in_star"]),
+             float(solved[phi_p, lam]["fidelity_star"])] for phi_p in phis for lam in lams)
     write_csv(path, ["phi_p", "lambda", "phi_in_star", "fidelity_star"], rows)
     return f"wrote {args.n_phi * args.n_lam} rows to {path}"
 

@@ -5,6 +5,9 @@ against a desired output angle phi_p has a closed form in terms of 1F2
 functions. The optimal input maximizes it; the landscape is multimodal
 (interior optimum, "do nothing" at 0, "maximally strong pulse" at the
 laser-power cap), so the search is a dense scan plus local refinement.
+The scan's lambda rows (its two 1F2 arrays) live in a dict the caller
+owns, which FeedforwardTable keeps per table, and the refinement's
+objective runs on plain floats.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .motional_noise import hyp1f2, series_lambda
+from .motional_noise import hyp1f2, hyp1f2_float, series_lambda
 from .trotter import TimedCircuit, TimedGate
 from .spinsim import GateSpec
 
@@ -23,7 +26,7 @@ SCAN_STEP = 1e-3  # rad, dense-scan resolution
 REFINE_TOL = 1e-6  # rad, local refinement tolerance
 MEMO_PITCH_PHI = 1e-2  # rad, memo grid pitch in phi_p
 MEMO_PITCH_LAM = 1e-2  # memo grid pitch in lambda
-_SCAN_CACHE_SIZE = 2  # lambdas whose dense-scan factors are kept, ~0.6 MiB each
+SCAN_ROWS_MAX = 64  # lambda rows one table keeps, ~0.2 MiB each
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,9 @@ class ControlQuery:
     phi_cap: float = 4.0 * math.pi  # laser power limit on the input angle
 
     def __post_init__(self):
+        for name in ("phi_p", "lam", "phi_cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.phi_cap <= 0:
             raise ValueError("phi_cap must be positive")
         if self.lam < 0:
@@ -50,92 +56,124 @@ def avg_gate_fidelity(phi_in, phi_p, lam):
     Valid for either sign of phi_in and phi_p. All three arguments
     broadcast. Entries with lam = 0, or so small that 0.5/lam overflows,
     reduce exactly to the noiseless gate fidelity. Scalar arguments give
-    a float. The lambda-only factors are computed apart from the phi_p
-    combine, so the dense scan of optimal_input_angle computes them once
-    per lambda and reuses them for every phi_p.
-    """
-    return _combine(_fidelity_parts(phi_in, lam), phi_p)
-
-
-def _fidelity_parts(phi_in, lam):
-    """The factors of avg_gate_fidelity that do not depend on phi_p.
-
-    Returns (phi_in, noisy mask, factors): factors are 0.5 cos(phi_in/2),
-    the two 1F2 prefactors and the two 1F2 arrays, or None if no entry
-    is noisy.
+    a float.
     """
     phi_in = np.asarray(phi_in, dtype=float)
     lam, noisy, half = series_lambda(lam)
     if not noisy.any():
-        return phi_in, noisy, None
-    z = -(phi_in**2) / 16.0
-    return phi_in, noisy, (0.5 * np.cos(phi_in / 2.0),
-                           phi_in**2 * lam / (8.0 + 16.0 * lam),
-                           hyp1f2(1.0 + half, 1.5, 2.0 + half, z),
-                           phi_in / (4.0 + 4.0 * lam),
-                           hyp1f2(0.5 + half, 1.5, 1.5 + half, z))
-
-
-def _combine(parts, phi_p):
-    """avg_gate_fidelity from its phi_p-independent parts."""
-    phi_in, noisy, factors = parts
-    if factors is None:
         out = gate_fidelity(phi_in, phi_p) + np.zeros(noisy.shape)
-    else:
-        hc, k1, h1, k2, h2 = factors
-        cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
-        out = 0.5 + hc * cp + k1 * cp * h1 + k2 * sp * h2
-        if not noisy.all():
-            out = np.where(noisy, out, gate_fidelity(phi_in, phi_p))
+        return out if out.ndim else float(out)
+    z = -(phi_in**2) / 16.0
+    cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
+    out = (0.5 + 0.5 * np.cos(phi_in / 2.0) * cp
+           + phi_in**2 * lam / (8.0 + 16.0 * lam) * cp * hyp1f2(1.0 + half, 1.5, 2.0 + half, z)
+           + phi_in / (4.0 + 4.0 * lam) * sp * hyp1f2(0.5 + half, 1.5, 1.5 + half, z))
+    if not noisy.all():
+        out = np.where(noisy, out, gate_fidelity(phi_in, phi_p))
     return out if out.ndim else float(out)
 
 
-_scan_cache: dict = {}  # (lam, cap) -> (grid, parts), oldest first
+class _Scan:
+    """The dense scan grid on [0, cap] and the lambda rows evaluated on it.
 
-
-def _scan(lam: float, cap: float):
-    """The dense scan grid on [0, cap] and its lambda-only fidelity parts.
-
-    Corner solves that share lambda share one entry. Only the last
-    _SCAN_CACHE_SIZE lambdas are kept, so callers that solve corners in
-    lambda order reuse each entry for its whole lambda row. An entry is a
-    pure function of its key and its arrays are read-only, so sharing it
-    between tables cannot change a result.
+    The lambda-independent arrays are built once. A lambda row holds the
+    two 1F2 arrays of avg_gate_fidelity over the grid, None on the
+    noiseless branch; at most SCAN_ROWS_MAX rows are kept, the oldest
+    evicted first. Every array is read-only.
     """
-    key = (lam, cap)
-    if key not in _scan_cache:
+
+    def __init__(self, cap: float):
         grid = np.arange(0.0, cap + SCAN_STEP, SCAN_STEP)
         grid[-1] = cap
-        parts = _fidelity_parts(grid, lam)
-        for array in (grid, *(parts[2] or ())):
+        self.grid, self.square = grid, grid**2
+        self.z = -self.square / 16.0
+        self.half_cos = 0.5 * np.cos(grid / 2.0)
+        for array in (self.grid, self.square, self.z, self.half_cos):
             array.flags.writeable = False
-        if len(_scan_cache) >= _SCAN_CACHE_SIZE:
-            del _scan_cache[next(iter(_scan_cache))]
-        _scan_cache[key] = grid, parts
-    return _scan_cache[key]
+        self.rows: dict[float, tuple[np.ndarray, np.ndarray] | None] = {}
+
+    def values(self, phi_p: float, lam: float) -> np.ndarray:
+        """avg_gate_fidelity(grid, phi_p, lam), bit for bit."""
+        if lam not in self.rows:
+            if len(self.rows) >= SCAN_ROWS_MAX:
+                del self.rows[next(iter(self.rows))]
+            self.rows[lam] = _lambda_row(self.z, lam)
+        row = self.rows[lam]
+        if row is None:
+            return gate_fidelity(self.grid, phi_p)
+        h1, h2 = row
+        cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
+        k1 = self.square * lam / (8.0 + 16.0 * lam)
+        k2 = self.grid / (4.0 + 4.0 * lam)
+        return 0.5 + self.half_cos * cp + k1 * cp * h1 + k2 * sp * h2
 
 
-def optimal_input_angle(query: ControlQuery) -> dict:
+def _lambda_row(z: np.ndarray, lam: float):
+    """The two 1F2 arrays of avg_gate_fidelity at z, or None if lam is noiseless."""
+    _, noisy, half = series_lambda(lam)
+    if not noisy:
+        return None
+    row = (hyp1f2(1.0 + half, 1.5, 2.0 + half, z), hyp1f2(0.5 + half, 1.5, 1.5 + half, z))
+    for array in row:
+        array.flags.writeable = False
+    return row
+
+
+def _refine_objective(phi_p: float, lam: float):
+    """x -> -avg_gate_fidelity(x, phi_p, lam) for a float x, bit for bit.
+
+    Everything that does not depend on x is computed once, and each call
+    runs the float operations of avg_gate_fidelity in the same order,
+    plus its two scalar 1F2 series. x is squared as x * x, which is what
+    NumPy's square computes; Python's x**2 can differ in the last bit.
+    """
+    _, noisy, half = series_lambda(lam)
+    if not noisy:
+        return lambda x: -avg_gate_fidelity(x, phi_p, lam)
+    half = float(half)
+    a1, b1, a2, b2 = 1.0 + half, 2.0 + half, 0.5 + half, 1.5 + half
+    d1, d2 = 8.0 + 16.0 * lam, 4.0 + 4.0 * lam
+    cp, sp = float(np.cos(phi_p / 2.0)), float(np.sin(phi_p / 2.0))
+
+    def objective(x):
+        x = float(x)
+        square = x * x
+        z = -square / 16.0
+        return -(0.5 + 0.5 * float(np.cos(x / 2.0)) * cp
+                 + square * lam / d1 * cp * hyp1f2_float(a1, 1.5, b1, z)
+                 + x / d2 * sp * hyp1f2_float(a2, 1.5, b2, z))
+
+    return objective
+
+
+def optimal_input_angle(query: ControlQuery, rows: dict | None = None) -> dict:
     """Input angle in [0, phi_cap] maximizing the average gate fidelity.
 
     Negative desired angles are handled by symmetry: the landscape is
     invariant under flipping the sign of both angles, so the optimum for
     -phi_p is -phi_in*. Ties break toward the smaller |phi_in|. The dense
-    scan's lambda-only factors come from a small cache shared by queries
-    with the same lambda and cap.
+    scan's lambda rows are kept in rows, a dict the caller owns that maps
+    phi_cap to its scan, so queries sharing a dict and a lambda share one
+    scan; without it the scan is built afresh. The local refinement runs
+    on plain floats.
     """
     if query.phi_p < 0:
-        flipped = optimal_input_angle(ControlQuery(-query.phi_p, query.lam, query.phi_cap))
+        flipped = optimal_input_angle(ControlQuery(-query.phi_p, query.lam, query.phi_cap), rows)
         return {"phi_in_star": -flipped["phi_in_star"],
                 "fidelity_star": flipped["fidelity_star"]}
     phi_p, lam, cap = query.phi_p, query.lam, query.phi_cap
-    grid, parts = _scan(lam, cap)
-    values = _combine(parts, phi_p)
+    if rows is None:
+        rows = {}
+    if cap not in rows:
+        rows[cap] = _Scan(cap)
+    scan = rows[cap]
+    grid = scan.grid
+    values = scan.values(phi_p, lam)
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     if hi > lo:
-        res = minimize_scalar(lambda x: -avg_gate_fidelity(x, phi_p, lam),
+        res = minimize_scalar(_refine_objective(phi_p, lam),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": REFINE_TOL})
         candidates = [(float(res.x), -float(res.fun))]
@@ -158,14 +196,17 @@ class FeedforwardTable:
     """
 
     def __init__(self, phi_cap: float = 4.0 * math.pi):
+        if not (math.isfinite(phi_cap) and phi_cap > 0):
+            raise ValueError("phi_cap must be finite and positive")
         self.phi_cap = phi_cap
         self._corners: dict[tuple[int, int], tuple[float, float]] = {}
+        self._rows: dict = {}  # the dense-scan rows of optimal_input_angle
 
     def _corner(self, iphi: int, ilam: int) -> tuple[float, float]:
         key = (iphi, ilam)
         if key not in self._corners:
             q = ControlQuery(iphi * MEMO_PITCH_PHI, ilam * MEMO_PITCH_LAM, self.phi_cap)
-            res = optimal_input_angle(q)
+            res = optimal_input_angle(q, self._rows)
             self._corners[key] = (res["phi_in_star"], res["fidelity_star"])
         return self._corners[key]
 
@@ -175,16 +216,19 @@ class FeedforwardTable:
         phi_p and lam broadcast. Scalars give a dict of floats, arrays a
         dict of arrays of the broadcast shape. All noisy entries weigh
         their 8 candidates in one vectorized avg_gate_fidelity call. The
-        corners they need are read once per distinct corner, in lambda
-        order, so missing corners that share lambda share one dense scan
-        in optimal_input_angle. Negative phi_p map by symmetry to
-        -phi_in*, and lam = 0 returns min(phi_p, phi_cap).
+        corners they need are read once per distinct corner, and missing
+        corners that share lambda share one dense-scan row of the table.
+        Negative phi_p map by symmetry to -phi_in*, and lam = 0 returns
+        min(phi_p, phi_cap). NaN or infinite inputs raise ValueError.
         """
         phi_p, lam = np.broadcast_arrays(np.asarray(phi_p, dtype=float),
                                          np.asarray(lam, dtype=float))
         shape = phi_p.shape
         phi_p, lam = phi_p.ravel(), lam.ravel()
-        if np.any(~(lam >= 0)):
+        for name, values in (("phi_p", phi_p), ("lam", lam)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+        if np.any(lam < 0):
             raise ValueError("lambda must be non-negative")
         negative = phi_p < 0
         target = np.where(negative, -phi_p, phi_p)

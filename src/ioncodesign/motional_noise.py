@@ -161,15 +161,7 @@ def hyp1f2(a, b1, b2, z):
         for b in (b1, b2):
             if b <= 0 and b.is_integer():
                 raise ValueError("b parameters must not be non-positive integers")
-        if abs(z) > _SERIES_Z_LIMIT:
-            return _hyp1f2_mpmath(a, b1, b2, z)
-        term = total = 1.0
-        for k in range(_MAX_SERIES_TERMS):
-            term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
-            total = total + term
-            if abs(term) < 1e-16 * max(abs(total), 1e-300):
-                return total
-        raise RuntimeError("1F2 series did not converge")
+        return hyp1f2_float(a, b1, b2, z)
     a, b1, b2, z = (np.asarray(v, dtype=float) for v in (a, b1, b2, z))
     for b in (b1, b2):
         if np.any((b <= 0) & (b == np.floor(b))):
@@ -186,15 +178,46 @@ def hyp1f2(a, b1, b2, z):
     return out
 
 
-def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
-    shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
-    term = np.ones(shape)
-    total = np.ones(shape)
+def hyp1f2_float(a: float, b1: float, b2: float, z: float) -> float:
+    """The scalar 1F2 series of `hyp1f2` on plain floats, b1 and b2 unchecked."""
+    if abs(z) > _SERIES_Z_LIMIT:
+        return _hyp1f2_mpmath(a, b1, b2, z)
+    term = total = 1.0
     for k in range(_MAX_SERIES_TERMS):
         term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
         total = total + term
-        if np.all(np.abs(term) < 1e-16 * np.maximum(np.abs(total), 1e-300)):
+        if abs(term) < 1e-16 * max(abs(total), 1e-300):
             return total
+    raise RuntimeError("1F2 series did not converge")
+
+
+def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
+    """The array series, stopping at the first term where every entry has converged.
+
+    The stopping test runs on one witness entry first: while it has not
+    converged, neither have all entries, so the full test is skipped and
+    the series stops at the same term as a full test on every term would.
+    The witness starts at the largest |z| and moves, after each failed
+    full test, to the entry furthest from converging.
+    """
+    shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
+    term = np.ones(shape)
+    total = np.ones(shape)
+    if not term.size:
+        return total
+    flat_term, flat_total = term.reshape(-1), total.reshape(-1)
+    witness = int(np.argmax(np.abs(np.broadcast_to(z, shape))))
+    for k in range(_MAX_SERIES_TERMS):
+        term *= (a + k) / ((b1 + k) * (b2 + k))
+        term *= z
+        term /= k + 1.0
+        total += term
+        if not abs(flat_term[witness]) < 1e-16 * max(abs(flat_total[witness]), 1e-300):
+            continue
+        size = np.maximum(np.abs(total), 1e-300)
+        if np.all(np.abs(term) < 1e-16 * size):
+            return total
+        witness = int(np.argmax(np.abs(flat_term) / size.reshape(-1)))
     raise RuntimeError("1F2 series did not converge")
 
 

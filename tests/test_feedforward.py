@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from ioncodesign import default_instance
 
@@ -19,6 +20,7 @@ from ioncodesign.feedforward import (
     optimal_input_angle,
 )
 from ioncodesign.hamiltonian import SpinHamiltonian
+from ioncodesign.motional_noise import hyp1f2, series_lambda
 from ioncodesign.trotter import GateTiming, build_trotter_circuit
 
 
@@ -152,22 +154,33 @@ def test_lookup_scalar_and_array_shapes():
 def test_corner_solves_share_the_dense_scan_per_lambda(monkeypatch):
     from ioncodesign import feedforward
 
-    parts_calls = []
-    original = feedforward._fidelity_parts
+    scans = []
+    original = feedforward._lambda_row
 
-    def counting(phi_in, lam):
-        parts_calls.append(np.size(phi_in))
-        return original(phi_in, lam)
+    def counting(z, lam):
+        scans.append(lam)
+        return original(z, lam)
 
-    monkeypatch.setattr(feedforward, "_fidelity_parts", counting)
-    feedforward._scan_cache.clear()
+    monkeypatch.setattr(feedforward, "_lambda_row", counting)
     table = FeedforwardTable()
     phi_p = np.array([0.503, 1.207, 2.911, 0.503])
     table.lookup(phi_p, np.full(4, 0.315))
-    scans = [n for n in parts_calls if n > 100]
+    rows = table._rows[table.phi_cap].rows
     assert len(table._corners) == 12  # 3 distinct phi cells x 2 corners x 2 lambda rows
     assert len(scans) == 2  # one dense scan per lambda row
-    assert len(feedforward._scan_cache) <= 2
+    assert list(rows) == scans
+    # new corners on lambda rows the table already holds scan nothing
+    table.lookup(np.array([5.5, 9.01]), np.array([0.315, 0.311]))
+    assert len(table._corners) == 20
+    assert len(scans) == 2
+    # a new table starts cold
+    FeedforwardTable().lookup(phi_p, np.full(4, 0.315))
+    assert len(scans) == 4
+    # a table keeps at most SCAN_ROWS_MAX rows, evicting the oldest first
+    monkeypatch.setattr(feedforward, "SCAN_ROWS_MAX", 3)
+    table.lookup(np.full(5, 0.503), np.array([0.405, 0.505, 0.605, 0.705, 0.805]))
+    assert len(scans) == 14  # 5 lambda cells x 2 rows
+    assert list(rows) == [j * feedforward.MEMO_PITCH_LAM for j in (71, 80, 81)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -225,3 +238,163 @@ def test_query_validation():
         ControlQuery(1.0, -0.1)
     with pytest.raises(ValueError):
         ControlQuery(1.0, 0.1, phi_cap=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["phi_p", "lam", "phi_cap"])
+def test_query_rejects_non_finite_inputs(field, bad):
+    args = dict(phi_p=1.0, lam=0.1, phi_cap=4 * math.pi)
+    args[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ControlQuery(**args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lookup_rejects_non_finite_inputs(bad):
+    table = FeedforwardTable()
+    with pytest.raises(ValueError, match="phi_p must be finite"):
+        table.lookup(bad, 0.1)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        table.lookup(1.0, bad)
+    with pytest.raises(ValueError, match="phi_p must be finite"):
+        table.lookup(np.array([1.0, bad]), np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="phi_cap must be finite"):
+        FeedforwardTable(phi_cap=bad)
+    assert not table._corners
+
+
+def _old_hyp1f2(a, b1, b2, z):
+    """hyp1f2 as it was before the array series tested a witness entry first."""
+    if all(np.ndim(v) == 0 for v in (a, b1, b2, z)):
+        return hyp1f2(a, b1, b2, z)  # the scalar path is unchanged
+    a, b1, b2, z = (np.asarray(v, dtype=float) for v in (a, b1, b2, z))
+    assert not np.any(np.abs(z) > 150.0)
+    shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
+    term = np.ones(shape)
+    total = np.ones(shape)
+    for k in range(500):
+        term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
+        total = total + term
+        if np.all(np.abs(term) < 1e-16 * np.maximum(np.abs(total), 1e-300)):
+            return total
+    raise RuntimeError("1F2 series did not converge")
+
+
+def _old_fidelity_parts(phi_in, lam):
+    phi_in = np.asarray(phi_in, dtype=float)
+    lam, noisy, half = series_lambda(lam)
+    if not noisy.any():
+        return phi_in, noisy, None
+    z = -(phi_in**2) / 16.0
+    return phi_in, noisy, (0.5 * np.cos(phi_in / 2.0),
+                           phi_in**2 * lam / (8.0 + 16.0 * lam),
+                           _old_hyp1f2(1.0 + half, 1.5, 2.0 + half, z),
+                           phi_in / (4.0 + 4.0 * lam),
+                           _old_hyp1f2(0.5 + half, 1.5, 1.5 + half, z))
+
+
+def _old_combine(parts, phi_p):
+    phi_in, noisy, factors = parts
+    if factors is None:
+        out = gate_fidelity(phi_in, phi_p) + np.zeros(noisy.shape)
+    else:
+        hc, k1, h1, k2, h2 = factors
+        cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
+        out = 0.5 + hc * cp + k1 * cp * h1 + k2 * sp * h2
+        if not noisy.all():
+            out = np.where(noisy, out, gate_fidelity(phi_in, phi_p))
+    return out if out.ndim else float(out)
+
+
+def _old_avg_gate_fidelity(phi_in, phi_p, lam):
+    return _old_combine(_old_fidelity_parts(phi_in, lam), phi_p)
+
+
+def _old_optimal_input_angle(query, scans):
+    """optimal_input_angle as it was before its refinement ran on floats.
+
+    scans caches the dense scan by (lambda, cap), which the old code's
+    module-level cache did for the last two lambdas.
+    """
+    if query.phi_p < 0:
+        flipped = _old_optimal_input_angle(ControlQuery(-query.phi_p, query.lam,
+                                                        query.phi_cap), scans)
+        return {"phi_in_star": -flipped["phi_in_star"],
+                "fidelity_star": flipped["fidelity_star"]}
+    phi_p, lam, cap = query.phi_p, query.lam, query.phi_cap
+    if (lam, cap) not in scans:
+        grid = np.arange(0.0, cap + 1e-3, 1e-3)
+        grid[-1] = cap
+        scans[lam, cap] = grid, _old_fidelity_parts(grid, lam)
+    grid, parts = scans[lam, cap]
+    values = _old_combine(parts, phi_p)
+    best = int(np.argmax(values))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    candidates = []
+    if hi > lo:
+        res = minimize_scalar(lambda x: -_old_avg_gate_fidelity(x, phi_p, lam),
+                              bounds=(lo, hi), method="bounded", options={"xatol": 1e-6})
+        candidates.append((float(res.x), -float(res.fun)))
+    candidates.append((float(grid[best]), float(values[best])))
+    phi_star, fid_star = max(candidates, key=lambda c: (c[1], -c[0]))
+    return {"phi_in_star": phi_star, "fidelity_star": fid_star}
+
+
+PINNED_X = 5.9039809275911965  # x * x and Python's x**2 differ in the last bit here
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(0.0, 4 * math.pi), phi_p=st.floats(0.0, 4 * math.pi),
+       lam=st.one_of(st.floats(0.0, 20.0), st.sampled_from([0.0, 1e-310, 1e-6, 0.315])))
+def test_refine_objective_is_bit_identical_to_avg_fidelity(x, phi_p, lam):
+    from ioncodesign.feedforward import _refine_objective
+
+    objective = _refine_objective(phi_p, lam)
+    for point in (x, PINNED_X, np.float64(x)):
+        want = -_old_avg_gate_fidelity(point, phi_p, lam)
+        assert objective(point) == want == -avg_gate_fidelity(point, phi_p, lam)
+
+
+def test_refine_objective_at_the_pinned_point():
+    from ioncodesign.feedforward import _refine_objective
+
+    for phi_p in (0.0, 1.0, PINNED_X, 4 * math.pi):
+        for lam in (0.0, 0.01, 0.315, 3.0):
+            assert _refine_objective(phi_p, lam)(PINNED_X) == \
+                -_old_avg_gate_fidelity(PINNED_X, phi_p, lam)
+
+
+def _feedforward_config(**size):
+    from ioncodesign.harness import ExperimentConfig
+
+    return ExperimentConfig(hamiltonian=default_instance(), c2=0.02, seed=0,
+                            feedforward=True, **size)
+
+
+@pytest.mark.parametrize("workload", ["sweep", "infer"])
+def test_cold_table_corners_are_bit_identical_to_the_old_solver(workload, monkeypatch):
+    # the small sweep-feedforward and infer-feedforward benchmark sizes
+    from ioncodesign import feedforward, harness
+
+    solved = []
+    original = feedforward.optimal_input_angle
+
+    def recording(query, rows=None):
+        result = original(query, rows)
+        solved.append((query, result))
+        return result
+
+    monkeypatch.setattr(feedforward, "optimal_input_angle", recording)
+    if workload == "sweep":
+        harness.run_depth_sweep(_feedforward_config(r_values=(1, 2), n_times=3, t_max=2.0,
+                                                    n_runs=1))
+    else:
+        config = _feedforward_config(t_g=0.04, r=8, n_times=3, t_max=2.0, n_runs=1)
+        guess = harness.perturbed_instance(config.hamiltonian, 0.05,
+                                           np.random.default_rng(100))
+        harness.run_inference_demo(harness.exact_spectrum(config), guess, 2, config)
+    assert len(solved) > 20
+    scans = {}
+    for query, result in solved:
+        assert result == _old_optimal_input_angle(query, scans)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ioncodesign import default_instance
 from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.cli import main
+from ioncodesign.feedforward import ControlQuery, optimal_input_angle
 from ioncodesign.harness import (
     ConfigError,
     ExperimentConfig,
@@ -225,6 +226,20 @@ def test_cli_feedforward_table(tmp_path):
     lines = (out / "feedforward_table.csv").read_text().splitlines()
     assert lines[0] == "phi_p,lambda,phi_in_star,fidelity_star"
     assert len(lines) == 1 + 3 * 2
+
+
+def test_cli_feedforward_table_rows_are_phi_major_direct_solves(tmp_path):
+    # the command shares its dense scans across rows; no row may change
+    out = tmp_path / "ff"
+    assert main(["feedforward-table", "--n-phi", "3", "--n-lam", "2",
+                 "--lam-max", "0.5", "--out", str(out)]) == 0
+    lines = (out / "feedforward_table.csv").read_text().splitlines()
+    table = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    phis = np.linspace(4 * math.pi / 3, 4 * math.pi, 3)
+    assert [row[:2] for row in table] == [[p, lam] for p in phis for lam in (0.0, 0.5)]
+    for phi_p, lam, star, fid in table:
+        res = optimal_input_angle(ControlQuery(phi_p, lam))
+        assert [star, fid] == [res["phi_in_star"], res["fidelity_star"]]
 
 
 TINY_CLI_CONFIG = {"hamiltonian": {"n": 2, "J": [[0, 0.5], [0.5, 0]], "h": [1.0, -2.0]},

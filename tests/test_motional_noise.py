@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from ioncodesign.motional_noise import (
     AngleDistribution,
+    _hyp1f2_series,
     NoiseParams,
     angle_correlation,
     angle_moments,
@@ -152,6 +153,57 @@ def test_hyp1f2_scalar_path_is_bit_identical_to_reference_series():
         for a, b2 in ((1.0 + half, 2.0 + half), (0.5 + half, 1.5 + half)):
             assert hyp1f2(a, 1.5, b2, z) == _reference_series(a, 1.5, b2, z)
             assert hyp1f2(a, 1.5, b2, np.float64(z)) == _reference_series(a, 1.5, b2, z)
+
+
+def _reference_array_series(a, b1, b2, z):
+    """The array series as it was before it tested one witness entry per term."""
+    shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
+    term = np.ones(shape)
+    total = np.ones(shape)
+    for k in range(500):
+        term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
+        total = total + term
+        if np.all(np.abs(term) < 1e-16 * np.maximum(np.abs(total), 1e-300)):
+            return total
+    raise RuntimeError("1F2 series did not converge")
+
+
+def _assert_series_bit_identical(a, b1, b2, z):
+    args = [np.asarray(v, dtype=float) for v in (a, b1, b2, z)]
+    got, want = _hyp1f2_series(*args), _reference_array_series(*args)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.01, 0.07, 0.315, 1.0, 4.0, 50.0])
+def test_array_series_is_bit_identical_on_the_scan_grid(lam):
+    # the dense scan of feedforward.optimal_input_angle at the default cap 4 pi
+    cap = 4.0 * np.pi
+    grid = np.arange(0.0, cap + 1e-3, 1e-3)
+    grid[-1] = cap
+    z = -(grid**2) / 16.0
+    half = 0.5 / lam
+    for a, b2 in ((1.0 + half, 2.0 + half), (0.5 + half, 1.5 + half)):
+        _assert_series_bit_identical(a, 1.5, b2, z)
+        _assert_series_bit_identical(a, 1.5, b2, z[::-1])
+
+
+def test_array_series_is_bit_identical_when_broadcast():
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.6, 60.0, (5, 1, 1))
+    b2 = a.reshape(1, 5, 1) + 1.0
+    z = -rng.uniform(0.0, 149.0, 40)
+    _assert_series_bit_identical(a, 1.5, b2, z)
+    _assert_series_bit_identical(a, np.array([1.5, 2.5]).reshape(1, 1, 2, 1), b2[..., None],
+                                 np.concatenate([z, -z[:5] / 10.0]))
+
+
+def test_array_series_of_empty_arrays_is_empty():
+    for z in (np.array([]), np.zeros((0, 3))):
+        out = _hyp1f2_series(np.asarray(1.0), np.asarray(1.5), np.asarray(2.0), z)
+        assert out.shape == z.shape
+        assert hyp1f2(np.ones((2, 1)), 1.5, 2.0, z.reshape(-1)).shape == (2, 0)
+    assert hyp1f2(1.0, 1.5, 2.0, np.array([])).shape == (0,)
 
 
 def test_hyp1f2_broadcast_matches_scalar_calls():
