@@ -123,7 +123,7 @@ def _load_config(args) -> ExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _check_options(args) -> None:
+def _check_options(args, config: ExperimentConfig) -> None:
     """Reject bad subcommand options before anything is written to --out."""
     for name, (low, closed) in _FLOAT_OPTIONS.items():
         value = vars(args).get(name)
@@ -138,6 +138,14 @@ def _check_options(args) -> None:
         raise ConfigError("n_phi" if args.n_phi < 1 else "n_lam", "must be a positive integer")
     if command == "noise-stats" and args.r < 1:
         raise ConfigError("r", "must be a positive integer")
+    if command == "noise-stats":
+        # angle_moments squares phi_in, and both it and markovian_noise_to_signal
+        # square lambda = c2 * tau; an overflowing lambda names its larger factor
+        lam = config.c2 * args.tau
+        for name, value in (("phi_in", args.phi_in),
+                            ("tau" if args.tau >= config.c2 else "c2", lam)):
+            if not math.isfinite(value * value):
+                raise ConfigError(name, "too large: noise-stats would overflow")
     if command == "infer" and args.iterations < 0:
         raise ConfigError("iterations", "must be non-negative")
 
@@ -251,7 +259,7 @@ def main(argv=None) -> int:
     created = False
     try:
         config = _load_config(args)
-        _check_options(args)
+        _check_options(args, config)
         created = not os.path.exists(config.out_dir)
         os.makedirs(config.out_dir, exist_ok=True)
         summary = _COMMANDS[args.command](args, config)

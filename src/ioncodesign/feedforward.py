@@ -5,9 +5,10 @@ against a desired output angle phi_p has a closed form in terms of 1F2
 functions. The optimal input maximizes it; the landscape is multimodal
 (interior optimum, "do nothing" at 0, "maximally strong pulse" at the
 laser-power cap), so the search is a dense scan plus local refinement.
-The scan's lambda rows (its two 1F2 arrays) live in a dict the caller
-owns, which FeedforwardTable keeps per table, and the refinement's
-objective runs on plain floats.
+The closed form is written once, in `_noisy_fidelity`, which the
+vectorized fidelity, the dense scan and the float refinement all
+evaluate. The scan's lambda rows live in a dict the caller owns, which
+FeedforwardTable keeps per table.
 """
 
 from __future__ import annotations
@@ -63,23 +64,35 @@ def avg_gate_fidelity(phi_in, phi_p, lam):
     if not noisy.any():
         out = gate_fidelity(phi_in, phi_p) + np.zeros(noisy.shape)
         return out if out.ndim else float(out)
-    z = -(phi_in**2) / 16.0
-    cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
-    out = (0.5 + 0.5 * np.cos(phi_in / 2.0) * cp
-           + phi_in**2 * lam / (8.0 + 16.0 * lam) * cp * hyp1f2(1.0 + half, 1.5, 2.0 + half, z)
-           + phi_in / (4.0 + 4.0 * lam) * sp * hyp1f2(0.5 + half, 1.5, 1.5 + half, z))
+    square = phi_in**2
+    out = _noisy_fidelity(phi_in, square, 0.5 * np.cos(phi_in / 2.0), lam,
+                          np.cos(phi_p / 2.0), np.sin(phi_p / 2.0),
+                          *_hyp_pair(hyp1f2, half, -square / 16.0))
     if not noisy.all():
         out = np.where(noisy, out, gate_fidelity(phi_in, phi_p))
     return out if out.ndim else float(out)
+
+
+def _hyp_pair(series, half, z):
+    """The two 1F2 values of avg_gate_fidelity at z, summed by series."""
+    return (series(1.0 + half, 1.5, 2.0 + half, z),
+            series(0.5 + half, 1.5, 1.5 + half, z))
+
+
+def _noisy_fidelity(phi, square, half_cos, lam, cp, sp, h1, h2):
+    """avg_gate_fidelity's noisy branch on floats or arrays: square = phi**2,
+    half_cos = cos(phi/2)/2, (cp, sp) = cos, sin(phi_p/2), (h1, h2) = `_hyp_pair`."""
+    return (0.5 + half_cos * cp + square * lam / (8.0 + 16.0 * lam) * cp * h1
+            + phi / (4.0 + 4.0 * lam) * sp * h2)
 
 
 class _Scan:
     """The dense scan grid on [0, cap] and the lambda rows evaluated on it.
 
     The lambda-independent arrays are built once. A lambda row holds the
-    two 1F2 arrays of avg_gate_fidelity over the grid, None on the
-    noiseless branch; at most SCAN_ROWS_MAX rows are kept, the oldest
-    evicted first. Every array is read-only.
+    `_hyp_pair` over the grid, () on the noiseless branch; at most
+    SCAN_ROWS_MAX rows are kept, the oldest evicted first. Every array is
+    read-only.
     """
 
     def __init__(self, cap: float):
@@ -90,58 +103,43 @@ class _Scan:
         self.half_cos = 0.5 * np.cos(grid / 2.0)
         for array in (self.grid, self.square, self.z, self.half_cos):
             array.flags.writeable = False
-        self.rows: dict[float, tuple[np.ndarray, np.ndarray] | None] = {}
+        self.rows: dict[float, tuple[np.ndarray, ...]] = {}
 
     def values(self, phi_p: float, lam: float) -> np.ndarray:
         """avg_gate_fidelity(grid, phi_p, lam), bit for bit."""
         if lam not in self.rows:
             if len(self.rows) >= SCAN_ROWS_MAX:
                 del self.rows[next(iter(self.rows))]
-            self.rows[lam] = _lambda_row(self.z, lam)
+            _, noisy, half = series_lambda(lam)
+            row = _hyp_pair(hyp1f2, half, self.z) if noisy else ()
+            for array in row:
+                array.flags.writeable = False
+            self.rows[lam] = row
         row = self.rows[lam]
-        if row is None:
+        if not row:
             return gate_fidelity(self.grid, phi_p)
-        h1, h2 = row
-        cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
-        k1 = self.square * lam / (8.0 + 16.0 * lam)
-        k2 = self.grid / (4.0 + 4.0 * lam)
-        return 0.5 + self.half_cos * cp + k1 * cp * h1 + k2 * sp * h2
-
-
-def _lambda_row(z: np.ndarray, lam: float):
-    """The two 1F2 arrays of avg_gate_fidelity at z, or None if lam is noiseless."""
-    _, noisy, half = series_lambda(lam)
-    if not noisy:
-        return None
-    row = (hyp1f2(1.0 + half, 1.5, 2.0 + half, z), hyp1f2(0.5 + half, 1.5, 1.5 + half, z))
-    for array in row:
-        array.flags.writeable = False
-    return row
+        return _noisy_fidelity(self.grid, self.square, self.half_cos, lam,
+                               np.cos(phi_p / 2.0), np.sin(phi_p / 2.0), *row)
 
 
 def _refine_objective(phi_p: float, lam: float):
     """x -> -avg_gate_fidelity(x, phi_p, lam) for a float x, bit for bit.
 
-    Everything that does not depend on x is computed once, and each call
-    runs the float operations of avg_gate_fidelity in the same order,
-    plus its two scalar 1F2 series. x is squared as x * x, which is what
-    NumPy's square computes; Python's x**2 can differ in the last bit.
+    Each call evaluates `_noisy_fidelity` on plain floats with the float
+    1F2 series. x is squared as x * x, which is what NumPy's square
+    computes; Python's x**2 can differ in the last bit.
     """
     _, noisy, half = series_lambda(lam)
     if not noisy:
         return lambda x: -avg_gate_fidelity(x, phi_p, lam)
     half = float(half)
-    a1, b1, a2, b2 = 1.0 + half, 2.0 + half, 0.5 + half, 1.5 + half
-    d1, d2 = 8.0 + 16.0 * lam, 4.0 + 4.0 * lam
     cp, sp = float(np.cos(phi_p / 2.0)), float(np.sin(phi_p / 2.0))
 
     def objective(x):
         x = float(x)
         square = x * x
-        z = -square / 16.0
-        return -(0.5 + 0.5 * float(np.cos(x / 2.0)) * cp
-                 + square * lam / d1 * cp * hyp1f2_float(a1, 1.5, b1, z)
-                 + x / d2 * sp * hyp1f2_float(a2, 1.5, b2, z))
+        return -_noisy_fidelity(x, square, 0.5 * float(np.cos(x / 2.0)), lam, cp, sp,
+                                *_hyp_pair(hyp1f2_float, half, -square / 16.0))
 
     return objective
 

@@ -8,6 +8,7 @@ as the brute-force oracle for every Trotter and noise comparison.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,19 @@ class SpinHamiltonian:
     h: np.ndarray
 
     def __post_init__(self):
+        n = self.n_spins
+        if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (n >= 1 and n % 1 == 0):
+            raise ValueError("n must be a positive integer")
+        self.n_spins = n = int(n)
         self.J = np.asarray(self.J, dtype=float)
         self.h = np.asarray(self.h, dtype=float)
-        n = self.n_spins
         if self.J.shape != (n, n):
             raise ValueError("J must be n x n")
         if self.h.shape != (n,):
             raise ValueError("h must have length n")
+        for name, values in (("J", self.J), ("h", self.h)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(self.J, self.J.T):
             raise ValueError("J must be symmetric")
         if np.any(np.diag(self.J) != 0.0):
@@ -46,7 +53,7 @@ class SpinHamiltonian:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpinHamiltonian":
-        return cls(int(data["n"]), np.asarray(data["J"]), np.asarray(data["h"]))
+        return cls(data["n"], np.asarray(data["J"]), np.asarray(data["h"]))
 
     @classmethod
     def from_json(cls, path) -> "SpinHamiltonian":

@@ -149,37 +149,32 @@ def hyp1f2(a, b1, b2, z):
 
     Entire in z, so the series always converges; terms are accumulated
     until they fall below 1e-16 of the running sum. All four arguments
-    broadcast against each other. With all four scalar the series runs
-    on plain floats and a float is returned; otherwise every entry is
-    summed in one array series that stops once all entries have
-    converged. For large negative z the alternating terms cancel
-    catastrophically in double precision, so entries with |z| > 150 are
-    evaluated one by one in arbitrary precision instead.
+    broadcast against each other, and every entry is summed in one array
+    series that stops once all entries have converged; scalar arguments
+    take the same path and give a float. For large negative z the
+    alternating terms cancel catastrophically in double precision, so
+    entries with |z| > 150 are evaluated one by one in arbitrary
+    precision instead.
     """
-    if all(np.ndim(v) == 0 for v in (a, b1, b2, z)):
-        a, b1, b2, z = float(a), float(b1), float(b2), float(z)
-        for b in (b1, b2):
-            if b <= 0 and b.is_integer():
-                raise ValueError("b parameters must not be non-positive integers")
-        return hyp1f2_float(a, b1, b2, z)
     a, b1, b2, z = (np.asarray(v, dtype=float) for v in (a, b1, b2, z))
     for b in (b1, b2):
         if np.any((b <= 0) & (b == np.floor(b))):
             raise ValueError("b parameters must not be non-positive integers")
     shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
     big = np.broadcast_to(np.abs(z) > _SERIES_Z_LIMIT, shape)
-    if not big.any():
-        return _hyp1f2_series(a, b1, b2, z)
-    out = np.empty(shape)
-    a, b1, b2, z = np.broadcast_arrays(a, b1, b2, z)
-    out[big] = [_hyp1f2_mpmath(*args) for args in zip(a[big], b1[big], b2[big], z[big])]
-    small = ~big
-    out[small] = _hyp1f2_series(a[small], b1[small], b2[small], z[small])
-    return out
+    if big.any():
+        out = np.empty(shape)
+        a, b1, b2, z = np.broadcast_arrays(a, b1, b2, z)
+        out[big] = [_hyp1f2_mpmath(*args) for args in zip(a[big], b1[big], b2[big], z[big])]
+        small = ~big
+        out[small] = _hyp1f2_series(a[small], b1[small], b2[small], z[small])
+    else:
+        out = _hyp1f2_series(a, b1, b2, z)
+    return out if out.ndim else float(out)
 
 
 def hyp1f2_float(a: float, b1: float, b2: float, z: float) -> float:
-    """The scalar 1F2 series of `hyp1f2` on plain floats, b1 and b2 unchecked."""
+    """`hyp1f2` of four floats on plain floats, bit for bit, b1 and b2 unchecked."""
     if abs(z) > _SERIES_Z_LIMIT:
         return _hyp1f2_mpmath(a, b1, b2, z)
     term = total = 1.0

@@ -88,19 +88,10 @@ def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
         raise ValueError("r must be at least 1")
     if t < 0:
         raise ValueError("t must be non-negative")
-    step = trotter_step_layers(ham, t / r)
-    gates = []
-    m = 0
-    for _ in range(r):
-        for spec in step:
-            gates.append(TimedGate(
-                spec=spec,
-                start_time=timing.tau_0 + m * timing.t_g,
-                noisy=spec.kind == "XX",
-            ))
-            m += 1
+    gates = tuple(TimedGate(spec, timing.tau_0 + m * timing.t_g, spec.kind == "XX")
+                  for m, spec in enumerate(trotter_step_layers(ham, t / r) * r))
     duration = (gates[-1].start_time + timing.t_g) if gates else timing.tau_0
-    return TimedCircuit(ham.n_spins, tuple(gates), duration)
+    return TimedCircuit(ham.n_spins, gates, duration)
 
 
 def trotter_error(ham: SpinHamiltonian, t: float, r: int,

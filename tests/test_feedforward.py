@@ -154,33 +154,50 @@ def test_lookup_scalar_and_array_shapes():
 def test_corner_solves_share_the_dense_scan_per_lambda(monkeypatch):
     from ioncodesign import feedforward
 
-    scans = []
-    original = feedforward._lambda_row
+    # A scan row sums its two 1F2 series on the 1-d grid, with a = 1 + 0.5/lam
+    # first; lookups weigh their candidates on 2-d arrays and the refine
+    # sums on floats, so the 1-d calls count the rows.
+    calls = []
+    original = feedforward.hyp1f2
 
-    def counting(z, lam):
-        scans.append(lam)
-        return original(z, lam)
+    def counting(a, b1, b2, z):
+        if np.ndim(z) == 1:
+            calls.append(a)
+        return original(a, b1, b2, z)
 
-    monkeypatch.setattr(feedforward, "_lambda_row", counting)
+    def scanned():
+        return calls[::2]
+
+    monkeypatch.setattr(feedforward, "hyp1f2", counting)
     table = FeedforwardTable()
     phi_p = np.array([0.503, 1.207, 2.911, 0.503])
     table.lookup(phi_p, np.full(4, 0.315))
     rows = table._rows[table.phi_cap].rows
     assert len(table._corners) == 12  # 3 distinct phi cells x 2 corners x 2 lambda rows
-    assert len(scans) == 2  # one dense scan per lambda row
-    assert list(rows) == scans
+    assert len(scanned()) == 2  # one dense scan per lambda row
+    assert [1.0 + 0.5 / lam for lam in rows] == scanned()
     # new corners on lambda rows the table already holds scan nothing
     table.lookup(np.array([5.5, 9.01]), np.array([0.315, 0.311]))
     assert len(table._corners) == 20
-    assert len(scans) == 2
+    assert len(scanned()) == 2
     # a new table starts cold
     FeedforwardTable().lookup(phi_p, np.full(4, 0.315))
-    assert len(scans) == 4
+    assert len(scanned()) == 4
     # a table keeps at most SCAN_ROWS_MAX rows, evicting the oldest first
     monkeypatch.setattr(feedforward, "SCAN_ROWS_MAX", 3)
     table.lookup(np.full(5, 0.503), np.array([0.405, 0.505, 0.605, 0.705, 0.805]))
-    assert len(scans) == 14  # 5 lambda cells x 2 rows
+    assert len(scanned()) == 14  # 5 lambda cells x 2 rows
     assert list(rows) == [j * feedforward.MEMO_PITCH_LAM for j in (71, 80, 81)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-310, 0.01, 0.315, 4.0])
+def test_scan_values_are_avg_gate_fidelity_bit_for_bit(lam):
+    from ioncodesign.feedforward import _Scan
+
+    scan = _Scan(4.0 * math.pi)
+    for phi_p in (0.0, 0.503, 2.911, 9.01):
+        want = avg_gate_fidelity(scan.grid, phi_p, lam)
+        assert scan.values(phi_p, lam).tobytes() == want.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -135,3 +135,22 @@ def test_validation_errors():
         SpinHamiltonian(2, np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         exact_unitary(two_spin(0.1), -1.0)
+
+
+@pytest.mark.parametrize("n,J,h,message", [
+    (2, [[0.0, 0.5], [0.5, 0.0]], [np.inf, 0.0], "h must be finite"),
+    (2, [[0.0, np.nan], [0.5, 0.0]], [1.0, 0.0], "J must be finite"),
+    (2.5, [[0.0, 0.5], [0.5, 0.0]], [1.0, 0.0], "n must be a positive integer"),
+    (True, [[0.0]], [1.0], "n must be a positive integer"),
+    (0, np.zeros((0, 0)), [], "n must be a positive integer"),
+])
+def test_rejects_non_finite_couplings_and_non_integral_sizes(n, J, h, message):
+    with pytest.raises(ValueError, match=message):
+        SpinHamiltonian(n, J, h)
+    with pytest.raises(ValueError, match=message):
+        SpinHamiltonian.from_dict({"n": n, "J": J, "h": h})
+
+
+def test_integral_float_size_is_an_int():
+    ham = SpinHamiltonian.from_dict({"n": 2.0, "J": [[0.0, 0.5], [0.5, 0.0]], "h": [1.0, 0.0]})
+    assert ham.n_spins == 2 and isinstance(ham.n_spins, int)

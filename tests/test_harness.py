@@ -296,7 +296,12 @@ def test_cli_failed_subcommand_writes_no_manifest(argv, tmp_path, capsys):
                                   ["feedforward-table", "--phi-cap", "nan"],
                                   ["feedforward-table", "--phi-cap", "0"],
                                   ["feedforward-table", "--lam-max", "nan"],
-                                  ["infer", "--perturb", "nan"]])
+                                  ["infer", "--perturb", "nan"],
+                                  ["noise-stats", "--tau", "1e160"],
+                                  ["noise-stats", "--tau", "1e200"],
+                                  ["noise-stats", "--phi-in", "1e160"],
+                                  ["noise-stats", "--phi-in", "1e200"],
+                                  ["noise-stats", "--c2", "1e200"]])
 def test_cli_bad_option_exits_2_without_creating_out(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
@@ -306,26 +311,51 @@ def test_cli_bad_option_exits_2_without_creating_out(argv, tmp_path, capsys):
     assert repr(argv[1].lstrip("-").split("=")[0].replace("-", "_")) in err
 
 
-def test_cli_overflow_is_an_error_without_manifest(tmp_path, capsys):
+def _overflow_at_runtime(monkeypatch):
+    """Make noise-stats fail after its options pass, as an overflow would."""
+    from ioncodesign import cli
+
+    def overflow(dist):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(cli, "angle_moments", overflow)
+
+
+def test_cli_overflow_is_an_error_without_manifest(tmp_path, capsys, monkeypatch):
+    _overflow_at_runtime(monkeypatch)
     out = tmp_path / "out"
-    assert main(["noise-stats", "--tau", "1e200", "--out", str(out)]) == 1
+    assert main(["noise-stats", "--out", str(out)]) == 1
     assert not (out / "manifest.json").exists()
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_cli_runtime_failure_removes_only_the_out_it_created(tmp_path, capsys):
+def test_cli_runtime_failure_removes_only_the_out_it_created(tmp_path, capsys, monkeypatch):
+    _overflow_at_runtime(monkeypatch)
     out = tmp_path / "out"
-    assert main(["noise-stats", "--tau", "1e200", "--out", str(out)]) == 1
+    assert main(["noise-stats", "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: noise-stats: ")
     out.mkdir()
     (out / "kept.txt").write_text("kept")
-    assert main(["noise-stats", "--tau", "1e200", "--out", str(out)]) == 1
+    assert main(["noise-stats", "--out", str(out)]) == 1
     assert [p.name for p in out.iterdir()] == ["kept.txt"]
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert main(["noise-stats", "--tau", "1e200", "--out", str(empty)]) == 1
+    assert main(["noise-stats", "--out", str(empty)]) == 1
     assert empty.is_dir()
+
+
+@pytest.mark.parametrize("field,value", [("h", [math.inf, 0.0]),
+                                         ("J", [[0.0, math.nan], [0.5, 0.0]]),
+                                         ("n", 2.5), ("n", True), ("n", 0)])
+def test_cli_bad_hamiltonian_exits_2_without_creating_out(field, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY_CLI_CONFIG, hamiltonian=dict(
+        TINY_CLI_CONFIG["hamiltonian"], **{field: value}))))
+    out = tmp_path / "out"
+    assert main(["depth-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config field 'hamiltonian'" in capsys.readouterr().err
 
 
 def test_cli_manifest_records_subcommand_options(tmp_path):

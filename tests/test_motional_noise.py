@@ -14,6 +14,7 @@ from ioncodesign.motional_noise import (
     angle_moments,
     angle_pdf,
     hyp1f2,
+    hyp1f2_float,
     markovian_noise_to_signal,
     noisy_angle,
     return_probability,
@@ -153,6 +154,19 @@ def test_hyp1f2_scalar_path_is_bit_identical_to_reference_series():
         for a, b2 in ((1.0 + half, 2.0 + half), (0.5 + half, 1.5 + half)):
             assert hyp1f2(a, 1.5, b2, z) == _reference_series(a, 1.5, b2, z)
             assert hyp1f2(a, 1.5, b2, np.float64(z)) == _reference_series(a, 1.5, b2, z)
+
+
+def test_hyp1f2_float_is_scalar_hyp1f2_bit_for_bit():
+    # the refine of feedforward sums on plain floats; hyp1f2 of scalars runs
+    # the 0-d array series, or mpmath past |z| = 150
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        half = 0.5 / rng.uniform(1e-4, 5.0)
+        z = -rng.uniform(0.0, 400.0) if rng.random() < 0.8 else rng.uniform(0.0, 20.0)
+        for a, b2 in ((1.0 + half, 2.0 + half), (0.5 + half, 1.5 + half)):
+            assert hyp1f2_float(a, 1.5, b2, z) == hyp1f2(a, 1.5, b2, z)
+    for z in (-150.0, -150.5, -400.0):
+        assert hyp1f2_float(1.5, 1.5, 2.5, z) == hyp1f2(1.5, 1.5, 2.5, z)
 
 
 def _reference_array_series(a, b1, b2, z):
