@@ -4,9 +4,10 @@ Subcommands: simulate-spectrum, depth-sweep, calibrate, feedforward-table,
 noise-stats, infer. `main` checks the subcommand's options before it
 creates the output directory; each subcommand writes its CSV or JSON
 results there, and `main` then writes `manifest.json` (including those
-options), only on success. A runtime failure exits 1 with an error naming
-the subcommand and removes an output directory `main` created and left
-empty. Identical config and seed give byte-identical files.
+options), only on success. A runtime failure, a non-finite result
+included, exits 1 with an error naming the subcommand and removes an
+output directory `main` created, with whatever the subcommand had written
+there. Identical config and seed give byte-identical files.
 The environment variable IONCODESIGN_SEED overrides the seed (CI hook).
 """
 
@@ -17,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -272,8 +274,8 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
-        if created and os.path.isdir(config.out_dir) and not os.listdir(config.out_dir):
-            os.rmdir(config.out_dir)
+        if created and os.path.isdir(config.out_dir):
+            shutil.rmtree(config.out_dir)
         return 1
 
 

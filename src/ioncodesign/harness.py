@@ -20,7 +20,7 @@ import numpy as np
 
 from .artifacts import write_json
 from .feedforward import FeedforwardTable
-from .hamiltonian import SpinHamiltonian
+from .hamiltonian import ExactEvolver, SpinHamiltonian
 from .motional_noise import NoiseParams
 from .spectroscopy import (
     ResponseSeries,
@@ -103,6 +103,12 @@ class ExperimentConfig:
             raise ConfigError("gamma", "must be positive")
         if self.t_max <= 0:
             raise ConfigError("t_max", "must be positive")
+        with np.errstate(over="ignore"):
+            scale = (np.abs(self.hamiltonian.J).sum() + np.abs(self.hamiltonian.h).sum()) \
+                * self.t_max
+        if not np.isfinite(scale):
+            raise ConfigError("hamiltonian", "too large: (sum |J_ij| + sum |h_i|) * t_max "
+                              "overflows")
         if self.n_times < 2:
             raise ConfigError("n_times", "need at least 2 sample times")
         if self.n_omega < 2 or self.omega_max <= self.omega_min:
@@ -191,8 +197,9 @@ def simulate_spectrum(config: ExperimentConfig, r: int | None = None,
     return series, spectrum(series, config.gamma, config.omega_grid())
 
 
-def exact_spectrum(config: ExperimentConfig) -> Spectrum:
-    series = exact_response(config.hamiltonian, config.times())
+def exact_spectrum(config: ExperimentConfig, exact: ExactEvolver | None = None) -> Spectrum:
+    """Spectrum of the exact response; `exact`, if given, is `ExactEvolver(config.hamiltonian)`."""
+    series = exact_response(config.hamiltonian, config.times(), exact)
     return spectrum(series, config.gamma, config.omega_grid())
 
 
@@ -207,12 +214,13 @@ def run_depth_sweep(config: ExperimentConfig) -> SweepResult:
     timing = config.timing()
     noise = config.noise()
     runs = config.runs(SWEEP_RUNS_DEFAULT)
-    target = exact_spectrum(config)
+    exact = ExactEvolver(ham)
+    target = exact_spectrum(config, exact)
     table = FeedforwardTable()
     result = SweepResult()
     for r in config.r_values:
-        trace = fidelity_trace(ham, times, r, timing, noise,
-                               feedforward=config.feedforward, n_runs=runs, table=table)
+        trace = fidelity_trace(ham, times, r, timing, noise, feedforward=config.feedforward,
+                               n_runs=runs, table=table, exact=exact)
         _, spec = simulate_spectrum(config, r=r, n_runs=runs, table=table)
         counts = gate_counts(build_trotter_circuit(ham, config.t_max, r, timing))
         result.records.append({

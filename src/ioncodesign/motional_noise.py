@@ -67,21 +67,36 @@ def sample_trajectory(times, params: NoiseParams,
     the single-time marginal of the correlated process.
     """
     times = np.asarray(times, dtype=float)
-    if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
-        raise ValueError("times must be sorted ascending and non-negative")
+    scale = _path_scale(times, params)
     if rng is None:
         rng = np.random.default_rng(params.seed)
     if params.c2 == 0.0 or times.size == 0:
         return MotionalTrajectory(times, np.zeros_like(times))
+    return MotionalTrajectory(times, _draw_paths(scale, params.correlated, [rng])[:, 0])
+
+
+def _path_scale(times: np.ndarray, params: NoiseParams) -> np.ndarray:
+    """The scale `_draw_paths` takes for gate start times sorted from 0 up.
+
+    Correlated: the step scale sqrt(c2 * dtau / 2) of each gate's path
+    increment. Uncorrelated: each gate's Exponential mean c2 * tau,
+    floored at 1e-300, and 0 at tau = 0, where u is exactly 0.
+    """
+    if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
+        raise ValueError("times must be sorted ascending and non-negative")
     if not params.correlated:
-        u = rng.exponential(np.maximum(params.c2 * times, 1e-300))
-        u[times == 0.0] = 0.0
-        return MotionalTrajectory(times, u)
-    dtau = np.diff(np.concatenate(([0.0], times)))
-    scale = np.sqrt(params.c2 * dtau / 2.0)
-    steps = (rng.standard_normal(times.size) + 1j * rng.standard_normal(times.size)) * scale
-    z = np.cumsum(steps)
-    return MotionalTrajectory(times, np.abs(z) ** 2)
+        return np.where(times == 0.0, 0.0, np.maximum(params.c2 * times, 1e-300))
+    return np.sqrt(params.c2 * np.diff(times, prepend=0.0) / 2.0)
+
+
+def _draw_paths(scale: np.ndarray, correlated: bool, rngs) -> np.ndarray:
+    """(gates, len(rngs)) u: column k is one path drawn from rngs[k] with `_path_scale`'s scale."""
+    if not correlated:
+        return np.array([rng.exponential(scale) for rng in rngs]).T
+    normals = np.array([(rng.standard_normal(scale.size), rng.standard_normal(scale.size))
+                        for rng in rngs])
+    steps = (normals[:, 0] + 1j * normals[:, 1]) * scale
+    return (np.abs(np.cumsum(steps, axis=1)) ** 2).T
 
 
 def sample_u_pairs(tau: float, delta: float, c2: float, n_samples: int,
@@ -128,6 +143,9 @@ def angle_correlation(tau: float, delta: float, c2: float) -> float:
     """Correlation of the angles of two gates applied delta apart."""
     if tau <= 0 or delta < 0:
         raise ValueError("need tau > 0 and delta >= 0")
+    if c2 == 0:
+        # the c2 -> 0 limit, without 0 * inf when delta overflows
+        return tau / (tau + delta)
     a, b = c2 * tau, c2 * (tau + delta)
     d = c2 * delta
     return (tau / (tau + delta)) * np.sqrt((1 + 2 * a) * (1 + 2 * b)) \

@@ -16,7 +16,7 @@ import numpy as np
 
 from .feedforward import FeedforwardTable, correct_circuit
 from .hamiltonian import ExactEvolver, SpinHamiltonian
-from .motional_noise import NoiseParams, sample_trajectory
+from .motional_noise import NoiseParams, _draw_paths, _path_scale
 from .spinsim import CompiledCircuit, sz_tot_diagonal
 from .trotter import GateTiming, TimedCircuit, build_trotter_circuit
 
@@ -75,12 +75,14 @@ def _magnetization(n_spins: int):
     return columns, magnetization
 
 
-def exact_response(ham: SpinHamiltonian, times) -> ResponseSeries:
-    """S(t) under exact evolution."""
+def exact_response(ham: SpinHamiltonian, times,
+                   exact: ExactEvolver | None = None) -> ResponseSeries:
+    """S(t) under exact evolution; `exact`, if given, is `ExactEvolver(ham)`."""
     times = np.asarray(times, dtype=float)
     columns, magnetization = _magnetization(ham.n_spins)
-    evolver = ExactEvolver(ham)
-    return ResponseSeries(times, [magnetization(it, evolver.evolve(columns, t))
+    if exact is None:
+        exact = ExactEvolver(ham)
+    return ResponseSeries(times, [magnetization(it, exact.evolve(columns, t))
                                   for it, t in enumerate(times)])
 
 
@@ -90,6 +92,12 @@ class TrotterEvolver:
     Noise with c2 = 0 counts as no noise. For noisy evolution one run is
     one diffusion path; within one run all initial states share the same
     path. Seeds derive deterministically from (seed, run index, time index).
+
+    Every circuit of one evolver has the same gates, sites, start times
+    and noise mask; only the angles change with t. The first circuit
+    `circuit_for` makes therefore fixes the evolver's `CompiledCircuit`
+    plan, noisy mask and path scale, and `evolve` and `evolve_runs` apply
+    them to each time's angles.
     """
 
     def __init__(self, ham: SpinHamiltonian, r: int, timing: GateTiming = GateTiming(),
@@ -104,6 +112,7 @@ class TrotterEvolver:
         self.feedforward = feedforward
         self.table = table if table is not None else FeedforwardTable()
         self._time_index = {}
+        self._plan = self._path = None
 
     def runs(self, n_runs: int) -> int:
         """Noise runs worth averaging: one when the evolution is deterministic."""
@@ -114,24 +123,37 @@ class TrotterEvolver:
         circuit = build_trotter_circuit(self.ham, t, self.r, self.timing)
         if self.feedforward and self.noise is not None:
             circuit = correct_circuit(circuit, self.noise.c2, self.table)
+        if self._plan is None:
+            self._plan, self._path = CompiledCircuit(circuit), self._noise_path(circuit)
         return circuit
 
     def evolve(self, columns: np.ndarray, run: int, t: float) -> np.ndarray:
         """Columns evolved under noise realization `run` at time t."""
         circuit = self.circuit_for(t)
-        return CompiledCircuit(circuit).apply(columns, self._angles(circuit, t, [run])[:, 0])
+        return self._plan.apply(columns, self._angles(circuit, self._path, t, [run])[:, 0])
 
     def evolve_runs(self, columns: np.ndarray, t: float, runs: int) -> np.ndarray:
         """The (2^N, k) columns evolved under runs 0..runs-1: (2^N, runs, k)."""
         circuit = self.circuit_for(t)
-        return CompiledCircuit(circuit).apply(columns[:, None],
-                                              self._angles(circuit, t, range(runs)))
+        return self._plan.apply(columns[:, None],
+                                self._angles(circuit, self._path, t, range(runs)))
 
     def realized_angles(self, circuit: TimedCircuit, run: int, t: float) -> list[float]:
-        """Noisy angle realization for one run; nominal if noiseless."""
-        return self._angles(circuit, t, [run])[:, 0].tolist()
+        """Noisy angle realization for one run; nominal if noiseless.
 
-    def _angles(self, circuit: TimedCircuit, t: float, runs) -> np.ndarray:
+        The circuit's own start times and noise mask are used, so it need
+        not be one this evolver made.
+        """
+        return self._angles(circuit, self._noise_path(circuit), t, [run])[:, 0].tolist()
+
+    def _noise_path(self, circuit: TimedCircuit):
+        """(noisy mask as a column, path scale) of the circuit; None if noiseless."""
+        if self.noise is None:
+            return None
+        return (np.array([g.noisy for g in circuit.gates])[:, None],
+                _path_scale(circuit.gate_times(), self.noise))
+
+    def _angles(self, circuit: TimedCircuit, path, t: float, runs) -> np.ndarray:
         """(gates, len(runs)) realized angles, one column per noise run.
 
         Run `run` at the time index of t draws its diffusion path from
@@ -139,15 +161,14 @@ class TrotterEvolver:
         each noisy gate's angle by exp(-u).
         """
         nominal = np.array([g.spec.angle for g in circuit.gates])[:, None]
-        if self.noise is None:
+        if path is None:
             return np.repeat(nominal, len(runs), axis=1)
+        noisy, scale = path
         it = self._time_index.setdefault(float(t), len(self._time_index))
-        times = circuit.gate_times()
-        u = np.empty((nominal.size, len(runs)))
-        for col, run in enumerate(runs):
-            seed_seq = np.random.SeedSequence(entropy=self.noise.seed, spawn_key=(run, it))
-            u[:, col] = sample_trajectory(times, self.noise, rng=np.random.default_rng(seed_seq)).u
-        noisy = np.array([g.noisy for g in circuit.gates])[:, None]
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=self.noise.seed,
+                                                             spawn_key=(run, it)))
+                for run in runs]
+        u = _draw_paths(scale, self.noise.correlated, rngs)
         return np.where(noisy, nominal * np.exp(-u), nominal)
 
 
@@ -215,11 +236,16 @@ def hellinger(a: Spectrum, b: Spectrum) -> float:
 def fidelity_trace(ham: SpinHamiltonian, times, r: int,
                    timing: GateTiming = GateTiming(),
                    noise: NoiseParams | None = None, feedforward: bool = False,
-                   n_runs: int = 1, table: FeedforwardTable | None = None) -> FidelityTrace:
-    """F(t) = |Tr(U1(t)^dag U(t)) / 2^N|^2 averaged over noise runs."""
+                   n_runs: int = 1, table: FeedforwardTable | None = None,
+                   exact: ExactEvolver | None = None) -> FidelityTrace:
+    """F(t) = |Tr(U1(t)^dag U(t)) / 2^N|^2 averaged over noise runs.
+
+    `exact`, if given, is `ExactEvolver(ham)`, shared with other callers.
+    """
     times = np.asarray(times, dtype=float)
     ev = TrotterEvolver(ham, r, timing, noise, feedforward, table)
-    exact = ExactEvolver(ham)
+    if exact is None:
+        exact = ExactEvolver(ham)
     dim = 2**ham.n_spins
     targets = [exact.unitary(t) for t in times]
 

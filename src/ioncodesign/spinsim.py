@@ -159,6 +159,11 @@ def gate_matrix(gate: GateSpec, n_qubits: int) -> np.ndarray:
 class CompiledCircuit:
     """Layer-fused plan of a circuit, reusable across angle realizations.
 
+    The plan reads only each gate's kind and sites, never its angle, so
+    one plan serves every circuit of the same structure: a
+    `TrotterEvolver` builds one and applies it to each sample time's
+    angles.
+
     The state is kept in the X eigenbasis (H on every site on entry and
     exit; bit 0 of a site means sigma^x = +1). Each run of XX/RX gates is
     one phase layer, exp(-i sum_g phi_g s_g(x) / 4) with s_g(x) = +-1;

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioncodesign import default_instance
+from ioncodesign.artifacts import write_csv, write_json
 from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.cli import main
 from ioncodesign.feedforward import ControlQuery, optimal_input_angle
@@ -403,3 +404,77 @@ def configs(draw):
 def test_config_dict_round_trip(config):
     data = config.to_dict()
     assert ExperimentConfig.from_dict(json.loads(json.dumps(data))).to_dict() == data
+
+
+def test_config_rejects_a_hamiltonian_whose_scale_overflows(tmp_path, capsys):
+    J = [[0.0, 1e308], [1e308, 0.0]]
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(hamiltonian=SpinHamiltonian(2, J, [1e308, 0.0]))
+    assert err.value.field == "hamiltonian"
+    # a finite bound at this t_max passes; a longer t_max overflows it
+    ham = SpinHamiltonian(2, [[0.0, 1e300], [1e300, 0.0]], [1e300, 0.0])
+    ExperimentConfig(hamiltonian=ham, t_max=6.0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(hamiltonian=ham, t_max=1e10)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY_CLI_CONFIG, hamiltonian={"n": 2, "J": J,
+                                                                 "h": [1e308, 0.0]})))
+    out = tmp_path / "out"
+    assert main(["depth-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config field 'hamiltonian'" in capsys.readouterr().err
+
+
+def test_run_depth_sweep_diagonalizes_once(monkeypatch):
+    from ioncodesign import hamiltonian
+
+    built = []
+    original = hamiltonian.ExactEvolver.__init__
+
+    def counting(self, ham):
+        built.append(ham)
+        original(self, ham)
+
+    monkeypatch.setattr(hamiltonian.ExactEvolver, "__init__", counting)
+    config = small_config(r_values=(1, 2, 3), n_times=3, n_runs=1)
+    run_depth_sweep(config)
+    assert len(built) == 1
+
+
+def _standard_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_writers_reject_non_finite_floats_naming_file_and_key(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match=r"r\.json: key 'a\.b\[1\]' is not finite \(nan\)"):
+        write_json(path, {"a": {"b": [1.0, math.nan]}, "c": 2})
+    assert not path.exists()
+    path = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=r"r\.csv: column 'y' is not finite \(-inf\)"):
+        write_csv(path, ["x", "y"], iter([(1.0, 2.0), (3.0, -math.inf)]))
+    assert not path.exists()
+    write_csv(path, ["x", "y"], iter([(1.0, 2.0), ("nan", 4)]))
+    assert path.read_bytes() == b"x,y\r\n1.0,2.0\r\nnan,4\r\n"
+
+
+def test_cli_noise_stats_at_c2_zero_writes_standard_json(tmp_path):
+    out = tmp_path / "out"
+    assert main(["noise-stats", "--c2", "0", "--tau", "1e308", "--out", str(out)]) == 0
+    report = _standard_json(out / "noise_stats.json")
+    assert all(math.isfinite(v) for v in report["correlations"].values())
+    assert report["correlations"]["inf"] == 0.0
+    _standard_json(out / "manifest.json")
+
+
+def test_cli_non_finite_result_exits_1_naming_the_key(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["noise-stats", "--phi-in", "1e150", "--tau", "1e10", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise-stats: ") and err.count("\n") == 1
+    assert "noise_stats.json" in err and "'variance'" in err

@@ -99,6 +99,15 @@ def test_angle_correlation_limits():
         assert late == pytest.approx(1.0 / (1.0 + c2 * delta / 2.0), abs=1e-3)
 
 
+def test_angle_correlation_c2_zero_limit():
+    # c2 -> 0 leaves tau / (tau + delta), and stays finite where c2 * delta is 0 * inf
+    for tau, delta in ((5.0, 0.0), (2.0, 6.0), (1e308, 1e308), (1e308, np.inf)):
+        limit = angle_correlation(tau, delta, 0.0)
+        assert limit == tau / (tau + delta)
+        assert np.isfinite(limit)
+    assert angle_correlation(2.0, 6.0, 1e-12) == pytest.approx(0.25, rel=1e-9)
+
+
 def test_angle_correlation_against_monte_carlo():
     c2, tau, delta = 0.05, 15.0, 8.0
     rng = np.random.default_rng(9)

@@ -1,11 +1,14 @@
 """Unit tests for response functions, spectra, and fidelity metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ioncodesign import default_instance
+from ioncodesign.feedforward import FeedforwardTable, correct_circuit
 from ioncodesign.hamiltonian import ExactEvolver, SpinHamiltonian
-from ioncodesign.motional_noise import NoiseParams
+from ioncodesign.motional_noise import NoiseParams, sample_trajectory
 from ioncodesign.spectroscopy import (
     ResponseSeries,
     TrotterEvolver,
@@ -18,6 +21,7 @@ from ioncodesign.spectroscopy import (
     spectrum,
 )
 from ioncodesign.spinsim import CompiledCircuit, sz_tot_diagonal
+from ioncodesign.trotter import GateTiming, build_trotter_circuit
 
 
 def single_spin(h0):
@@ -168,6 +172,21 @@ def test_spectrum_input_validation():
         TrotterEvolver(four_spin(), r=0)
 
 
+def _magnetization_reduce(n):
+    """The m > 0 basis columns, and the S(t) reduce of their evolved copies."""
+    states = positive_magnetization_states(n)
+    columns = np.zeros((2**n, len(states)), dtype=complex)
+    for k, (idx, _) in enumerate(states):
+        columns[idx, k] = 1.0
+    weights = np.array([m for _, m in states]) / 2**n
+    diag = sz_tot_diagonal(n)
+
+    def magnetization(it, evolved):
+        return 2.0 * float(weights @ np.real(np.einsum("d,dk->k", diag, np.abs(evolved) ** 2)))
+
+    return columns, magnetization
+
+
 def _per_run_loop(ev, times, runs, columns, reduce):
     """Reference: one TrotterEvolver.evolve per (time, run), runs summed in order."""
     values = np.empty(times.size)
@@ -196,16 +215,7 @@ def test_batched_response_equals_per_run_loop(n, r, c2, feedforward, runs):
     noise = NoiseParams(c2=c2, seed=5)
     got = noisy_response(ham, times, r, noise, feedforward=feedforward, n_runs=runs)
     ev = TrotterEvolver(ham, r, noise=noise, feedforward=feedforward)
-    states = positive_magnetization_states(n)
-    columns = np.zeros((2**n, len(states)), dtype=complex)
-    for k, (idx, _) in enumerate(states):
-        columns[idx, k] = 1.0
-    weights = np.array([m for _, m in states]) / 2**n
-    diag = sz_tot_diagonal(n)
-
-    def magnetization(it, evolved):
-        return 2.0 * float(weights @ np.real(np.einsum("d,dk->k", diag, np.abs(evolved) ** 2)))
-
+    columns, magnetization = _magnetization_reduce(n)
     want = _per_run_loop(ev, times, ev.runs(runs), columns, magnetization)
     assert np.array_equal(got.values, want)
 
@@ -239,3 +249,123 @@ def test_batched_evolution_uses_the_per_run_realizations():
         assert isinstance(angles, list)
         assert np.array_equal(out[:, run], compiled.apply(eye, angles))
         assert np.array_equal(out[:, run], single.evolve(eye, run, 1.0))
+
+
+def _fresh_circuit(ham, t, r, noise, feedforward, table):
+    circuit = build_trotter_circuit(ham, t, r)
+    return correct_circuit(circuit, noise.c2, table) if feedforward else circuit
+
+
+def _fresh_angles(circuit, noise, runs, it):
+    """Reference draw: sample_trajectory over the circuit's own start times, one run a column."""
+    nominal = np.array([g.spec.angle for g in circuit.gates])[:, None]
+    noisy = np.array([g.noisy for g in circuit.gates])[:, None]
+    u = np.stack([sample_trajectory(circuit.gate_times(), noise, rng=np.random.default_rng(
+        np.random.SeedSequence(entropy=noise.seed, spawn_key=(run, it)))).u
+        for run in runs], axis=1)
+    return np.where(noisy, nominal * np.exp(-u), nominal)
+
+
+def _fresh_average(ham, times, r, noise, feedforward, runs, columns, reduce):
+    """Reference run average: every time's circuit built, compiled and drawn afresh."""
+    table = FeedforwardTable()
+    values = np.empty(times.size)
+    for it, t in enumerate(times):
+        circuit = _fresh_circuit(ham, t, r, noise, feedforward, table)
+        batch = CompiledCircuit(circuit).apply(columns[:, None],
+                                               _fresh_angles(circuit, noise, range(runs), it))
+        total = 0.0
+        for run in range(runs):
+            total += reduce(it, np.ascontiguousarray(batch[:, run]))
+        values[it] = total / runs
+    return values
+
+
+NOISE_CASES = [
+    # (noise, feedforward)
+    (NoiseParams(c2=0.05, seed=11), False),
+    (NoiseParams(c2=0.05, seed=11, correlated=False), False),
+    (NoiseParams(c2=0.05, seed=11), True),
+]
+
+
+@pytest.mark.parametrize("noise,feedforward", NOISE_CASES)
+def test_fidelity_trace_is_bitwise_the_fresh_per_time_reference(noise, feedforward):
+    ham, times, runs = four_spin(seed=3), np.linspace(0.0, 2.0, 5), 3
+    got = fidelity_trace(ham, times, 2, noise=noise, feedforward=feedforward, n_runs=runs)
+    exact = ExactEvolver(ham)
+    targets = [exact.unitary(t) for t in times]
+    want = _fresh_average(ham, times, 2, noise, feedforward, runs, np.eye(16, dtype=complex),
+                          lambda it, u1: abs(np.vdot(u1, targets[it]) / 16) ** 2)
+    assert got.fidelity.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise,feedforward", NOISE_CASES)
+def test_noisy_response_is_bitwise_the_fresh_per_time_reference(noise, feedforward):
+    ham, times, runs = four_spin(seed=3), np.linspace(0.0, 2.0, 5), 3
+    got = noisy_response(ham, times, 2, noise, feedforward=feedforward, n_runs=runs)
+    columns, magnetization = _magnetization_reduce(4)
+    want = _fresh_average(ham, times, 2, noise, feedforward, runs, columns, magnetization)
+    assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise,feedforward", NOISE_CASES)
+def test_realized_angles_are_bitwise_the_fresh_per_time_reference(noise, feedforward):
+    ham, times = four_spin(seed=3), np.linspace(0.0, 2.0, 5)
+    ev = TrotterEvolver(ham, 2, noise=noise, feedforward=feedforward)
+    table = FeedforwardTable()
+    for it, t in enumerate(times):
+        circuit = ev.circuit_for(t)
+        want = _fresh_angles(_fresh_circuit(ham, t, 2, noise, feedforward, table), noise,
+                             range(3), it)
+        for run in range(3):
+            assert np.array(ev.realized_angles(circuit, run, t)).tobytes() \
+                == want[:, run].tobytes()
+
+
+def test_realized_angles_of_a_foreign_circuit_use_its_own_times_and_mask():
+    ham, noise = four_spin(seed=3), NoiseParams(c2=0.05, seed=11)
+    ev = TrotterEvolver(ham, 2, noise=noise)
+    own = ev.circuit_for(1.0)
+    # Same gates as the evolver's own circuit, but a later, slower schedule.
+    later = build_trotter_circuit(ham, 1.0, 2, GateTiming(t_g=0.03, tau_0=0.5))
+    assert [g.spec for g in later.gates] == [g.spec for g in own.gates]
+    got = np.array(ev.realized_angles(later, 2, 1.0))
+    assert got.tobytes() == _fresh_angles(later, noise, [2], 0)[:, 0].tobytes()
+    assert not np.array_equal(got, ev.realized_angles(own, 2, 1.0))
+    # The same gates with no noisy flag keep their nominal angles.
+    quiet = dataclasses.replace(own, gates=tuple(dataclasses.replace(g, noisy=False)
+                                                 for g in own.gates))
+    assert ev.realized_angles(quiet, 2, 1.0) == [g.spec.angle for g in own.gates]
+
+
+def test_each_evolver_compiles_one_plan(monkeypatch):
+    built = []
+    original = CompiledCircuit.__init__
+
+    def counting(self, circuit):
+        built.append(circuit)
+        original(self, circuit)
+
+    monkeypatch.setattr(CompiledCircuit, "__init__", counting)
+    ham, times = four_spin(seed=3), np.linspace(0.0, 2.0, 5)
+    noise = NoiseParams(c2=0.05, seed=11)
+    fidelity_trace(ham, times, 2, noise=noise, n_runs=3)
+    assert len(built) == 1
+    noisy_response(ham, times, 3, noise, feedforward=True, n_runs=3)
+    assert len(built) == 2
+    ev = TrotterEvolver(ham, 2, noise=noise)
+    for t in times:
+        for run in range(3):
+            ev.evolve(np.eye(16, dtype=complex), run, t)
+        ev.evolve_runs(np.eye(16, dtype=complex), t, 3)
+    assert len(built) == 3
+
+
+def test_exact_evolver_argument_is_shared_not_a_switch():
+    ham, times = four_spin(seed=3), np.linspace(0.0, 2.0, 5)
+    exact = ExactEvolver(ham)
+    assert exact_response(ham, times, exact).values.tobytes() \
+        == exact_response(ham, times).values.tobytes()
+    assert fidelity_trace(ham, times, 2, exact=exact).fidelity.tobytes() \
+        == fidelity_trace(ham, times, 2).fidelity.tobytes()
