@@ -1,0 +1,59 @@
+# Checks of the installed `ioncodesign` console script; run with `bash -e`.
+#
+# The entry point from [project.scripts] must start and write a table; a
+# nonzero exit or a missing CSV fails the run. An option that would
+# overflow must exit 2 and create no --out. Result files are standard
+# JSON: c2 = 0 takes the correlation's limit, c2 > 0 at the largest tau
+# stays finite, and a non-finite result exits 1 and creates no --out. A
+# result too large to allocate exits 1 and creates no --out. A Hamiltonian
+# whose scale overflows, and a config naming the retired `out_dir`, are
+# config errors (exit 2) that name the field.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+standard_json() {
+  python3 - "$1" <<'EOF'
+import json, sys
+def reject(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+with open(sys.argv[1]) as fh:
+    json.load(fh, parse_constant=reject)
+EOF
+}
+
+ioncodesign --help
+ioncodesign feedforward-table --n-phi 3 --n-lam 3 --out "$tmp/fftable"
+test -s "$tmp/fftable/feedforward_table.csv"
+code=0
+ioncodesign noise-stats --tau 1e200 --out "$tmp/bad" || code=$?
+test "$code" -eq 2
+test ! -e "$tmp/bad"
+ioncodesign noise-stats --c2 0 --tau 1e308 --out "$tmp/c2zero"
+standard_json "$tmp/c2zero/noise_stats.json"
+ioncodesign noise-stats --c2 1e-300 --tau 1e308 --out "$tmp/c2tiny"
+standard_json "$tmp/c2tiny/noise_stats.json"
+code=0
+ioncodesign noise-stats --phi-in 1e150 --tau 1e10 --out "$tmp/inf" || code=$?
+test "$code" -eq 1
+test ! -e "$tmp/inf"
+code=0
+ioncodesign feedforward-table --phi-cap 1e14 --n-phi 1 --n-lam 2 --out "$tmp/huge-cap" \
+  || code=$?
+test "$code" -eq 1
+test ! -e "$tmp/huge-cap"
+echo '{"hamiltonian": {"n": 2, "J": [[0, 1e308], [1e308, 0]], "h": [1e308, 0]}}' \
+  > "$tmp/huge.json"
+code=0
+ioncodesign depth-sweep --config "$tmp/huge.json" --out "$tmp/huge" \
+  2> "$tmp/huge.err" || code=$?
+test "$code" -eq 2
+test ! -e "$tmp/huge"
+grep -q "'hamiltonian'" "$tmp/huge.err"
+echo '{"hamiltonian": {"n": 1, "J": [[0]], "h": [1]}, "out_dir": "elsewhere"}' \
+  > "$tmp/outdir.json"
+code=0
+ioncodesign noise-stats --config "$tmp/outdir.json" --out "$tmp/outdir" \
+  2> "$tmp/outdir.err" || code=$?
+test "$code" -eq 2
+test ! -e "$tmp/outdir"
+grep -q "'out_dir'" "$tmp/outdir.err"

@@ -4,10 +4,11 @@ Subcommands: simulate-spectrum, depth-sweep, calibrate, feedforward-table,
 noise-stats, infer. `main` checks the subcommand's options before it
 creates the output directory; each subcommand writes its CSV or JSON
 results there, and `main` then writes `manifest.json` (including those
-options), only on success. A runtime failure, a non-finite result
-included, exits 1 with an error naming the subcommand and removes an
-output directory `main` created, with whatever the subcommand had written
-there. Identical config and seed give byte-identical files.
+options), only on success. A runtime failure, a non-finite result or one
+too large to allocate included, exits 1 with an error naming the
+subcommand and removes an output directory `main` created, with whatever
+the subcommand had written there. Identical config and seed give
+byte-identical files.
 The environment variable IONCODESIGN_SEED overrides the seed (CI hook).
 """
 
@@ -109,7 +110,7 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError("config", str(exc)) from exc
     else:
         config = ExperimentConfig(hamiltonian=default_instance())
-    overrides = {"out_dir": args.out}
+    overrides = {}
     for name, value in (("c2", args.c2), ("seed", args.seed), ("n_runs", args.runs),
                         ("feedforward", args.feedforward)):
         if value is not None:
@@ -161,10 +162,10 @@ def _cmd_simulate_spectrum(args, config) -> str:
     series, spec = simulate_spectrum(config)
     target = exact_spectrum(config)
     d_h = hellinger(spec, target)
-    write_csv(os.path.join(config.out_dir, "response.csv"), ["t_ms", "s"],
+    write_csv(os.path.join(args.out, "response.csv"), ["t_ms", "s"],
               zip(series.times.tolist(), series.values.tolist()))
     for name, s in (("spectrum.csv", spec), ("exact_spectrum.csv", target)):
-        write_csv(os.path.join(config.out_dir, name), ["omega_rad_per_ms", "a_raw", "a_norm"],
+        write_csv(os.path.join(args.out, name), ["omega_rad_per_ms", "a_raw", "a_norm"],
                   zip(s.omega.tolist(), s.a_raw.tolist(), s.a_norm.tolist()))
     return (f"r={config.r} c2={config.c2} feedforward={config.feedforward} "
             f"hellinger_vs_exact={d_h:.6f}")
@@ -173,9 +174,9 @@ def _cmd_simulate_spectrum(args, config) -> str:
 def _cmd_depth_sweep(args, config) -> str:
     result = run_depth_sweep(config)
     header = ["r", "gates_total", "gates_two_qubit", "f_int", "d_h"]
-    write_csv(os.path.join(config.out_dir, "sweep.csv"), header,
+    write_csv(os.path.join(args.out, "sweep.csv"), header,
               ([rec[k] for k in header] for rec in result.records))
-    write_json(os.path.join(config.out_dir, "sweep_result.json"), result.to_dict())
+    write_json(os.path.join(args.out, "sweep_result.json"), result.to_dict())
     return f"r_opt_by_fint={result.r_opt_by_fint} r_opt_by_dh={result.r_opt_by_dh}"
 
 
@@ -184,10 +185,10 @@ def _cmd_calibrate(args, config) -> str:
     tau_grid = np.linspace(0.0, 60.0, 13)
     curve = simulate_calibration(phi_grid, tau_grid, config.c2, args.shots,
                                  seed=config.seed)
-    curve.to_csv(os.path.join(config.out_dir, "calibration.csv"))
+    curve.to_csv(os.path.join(args.out, "calibration.csv"))
     fit = fit_c2(curve)
     alt = fit_phase_damping(curve)
-    write_json(os.path.join(config.out_dir, "calibration_fit.json"),
+    write_json(os.path.join(args.out, "calibration_fit.json"),
                {"c2_true": config.c2, "shots": args.shots,
                 "c2_hat": fit["c2_hat"], "residual": fit["residual"],
                 "phase_damping_residual": alt["residual"]})
@@ -198,7 +199,7 @@ def _cmd_calibrate(args, config) -> str:
 def _cmd_feedforward_table(args, config) -> str:
     phis = np.linspace(args.phi_cap / args.n_phi, args.phi_cap, args.n_phi).tolist()
     lams = np.linspace(0.0, args.lam_max, args.n_lam).tolist()
-    path = os.path.join(config.out_dir, "feedforward_table.csv")
+    path = os.path.join(args.out, "feedforward_table.csv")
     # solved lambda by lambda, so that each lambda's dense scan is built
     # once however many lambdas there are; written phi by phi
     scan_rows = {}
@@ -224,7 +225,7 @@ def _cmd_noise_stats(args, config) -> str:
         "correlations": {repr(float(d)): float(angle_correlation(args.tau, d, config.c2))
                          for d in deltas},
     }
-    write_json(os.path.join(config.out_dir, "noise_stats.json"), report)
+    write_json(os.path.join(args.out, "noise_stats.json"), report)
     return json.dumps(report, indent=2, sort_keys=True)
 
 
@@ -234,7 +235,7 @@ def _cmd_infer(args, config) -> str:
                                                        spawn_key=(123456789,)))
     guess = perturbed_instance(config.hamiltonian, args.perturb, rng)
     log = run_inference_demo(target, guess, args.iterations, config)
-    write_csv(os.path.join(config.out_dir, "inference_log.csv"),
+    write_csv(os.path.join(args.out, "inference_log.csv"),
               ["iteration", "d_h", "accepted", "params"],
               ([rec["iteration"], rec["d_h"], int(rec["accepted"]), json.dumps(rec["params"])]
                for rec in log))
@@ -262,20 +263,20 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         _check_options(args, config)
-        created = not os.path.exists(config.out_dir)
-        os.makedirs(config.out_dir, exist_ok=True)
+        created = not os.path.exists(args.out)
+        os.makedirs(args.out, exist_ok=True)
         summary = _COMMANDS[args.command](args, config)
-        write_manifest(os.path.join(config.out_dir, "manifest.json"), args.command, config,
+        write_manifest(os.path.join(args.out, "manifest.json"), args.command, config,
                        _subcommand_options(args))
         print(summary)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError, ArithmeticError) as exc:
+    except (OSError, ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
-        if created and os.path.isdir(config.out_dir):
-            shutil.rmtree(config.out_dir)
+        if created and os.path.isdir(args.out):
+            shutil.rmtree(args.out)
         return 1
 
 

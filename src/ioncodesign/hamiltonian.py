@@ -1,8 +1,8 @@
 """Heisenberg Hamiltonian construction and exact time evolution.
 
 Units: hbar = 1, couplings J and fields h in rad/ms, time in ms.
-Exact evolution goes through a Hermitian eigendecomposition and serves
-as the brute-force oracle for every Trotter and noise comparison.
+One Hermitian eigendecomposition per immutable Hamiltonian (`ham.exact`,
+built on first use) is the oracle for every Trotter and noise comparison.
 """
 
 from __future__ import annotations
@@ -10,15 +10,17 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinHamiltonian:
-    """H = sum_{i<j} J_ij S_i . S_j + sum_i h_i S_i^x."""
+    """H = sum_{i<j} J_ij S_i . S_j + sum_i h_i S_i^x; frozen, with J and h
+    read-only copies of the caller's arrays, so `exact` never goes stale."""
 
     n_spins: int
     J: np.ndarray
@@ -28,20 +30,26 @@ class SpinHamiltonian:
         n = self.n_spins
         if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (n >= 1 and n % 1 == 0):
             raise ValueError("n must be a positive integer")
-        self.n_spins = n = int(n)
-        self.J = np.asarray(self.J, dtype=float)
-        self.h = np.asarray(self.h, dtype=float)
-        if self.J.shape != (n, n):
+        n, J, h = int(n), np.array(self.J, dtype=float), np.array(self.h, dtype=float)
+        if J.shape != (n, n):
             raise ValueError("J must be n x n")
-        if self.h.shape != (n,):
+        if h.shape != (n,):
             raise ValueError("h must have length n")
-        for name, values in (("J", self.J), ("h", self.h)):
+        for name, values in (("J", J), ("h", h)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite")
-        if not np.allclose(self.J, self.J.T):
+        if not np.allclose(J, J.T):
             raise ValueError("J must be symmetric")
-        if np.any(np.diag(self.J) != 0.0):
+        if np.any(np.diag(J) != 0.0):
             raise ValueError("J must have zero diagonal")
+        J.flags.writeable = h.flags.writeable = False
+        for name, value in (("n_spins", n), ("J", J), ("h", h)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def exact(self) -> ExactEvolver:
+        """The eigendecomposition behind every exact evolution, built on first use."""
+        return ExactEvolver(self)
 
     def coupled_pairs(self) -> list[tuple[int, int]]:
         """Unique pairs (i < j) with J_ij != 0."""
@@ -90,12 +98,11 @@ def hamiltonian_matrix(ham: SpinHamiltonian) -> np.ndarray:
 
 
 class ExactEvolver:
-    """Caches the eigendecomposition so exp(-iHt) is cheap per time."""
+    """The eigendecomposition, so exp(-iHt) is cheap per time; read it as `ham.exact`."""
 
     def __init__(self, ham: SpinHamiltonian):
-        self.ham = ham
-        matrix = hamiltonian_matrix(ham)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(hamiltonian_matrix(ham))
+        self.eigenvalues.flags.writeable = self.eigenvectors.flags.writeable = False
 
     def unitary(self, t: float) -> np.ndarray:
         phases = np.exp(-1j * self.eigenvalues * t)
@@ -111,12 +118,11 @@ def exact_unitary(ham: SpinHamiltonian, t: float) -> np.ndarray:
     """exp(-iHt) via Hermitian eigendecomposition."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    return ExactEvolver(ham).unitary(t)
+    return ham.exact.unitary(t)
 
 
 def exact_evolve(ham: SpinHamiltonian, t: float, state: StateVector) -> StateVector:
     """Exact time evolution of a statevector."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    amps = ExactEvolver(ham).evolve(state.amplitudes, t)
-    return StateVector(state.n_qubits, amps)
+    return StateVector(state.n_qubits, ham.exact.evolve(state.amplitudes, t))

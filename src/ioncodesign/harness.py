@@ -12,15 +12,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .artifacts import write_json
 from .feedforward import FeedforwardTable
-from .hamiltonian import ExactEvolver, SpinHamiltonian
+from .hamiltonian import SpinHamiltonian
 from .motional_noise import NoiseParams
 from .spectroscopy import (
     ResponseSeries,
@@ -63,7 +63,6 @@ class ExperimentConfig:
     omega_min: float = -15.0  # rad/ms
     omega_max: float = 15.0
     n_omega: int = 301
-    out_dir: str = "results"
 
     def __post_init__(self):
         for name in ("feedforward", "correlated"):
@@ -79,7 +78,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
                 raise ConfigError(name, "must be a number")
-            if not abs(value) < math.inf:
+            if not abs(value) <= sys.float_info.max:
                 raise ConfigError(name, "must be finite")
         if self.seed < 0:
             raise ConfigError("seed", "must be non-negative")
@@ -116,6 +115,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str = ".") -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("<config>", "must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         for key in data:
             if key not in known:
@@ -133,7 +134,7 @@ class ExperimentConfig:
                 ham = SpinHamiltonian.from_dict(ham_spec)
             else:
                 raise ConfigError("hamiltonian", "must be a dict or a file path")
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ArithmeticError, OSError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError("hamiltonian", str(exc)) from exc
@@ -197,9 +198,9 @@ def simulate_spectrum(config: ExperimentConfig, r: int | None = None,
     return series, spectrum(series, config.gamma, config.omega_grid())
 
 
-def exact_spectrum(config: ExperimentConfig, exact: ExactEvolver | None = None) -> Spectrum:
-    """Spectrum of the exact response; `exact`, if given, is `ExactEvolver(config.hamiltonian)`."""
-    series = exact_response(config.hamiltonian, config.times(), exact)
+def exact_spectrum(config: ExperimentConfig) -> Spectrum:
+    """Spectrum of the exact response."""
+    series = exact_response(config.hamiltonian, config.times())
     return spectrum(series, config.gamma, config.omega_grid())
 
 
@@ -214,13 +215,12 @@ def run_depth_sweep(config: ExperimentConfig) -> SweepResult:
     timing = config.timing()
     noise = config.noise()
     runs = config.runs(SWEEP_RUNS_DEFAULT)
-    exact = ExactEvolver(ham)
-    target = exact_spectrum(config, exact)
+    target = exact_spectrum(config)
     table = FeedforwardTable()
     result = SweepResult()
     for r in config.r_values:
         trace = fidelity_trace(ham, times, r, timing, noise, feedforward=config.feedforward,
-                               n_runs=runs, table=table, exact=exact)
+                               n_runs=runs, table=table)
         _, spec = simulate_spectrum(config, r=r, n_runs=runs, table=table)
         counts = gate_counts(build_trotter_circuit(ham, config.t_max, r, timing))
         result.records.append({

@@ -140,16 +140,19 @@ def angle_moments(dist: AngleDistribution) -> dict:
 
 
 def angle_correlation(tau: float, delta: float, c2: float) -> float:
-    """Correlation of the angles of two gates applied delta apart."""
+    """Correlation of the angles of two gates applied delta apart.
+
+    No intermediate overflows while (c2 * tau)**2 is finite; delta = inf gives 0.
+    """
     if tau <= 0 or delta < 0:
         raise ValueError("need tau > 0 and delta >= 0")
+    ratio = 1.0 / (1.0 + delta / tau)  # tau / (tau + delta) without forming tau + delta
     if c2 == 0:
-        # the c2 -> 0 limit, without 0 * inf when delta overflows
-        return tau / (tau + delta)
-    a, b = c2 * tau, c2 * (tau + delta)
-    d = c2 * delta
-    return (tau / (tau + delta)) * np.sqrt((1 + 2 * a) * (1 + 2 * b)) \
-        / (1 + 2 * a + d + a * d)
+        return ratio  # the c2 -> 0 limit
+    a, d = c2 * tau, c2 * delta
+    if d == np.inf:
+        return 0.0  # the c2 * delta -> inf limit
+    return ratio * (np.sqrt(1 + 2 * a) * np.sqrt(1 + 2 * (a + d))) / (1 + 2 * a + d + a * d)
 
 
 def short_time_pdf(dist: AngleDistribution, phi):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feedforward import FeedforwardTable, correct_circuit
-from .hamiltonian import ExactEvolver, SpinHamiltonian
+from .hamiltonian import SpinHamiltonian
 from .motional_noise import NoiseParams, _draw_paths, _path_scale
 from .spinsim import CompiledCircuit, sz_tot_diagonal
 from .trotter import GateTiming, TimedCircuit, build_trotter_circuit
@@ -75,14 +75,11 @@ def _magnetization(n_spins: int):
     return columns, magnetization
 
 
-def exact_response(ham: SpinHamiltonian, times,
-                   exact: ExactEvolver | None = None) -> ResponseSeries:
-    """S(t) under exact evolution; `exact`, if given, is `ExactEvolver(ham)`."""
+def exact_response(ham: SpinHamiltonian, times) -> ResponseSeries:
+    """S(t) under exact evolution."""
     times = np.asarray(times, dtype=float)
     columns, magnetization = _magnetization(ham.n_spins)
-    if exact is None:
-        exact = ExactEvolver(ham)
-    return ResponseSeries(times, [magnetization(it, exact.evolve(columns, t))
+    return ResponseSeries(times, [magnetization(it, ham.exact.evolve(columns, t))
                                   for it, t in enumerate(times)])
 
 
@@ -236,18 +233,12 @@ def hellinger(a: Spectrum, b: Spectrum) -> float:
 def fidelity_trace(ham: SpinHamiltonian, times, r: int,
                    timing: GateTiming = GateTiming(),
                    noise: NoiseParams | None = None, feedforward: bool = False,
-                   n_runs: int = 1, table: FeedforwardTable | None = None,
-                   exact: ExactEvolver | None = None) -> FidelityTrace:
-    """F(t) = |Tr(U1(t)^dag U(t)) / 2^N|^2 averaged over noise runs.
-
-    `exact`, if given, is `ExactEvolver(ham)`, shared with other callers.
-    """
+                   n_runs: int = 1, table: FeedforwardTable | None = None) -> FidelityTrace:
+    """F(t) = |Tr(U1(t)^dag U(t)) / 2^N|^2 averaged over noise runs."""
     times = np.asarray(times, dtype=float)
     ev = TrotterEvolver(ham, r, timing, noise, feedforward, table)
-    if exact is None:
-        exact = ExactEvolver(ham)
     dim = 2**ham.n_spins
-    targets = [exact.unitary(t) for t in times]
+    targets = [ham.exact.unitary(t) for t in times]
 
     def trace_fidelity(it, u1):
         return abs(np.vdot(u1, targets[it]) / dim) ** 2
@@ -261,7 +252,7 @@ def fidelity_trace(ham: SpinHamiltonian, times, r: int,
 
 
 def lorentzian_pair_spectra(centers, gamma: float, omega_grid) -> list[Spectrum]:
-    """Analytic Lorentzian spectra on a grid (testing and benchmarks)."""
+    """Analytic Lorentzian spectra on a grid, for tests of the spectral metrics."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     out = []
     for c in centers:

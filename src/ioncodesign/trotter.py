@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ExactEvolver, SpinHamiltonian
+from .hamiltonian import SpinHamiltonian
 from .spinsim import GateSpec, circuit_unitary
 
 
@@ -97,10 +97,8 @@ def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
 def trotter_error(ham: SpinHamiltonian, t: float, r: int,
                   timing: GateTiming = GateTiming()) -> float:
     """Spectral norm of (noiseless circuit unitary - exact unitary)."""
-    circuit = build_trotter_circuit(ham, t, r, timing)
-    approx = circuit_unitary(circuit)
-    exact = ExactEvolver(ham).unitary(t)
-    return float(np.linalg.norm(approx - exact, ord=2))
+    approx = circuit_unitary(build_trotter_circuit(ham, t, r, timing))
+    return float(np.linalg.norm(approx - ham.exact.unitary(t), ord=2))
 
 
 def gate_counts(circuit: TimedCircuit) -> dict:

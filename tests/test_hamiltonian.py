@@ -1,5 +1,6 @@
 """Unit tests for the Heisenberg Hamiltonian and its exact evolver."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -154,3 +155,31 @@ def test_rejects_non_finite_couplings_and_non_integral_sizes(n, J, h, message):
 def test_integral_float_size_is_an_int():
     ham = SpinHamiltonian.from_dict({"n": 2.0, "J": [[0.0, 0.5], [0.5, 0.0]], "h": [1.0, 0.0]})
     assert ham.n_spins == 2 and isinstance(ham.n_spins, int)
+
+
+def test_hamiltonian_is_immutable_and_copies_the_callers_arrays():
+    J, h = np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([1.0, -2.0])
+    ham = SpinHamiltonian(2, J, h)
+    with pytest.raises(ValueError):
+        ham.J[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        ham.h[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ham.J = np.zeros((2, 2))
+    J[0, 1] = h[0] = 7.0
+    assert ham.J[0, 1] == 0.5 and ham.h[0] == 1.0
+
+
+def test_exact_evolver_is_built_on_first_use_and_kept():
+    ham = two_spin(0.7, (1.0, -2.0))
+    assert "exact" not in vars(ham)
+    exact = ham.exact
+    assert ham.exact is exact
+    fresh = ExactEvolver(ham)
+    assert exact.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+    assert exact.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+    assert exact_unitary(ham, 0.3).tobytes() == fresh.unitary(0.3).tobytes()
+    with pytest.raises(ValueError):
+        exact.eigenvalues[0] = 0.0
+    # a new Hamiltonian, even an equal one, diagonalizes afresh
+    assert dataclasses.replace(ham).exact is not exact

@@ -1,12 +1,15 @@
 """Unit tests for the experiment harness and CLI."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ioncodesign import default_instance
@@ -395,8 +398,7 @@ def configs(draw):
         seed=draw(st.integers(0, 2**63)), feedforward=draw(st.booleans()),
         correlated=draw(st.booleans()), gamma=draw(positive), t_max=draw(positive),
         n_times=draw(st.integers(2, 10**4)), omega_min=omega_min,
-        omega_max=omega_min + draw(st.floats(1e-3, 1e6)), n_omega=draw(st.integers(2, 10**4)),
-        out_dir=draw(st.text(max_size=20)))
+        omega_max=omega_min + draw(st.floats(1e-3, 1e6)), n_omega=draw(st.integers(2, 10**4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -441,6 +443,32 @@ def test_run_depth_sweep_diagonalizes_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_one_eigendecomposition_serves_every_exact_evolution(monkeypatch):
+    from ioncodesign import hamiltonian
+    from ioncodesign.hamiltonian import exact_evolve, exact_unitary
+    from ioncodesign.spectroscopy import exact_response, fidelity_trace
+    from ioncodesign.spinsim import basis_state
+    from ioncodesign.trotter import trotter_error
+
+    built = []
+    original = hamiltonian.ExactEvolver.__init__
+
+    def counting(self, ham):
+        built.append(ham)
+        original(self, ham)
+
+    monkeypatch.setattr(hamiltonian.ExactEvolver, "__init__", counting)
+    ham = SpinHamiltonian.from_dict(default_instance().to_dict())
+    config = small_config(hamiltonian=ham, r_values=(1, 2), n_times=3, n_runs=1)
+    run_depth_sweep(config)
+    exact_unitary(ham, 0.5)
+    exact_evolve(ham, 0.5, basis_state(4, [0, 0, 1, 1]))
+    trotter_error(ham, 0.5, 2)
+    exact_response(ham, config.times())
+    fidelity_trace(ham, config.times(), 2)
+    assert len(built) == 1 and built[0] is ham
+
+
 def _standard_json(path):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -478,3 +506,90 @@ def test_cli_non_finite_result_exits_1_naming_the_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: noise-stats: ") and err.count("\n") == 1
     assert "noise_stats.json" in err and "'variance'" in err
+
+
+def test_cli_config_naming_out_dir_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY_CLI_CONFIG, out_dir=str(tmp_path / "fromcfg"))))
+    out = tmp_path / "out"
+    assert main(["noise-stats", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists() and not (tmp_path / "fromcfg").exists()
+    err = capsys.readouterr().err
+    assert "'out_dir'" in err and err.count("\n") == 1
+
+
+def test_cli_manifest_does_not_depend_on_out(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CLI_CONFIG))
+    manifests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["depth-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
+def test_cli_unallocatable_result_exits_1_without_out(tmp_path, capsys):
+    # NumPy refuses the scan grid of this cap outright, allocating nothing
+    out = tmp_path / "out"
+    argv = ["feedforward-table", "--phi-cap", "1e14", "--n-phi", "1", "--n-lam", "2",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: feedforward-table: ") and err.count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(c2=st.floats(), tau=st.floats(), phi_in=st.floats(), r=st.integers())
+@example(c2=1e-300, tau=1e308, phi_in=1.0, r=100)
+@example(c2=0.02, tau=10.0, phi_in=1.0, r=10**400)  # eta's r overflows a float
+@example(c2=-math.inf, tau=10.0, phi_in=1.0, r=100)
+def test_cli_noise_stats_never_raises_and_writes_only_standard_json(c2, tau, phi_in, r):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["noise-stats", f"--c2={c2!r}", f"--tau={tau!r}",
+                         f"--phi-in={phi_in!r}", f"--r={r}", "--out", out])
+        if code == 0:
+            _standard_json(os.path.join(out, "noise_stats.json"))
+            _standard_json(os.path.join(out, "manifest.json"))
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+
+
+# Any JSON value; strings hold no path separator, so a Hamiltonian given
+# as a path names an entry of the tests directory at most.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**1100, 2**1100) | st.floats()
+    | st.text(st.characters(blacklist_characters="/\\"), max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def config_dicts(draw):
+    """A valid config dict with any of its fields, or its Hamiltonian's, replaced."""
+    ham = {"n": 2, "J": [[0.0, 0.5], [0.5, 0.0]], "h": [1.0, -2.0]}
+    ham.update(draw(st.dictionaries(st.sampled_from(["n", "J", "h"]), json_values)))
+    data = {"hamiltonian": ham}
+    fields = sorted(ExperimentConfig.__dataclass_fields__) + ["out_dir"]
+    data.update(draw(st.dictionaries(st.sampled_from(fields), json_values)))
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_dicts() | json_values)
+@example({"hamiltonian": ""})  # the base directory itself
+@example({"hamiltonian": {"n": 1, "J": [[0]], "h": [10**400]}})
+@example(dict(TINY_CLI_CONFIG, t_max=10**400))
+@example([{"c2": 1}])
+def test_config_from_dict_raises_only_config_errors(data):
+    try:
+        ExperimentConfig.from_dict(data, base_dir=os.path.dirname(__file__))
+    except ConfigError:
+        pass

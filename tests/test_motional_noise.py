@@ -1,8 +1,10 @@
 """Unit tests for the correlated motional-heating noise model."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -103,8 +105,9 @@ def test_angle_correlation_c2_zero_limit():
     # c2 -> 0 leaves tau / (tau + delta), and stays finite where c2 * delta is 0 * inf
     for tau, delta in ((5.0, 0.0), (2.0, 6.0), (1e308, 1e308), (1e308, np.inf)):
         limit = angle_correlation(tau, delta, 0.0)
-        assert limit == tau / (tau + delta)
+        assert limit == 1.0 / (1.0 + delta / tau)
         assert np.isfinite(limit)
+    assert angle_correlation(1e308, 1e308, 0.0) == 0.5
     assert angle_correlation(2.0, 6.0, 1e-12) == pytest.approx(0.25, rel=1e-9)
 
 
@@ -329,3 +332,44 @@ def test_validation_errors():
         sample_trajectory([2.0, 1.0], NoiseParams(c2=0.1))
     with pytest.raises(ValueError):
         angle_correlation(0.0, 1.0, 0.1)
+
+
+def _direct_angle_correlation(tau, delta, c2):
+    """The correlation as written before its overflow-safe form."""
+    if c2 == 0:
+        return tau / (tau + delta)
+    a, b = c2 * tau, c2 * (tau + delta)
+    d = c2 * delta
+    return (tau / (tau + delta)) * np.sqrt((1 + 2 * a) * (1 + 2 * b)) \
+        / (1 + 2 * a + d + a * d)
+
+
+positive_finite = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative_finite = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tau=positive_finite, c2=non_negative_finite, factor=st.sampled_from([0.1, 1.0, 10.0]))
+def test_angle_correlation_is_a_correlation_wherever_noise_stats_runs(tau, c2, factor):
+    # noise-stats admits tau > 0 and c2 >= 0 whose (c2 * tau)**2 is finite,
+    # and asks for delta = 0.1 tau, tau and 10 tau (inf when it overflows)
+    assume(math.isfinite((c2 * tau) * (c2 * tau)))
+    rho = angle_correlation(tau, factor * tau, c2)
+    assert 0.0 <= rho <= 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(tau=positive_finite, delta=non_negative_finite, c2=non_negative_finite)
+def test_angle_correlation_matches_the_direct_formula_where_it_is_finite(tau, delta, c2):
+    assume(math.isfinite(tau + delta))  # beyond it the direct ratio is 0, not the limit
+    with np.errstate(all="ignore"):
+        direct = _direct_angle_correlation(tau, delta, c2)
+    assume(np.isfinite(direct))
+    assert math.isclose(angle_correlation(tau, delta, c2), direct, rel_tol=1e-14,
+                        abs_tol=1e-300)
+
+
+def test_angle_correlation_overflow_limits():
+    assert angle_correlation(1e308, np.inf, 1e-300) == 0.0
+    assert angle_correlation(1.0, np.inf, 0.02) == 0.0
+    assert 0.0 < angle_correlation(1e308, 1e308, 1e-300) < 1.0

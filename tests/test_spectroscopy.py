@@ -51,10 +51,10 @@ def test_single_spin_response_is_cosine():
 
 
 def test_zero_field_response_is_conserved():
-    ham = SpinHamiltonian(3, np.zeros((3, 3)), np.zeros(3))
-    ham.J[0, 1] = ham.J[1, 0] = 0.7
-    ham.J[1, 2] = ham.J[2, 1] = -0.4
-    ham = SpinHamiltonian(3, ham.J, ham.h)
+    J = np.zeros((3, 3))
+    J[0, 1] = J[1, 0] = 0.7
+    J[1, 2] = J[2, 1] = -0.4
+    ham = SpinHamiltonian(3, J, np.zeros(3))
     times = np.linspace(0.0, 5.0, 11)
     series = exact_response(ham, times)
     # without a transverse field, total S^z commutes with H
@@ -362,10 +362,18 @@ def test_each_evolver_compiles_one_plan(monkeypatch):
     assert len(built) == 3
 
 
-def test_exact_evolver_argument_is_shared_not_a_switch():
+def test_cached_exact_evolver_is_shared_not_a_switch():
+    # every result read through ham.exact equals one from a fresh eigendecomposition
     ham, times = four_spin(seed=3), np.linspace(0.0, 2.0, 5)
-    exact = ExactEvolver(ham)
-    assert exact_response(ham, times, exact).values.tobytes() \
-        == exact_response(ham, times).values.tobytes()
-    assert fidelity_trace(ham, times, 2, exact=exact).fidelity.tobytes() \
-        == fidelity_trace(ham, times, 2).fidelity.tobytes()
+    fresh = ExactEvolver(ham)
+    columns, magnetization = _magnetization_reduce(ham.n_spins)
+    want = [magnetization(it, fresh.evolve(columns, t)) for it, t in enumerate(times)]
+    assert exact_response(ham, times).values.tobytes() == np.array(want).tobytes()
+    assert ham.exact is ham.exact
+    assert ham.exact.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+    targets = [fresh.unitary(t) for t in times]
+    noise = NoiseParams(c2=0.05, seed=11)
+    want = _fresh_average(ham, times, 2, noise, False, 2, np.eye(16, dtype=complex),
+                          lambda it, u1: abs(np.vdot(u1, targets[it]) / 16) ** 2)
+    got = fidelity_trace(ham, times, 2, noise=noise, n_runs=2)
+    assert got.fidelity.tobytes() == want.tobytes()
