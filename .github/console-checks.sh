@@ -6,8 +6,9 @@
 # JSON: c2 = 0 takes the correlation's limit, c2 > 0 at the largest tau
 # stays finite, and a non-finite result exits 1 and creates no --out. A
 # result too large to allocate exits 1 and creates no --out. A Hamiltonian
-# whose scale overflows, and a config naming the retired `out_dir`, are
-# config errors (exit 2) that name the field.
+# whose scale overflows, one whose entries are JSON strings, and a config
+# naming the retired `out_dir` are config errors (exit 2) that name the
+# field.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -57,3 +58,11 @@ ioncodesign noise-stats --config "$tmp/outdir.json" --out "$tmp/outdir" \
 test "$code" -eq 2
 test ! -e "$tmp/outdir"
 grep -q "'out_dir'" "$tmp/outdir.err"
+echo '{"hamiltonian": {"n": 2, "J": [["0", "0.5"], ["0.5", "0"]], "h": [1, -2]}}' \
+  > "$tmp/strings.json"
+code=0
+ioncodesign depth-sweep --config "$tmp/strings.json" --out "$tmp/strings" \
+  2> "$tmp/strings.err" || code=$?
+test "$code" -eq 2
+test ! -e "$tmp/strings"
+grep -q "'hamiltonian'" "$tmp/strings.err"

@@ -31,6 +31,7 @@ from .feedforward import ControlQuery, optimal_input_angle
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    check_setting,
     exact_spectrum,
     perturbed_instance,
     run_depth_sweep,
@@ -50,9 +51,6 @@ from .spectroscopy import hellinger
 # Parsed names that are not a subcommand's own options; the manifest
 # records them as its command and config fields.
 _COMMON_OPTIONS = ("command", "config", "c2", "seed", "runs", "feedforward", "out")
-# Float options of the subcommands: lower bound, and whether it is allowed.
-_FLOAT_OPTIONS = {"tau": (0.0, False), "phi_in": (0.0, True), "phi_cap": (0.0, False),
-                  "lam_max": (0.0, True), "perturb": (-math.inf, True)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,20 +126,10 @@ def _load_config(args) -> ExperimentConfig:
 
 def _check_options(args, config: ExperimentConfig) -> None:
     """Reject bad subcommand options before anything is written to --out."""
-    for name, (low, closed) in _FLOAT_OPTIONS.items():
-        value = vars(args).get(name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(name, "must be finite")
-        if value is not None and (value < low or value == low and not closed):
-            raise ConfigError(name, f"must be {'>=' if closed else '>'} {low:g}")
-    command = args.command
-    if command == "calibrate" and args.shots < 1:
-        raise ConfigError("shots", "must be a positive integer")
-    if command == "feedforward-table" and (args.n_phi < 1 or args.n_lam < 1):
-        raise ConfigError("n_phi" if args.n_phi < 1 else "n_lam", "must be a positive integer")
-    if command == "noise-stats" and args.r < 1:
-        raise ConfigError("r", "must be a positive integer")
-    if command == "noise-stats":
+    for name, value in _subcommand_options(args).items():
+        if value is not None:  # simulate-spectrum's --r, when not given
+            check_setting(name, value)
+    if args.command == "noise-stats":
         # angle_moments squares phi_in, and both it and markovian_noise_to_signal
         # square lambda = c2 * tau; an overflowing lambda names its larger factor
         lam = config.c2 * args.tau
@@ -149,8 +137,6 @@ def _check_options(args, config: ExperimentConfig) -> None:
                             ("tau" if args.tau >= config.c2 else "c2", lam)):
             if not math.isfinite(value * value):
                 raise ConfigError(name, "too large: noise-stats would overflow")
-    if command == "infer" and args.iterations < 0:
-        raise ConfigError("iterations", "must be non-negative")
 
 
 def _subcommand_options(args) -> dict:

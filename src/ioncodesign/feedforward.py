@@ -243,8 +243,13 @@ class FeedforwardTable:
     def _interpolate(self, phi_p: np.ndarray, lam: np.ndarray):
         """Best of the 8 candidates for each (phi_p >= 0, lam > 0) entry."""
         cap = self.phi_cap
-        i0, fx = np.divmod(phi_p / MEMO_PITCH_PHI, 1.0)
-        j0, fy = np.divmod(lam / MEMO_PITCH_LAM, 1.0)
+        x, y = phi_p / MEMO_PITCH_PHI, lam / MEMO_PITCH_LAM
+        # below 2**63 the floor is at most 2**63 - 1024, so its upper corner fits int64
+        for name, scaled in (("phi_p", x), ("lam", y)):
+            if not scaled.max() < 2.0**63:
+                raise ValueError(f"{name} too large: its table corner index overflows int64")
+        i0, fx = np.divmod(x, 1.0)
+        j0, fy = np.divmod(y, 1.0)
         # corner k of entry n is (i0 + di, j0 + dj), (di, dj) = (0,0), (0,1), (1,0), (1,1)
         ci = i0.astype(np.int64)[:, None] + [0, 0, 1, 1]
         cj = j0.astype(np.int64)[:, None] + [0, 1, 0, 1]

@@ -17,10 +17,11 @@ import numpy as np
 from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinHamiltonian:
     """H = sum_{i<j} J_ij S_i . S_j + sum_i h_i S_i^x; frozen, with J and h
-    read-only copies of the caller's arrays, so `exact` never goes stale."""
+    read-only copies of the caller's arrays, so `exact` never goes stale.
+    Equality and hash go by identity."""
 
     n_spins: int
     J: np.ndarray
@@ -30,6 +31,11 @@ class SpinHamiltonian:
         n = self.n_spins
         if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (n >= 1 and n % 1 == 0):
             raise ValueError("n must be a positive integer")
+        for name, values in (("J", self.J), ("h", self.h)):
+            # entry by entry: a list mixing true with numbers makes an integer array
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       for v in np.array(values, dtype=object).flat):
+                raise ValueError(f"{name} entries must be numbers")
         n, J, h = int(n), np.array(self.J, dtype=float), np.array(self.h, dtype=float)
         if J.shape != (n, n):
             raise ValueError("J must be n x n")
@@ -61,7 +67,7 @@ class SpinHamiltonian:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpinHamiltonian":
-        return cls(data["n"], np.asarray(data["J"]), np.asarray(data["h"]))
+        return cls(data["n"], data["J"], data["h"])
 
     @classmethod
     def from_json(cls, path) -> "SpinHamiltonian":

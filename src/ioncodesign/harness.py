@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -46,6 +48,36 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field_name!r}: {message}")
 
 
+# Every number a config file or a flag supplies: integer or real, its
+# lowest value, and whether that value itself is allowed. A real rule whose
+# lowest value is -inf takes any finite value. Each entry of r_values obeys
+# the rule of r_values; the --r of noise-stats obeys that of r.
+SETTING_RULES = {
+    "c2": (float, 0.0, True), "t_g": (float, 0.0, False), "gamma": (float, 0.0, False),
+    "t_max": (float, 0.0, False), "omega_min": (float, -math.inf, False),
+    "omega_max": (float, -math.inf, False), "r": (int, 1, True), "r_values": (int, 1, True),
+    "n_times": (int, 2, True), "n_omega": (int, 2, True), "n_runs": (int, 1, True),
+    "seed": (int, 0, True),
+    # subcommand options
+    "tau": (float, 0.0, False), "phi_in": (float, 0.0, True), "phi_cap": (float, 0.0, False),
+    "lam_max": (float, 0.0, True), "perturb": (float, -math.inf, False),
+    "shots": (int, 1, True), "n_phi": (int, 1, True), "n_lam": (int, 1, True),
+    "iterations": (int, 0, True),
+}
+
+
+def check_setting(name: str, value) -> None:
+    """Raise ConfigError(name, ...) unless value obeys SETTING_RULES[name]."""
+    kind, low, allowed = SETTING_RULES[name]
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ConfigError(name, "must be an integer" if kind is int else "must be a number")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(name, "must be finite")
+    if value < low or value == low and not allowed:
+        raise ConfigError(name, f"must be {'>=' if allowed else '>'} {low:g}")
+
+
 @dataclass
 class ExperimentConfig:
     hamiltonian: SpinHamiltonian
@@ -68,50 +100,21 @@ class ExperimentConfig:
         for name in ("feedforward", "correlated"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(name, "must be true or false")
-        for name in ("r", "n_times", "n_omega", "n_runs", "seed"):
-            value = getattr(self, name)
-            if name == "n_runs" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(name, "must be an integer")
-        for name in ("c2", "t_g", "gamma", "t_max", "omega_min", "omega_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
-                raise ConfigError(name, "must be a number")
-            if not abs(value) <= sys.float_info.max:
-                raise ConfigError(name, "must be finite")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be non-negative")
-        if self.c2 < 0:
-            raise ConfigError("c2", "must be non-negative")
-        if self.t_g <= 0:
-            raise ConfigError("t_g", "must be positive")
-        try:
-            valid = len(self.r_values) > 0 and all(
-                not isinstance(r, bool) and int(r) == r >= 1 for r in self.r_values)
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise ConfigError("r_values", "must be a non-empty list of positive integers")
+        if not isinstance(self.r_values, (list, tuple)) or not self.r_values:
+            raise ConfigError("r_values", "must be a non-empty list of depths")
+        for name in self.__dataclass_fields__:
+            if name in SETTING_RULES and not (name == "n_runs" and self.n_runs is None):
+                for value in self.r_values if name == "r_values" else [getattr(self, name)]:
+                    check_setting(name, value)
         self.r_values = tuple(int(r) for r in self.r_values)
-        if self.r < 1:
-            raise ConfigError("r", "must be a positive integer")
-        if self.n_runs is not None and self.n_runs < 1:
-            raise ConfigError("n_runs", "must be a positive integer")
-        if self.gamma <= 0:
-            raise ConfigError("gamma", "must be positive")
-        if self.t_max <= 0:
-            raise ConfigError("t_max", "must be positive")
         with np.errstate(over="ignore"):
             scale = (np.abs(self.hamiltonian.J).sum() + np.abs(self.hamiltonian.h).sum()) \
                 * self.t_max
         if not np.isfinite(scale):
             raise ConfigError("hamiltonian", "too large: (sum |J_ij| + sum |h_i|) * t_max "
                               "overflows")
-        if self.n_times < 2:
-            raise ConfigError("n_times", "need at least 2 sample times")
-        if self.n_omega < 2 or self.omega_max <= self.omega_min:
-            raise ConfigError("n_omega", "need an increasing grid with >= 2 points")
+        if self.omega_max <= self.omega_min:
+            raise ConfigError("omega_max", "must exceed omega_min")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str = ".") -> "ExperimentConfig":
@@ -254,8 +257,7 @@ def run_inference_demo(target_spectrum: Spectrum, initial_guess: SpinHamiltonian
     to the target decreases; the accepted distance is non-increasing.
     This is deliberately simple plumbing, not a faithful Bayesian loop.
     """
-    if iterations < 0:
-        raise ConfigError("iterations", "must be non-negative")
+    check_setting("iterations", iterations)
     pairs = initial_guess.coupled_pairs()
     n = initial_guess.n_spins
     params = [float(initial_guess.J[i, j]) for i, j in pairs] \

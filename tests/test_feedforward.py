@@ -280,6 +280,18 @@ def test_lookup_rejects_non_finite_inputs(bad):
     assert not table._corners
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi_p,lam,name", [(1e17, 0.5, "phi_p"), (-1e17, 0.5, "phi_p"),
+                                            (1.0, 1e17, "lam")])
+def test_lookup_rejects_inputs_whose_corner_index_overflows(phi_p, lam, name):
+    table = FeedforwardTable()
+    with pytest.raises(ValueError, match=f"{name} too large"):
+        table.lookup(phi_p, lam)
+    assert not table._corners
+    # the largest upper corner index that fits still answers
+    assert math.isfinite(table.lookup(np.nextafter(2.0**63, 0) * 0.01, 0.5)["phi_in_star"])
+
+
 def _old_hyp1f2(a, b1, b2, z):
     """hyp1f2 as it was before the array series tested a witness entry first."""
     if all(np.ndim(v) == 0 for v in (a, b1, b2, z)):

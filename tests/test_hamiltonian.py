@@ -170,6 +170,13 @@ def test_hamiltonian_is_immutable_and_copies_the_callers_arrays():
     assert ham.J[0, 1] == 0.5 and ham.h[0] == 1.0
 
 
+def test_hamiltonian_equality_and_hash_go_by_identity():
+    ham = two_spin(0.7, (1.0, -2.0))
+    twin = dataclasses.replace(ham)
+    assert ham == ham and ham != twin
+    assert {ham: 1, twin: 2}[ham] == 1
+
+
 def test_exact_evolver_is_built_on_first_use_and_kept():
     ham = two_spin(0.7, (1.0, -2.0))
     assert "exact" not in vars(ham)

@@ -1,6 +1,8 @@
 """Unit tests for the experiment harness and CLI."""
 
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,8 +20,10 @@ from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.cli import main
 from ioncodesign.feedforward import ControlQuery, optimal_input_angle
 from ioncodesign.harness import (
+    SETTING_RULES,
     ConfigError,
     ExperimentConfig,
+    check_setting,
     exact_spectrum,
     perturbed_instance,
     run_depth_sweep,
@@ -65,7 +69,8 @@ BAD_FIELDS = [("r", 2.7), ("n_times", 2.5), ("n_omega", 301.0), ("n_runs", 2.0),
               ("n_runs", True), ("seed", -1), ("seed", 1.5), ("seed", False),
               ("feedforward", "no"), ("feedforward", 1), ("correlated", "yes"),
               ("c2", "0.1"), ("r_values", 5), ("r_values", "abc"), ("r_values", [3, "x"]),
-              ("r_values", [3, None]), ("r_values", [3, True]), ("r_values", [])]
+              ("r_values", [3, None]), ("r_values", [3, True]), ("r_values", []),
+              ("omega_max", -20.0), ("r_values", [3.0])]
 
 
 @pytest.mark.parametrize("name,value", BAD_FIELDS)
@@ -79,6 +84,32 @@ def test_config_field_types_are_enforced(name, value, tmp_path, capsys):
     code = main(["simulate-spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert repr(name) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(SETTING_RULES))
+def test_setting_rule_bounds_types_and_finiteness(name):
+    kind, low, allowed = SETTING_RULES[name]
+
+    def rejected_as(value):
+        try:
+            check_setting(name, value)
+        except ConfigError as exc:
+            return exc.field
+        return None
+
+    assert rejected_as(low) == (None if allowed else name)
+    if math.isfinite(low):
+        below = low - 1 if kind is int else math.nextafter(low, -math.inf)
+        assert rejected_as(below) == name
+    if kind is float:
+        assert [rejected_as(v) for v in (math.nan, math.inf, -math.inf)] == [name] * 3
+    assert rejected_as(True) == rejected_as("1") == name
+
+
+def test_configs_compare_without_raising():
+    config = small_config()
+    assert config == dataclasses.replace(config)
+    assert config != small_config(hamiltonian=dataclasses.replace(config.hamiltonian))
 
 
 NUMBER_FIELDS = ["c2", "t_g", "gamma", "t_max", "omega_min", "omega_max"]
@@ -351,11 +382,17 @@ def test_cli_runtime_failure_removes_only_the_out_it_created(tmp_path, capsys, m
 
 @pytest.mark.parametrize("field,value", [("h", [math.inf, 0.0]),
                                          ("J", [[0.0, math.nan], [0.5, 0.0]]),
-                                         ("n", 2.5), ("n", True), ("n", 0)])
+                                         ("n", 2.5), ("n", True), ("n", 0),
+                                         ("J", [["0", "0.5"], ["0.5", "0"]]),
+                                         ("h", [True, 0])])
 def test_cli_bad_hamiltonian_exits_2_without_creating_out(field, value, tmp_path, capsys):
+    data = dict(TINY_CLI_CONFIG, hamiltonian=dict(TINY_CLI_CONFIG["hamiltonian"],
+                                                  **{field: value}))
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_dict(data)
+    assert exc.value.field == "hamiltonian"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(TINY_CLI_CONFIG, hamiltonian=dict(
-        TINY_CLI_CONFIG["hamiltonian"], **{field: value}))))
+    cfg.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert main(["depth-sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
@@ -469,12 +506,22 @@ def test_one_eigendecomposition_serves_every_exact_evolution(monkeypatch):
     assert len(built) == 1 and built[0] is ham
 
 
-def _standard_json(path):
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
+
+def _standard_json(path):
     with open(path) as fh:
-        return json.load(fh, parse_constant=reject)
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+def _finite_csv(path):
+    """Every cell below the header is a finite number or a JSON list of them."""
+    with open(path, newline="") as fh:
+        for row in list(csv.reader(fh))[1:]:
+            for cell in row:
+                # Python's nan and inf are no JSON; NaN and Infinity are rejected
+                json.loads(cell, parse_constant=_reject_constant)
 
 
 def test_writers_reject_non_finite_floats_naming_file_and_key(tmp_path):
@@ -593,3 +640,47 @@ def test_config_from_dict_raises_only_config_errors(data):
         ExperimentConfig.from_dict(data, base_dir=os.path.dirname(__file__))
     except ConfigError:
         pass
+
+
+sizes = st.integers(-2, 4) | st.booleans() | st.floats()
+
+
+@st.composite
+def simulating_runs(draw):
+    """A simulating subcommand on TINY_CLI_CONFIG with up to three of its numbers
+    replaced; the size fields stay small because a run's cost grows with them."""
+    data = dict(TINY_CLI_CONFIG)
+    size_fields = ["n_runs", "n_times", "n_omega", "r", "r_values"]
+    for name in sorted(draw(st.sets(st.sampled_from(NUMBER_FIELDS + size_fields),
+                                    max_size=3))):
+        data[name] = draw(st.floats() if name in NUMBER_FIELDS
+                          else st.lists(sizes, min_size=1, max_size=3) if name == "r_values"
+                          else sizes)
+    command = draw(st.sampled_from(["simulate-spectrum", "depth-sweep", "infer"]))
+    if command == "infer":
+        return data, [command, "--iterations", str(draw(st.integers(0, 2)))]
+    return data, [command]
+
+
+@settings(max_examples=300, deadline=None)
+@given(simulating_runs())
+@example((dict(TINY_CLI_CONFIG, c2=1e308, t_g=2.0), ["simulate-spectrum"]))  # NaN paths
+def test_cli_simulations_write_finite_files_or_one_error_line(run):
+    data, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            json.dump(data, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", cfg, "--out", out])
+        if code == 0:
+            for name in os.listdir(out):
+                check = _standard_json if name.endswith(".json") else _finite_csv
+                check(os.path.join(out, name))
+        else:
+            assert code in (1, 2)
+            assert not os.path.exists(out)
+            lines = err.getvalue().splitlines()
+            assert lines[-1].startswith("config error: " if code == 2 else "error: ")
+            assert "Traceback" not in err.getvalue()
