@@ -6,9 +6,11 @@
 # JSON: c2 = 0 takes the correlation's limit, c2 > 0 at the largest tau
 # stays finite, and a non-finite result exits 1 and creates no --out. A
 # result too large to allocate exits 1 and creates no --out. A Hamiltonian
-# whose scale overflows, one whose entries are JSON strings, and a config
-# naming the retired `out_dir` are config errors (exit 2) that name the
-# field.
+# whose scale overflows, one whose entries are JSON strings, a frequency
+# grid whose largest phase overflows, and a config naming the retired
+# `out_dir` are config errors (exit 2) that name the field. A heating rate
+# that overflows inside the simulation exits 1 with one error line, no
+# RuntimeWarning and no --out.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -66,3 +68,19 @@ ioncodesign depth-sweep --config "$tmp/strings.json" --out "$tmp/strings" \
 test "$code" -eq 2
 test ! -e "$tmp/strings"
 grep -q "'hamiltonian'" "$tmp/strings.err"
+echo '{"hamiltonian": {"n": 2, "J": [[0, 0.5], [0.5, 0]], "h": [1, -2]}, "c2": 1e308,
+ "t_g": 2, "n_runs": 1, "r": 2, "t_max": 1, "n_times": 3, "n_omega": 21}' > "$tmp/hot.json"
+code=0
+ioncodesign simulate-spectrum --config "$tmp/hot.json" --out "$tmp/hot" \
+  2> "$tmp/hot.err" || code=$?
+test "$code" -eq 1
+test ! -e "$tmp/hot"
+if grep -q "RuntimeWarning" "$tmp/hot.err"; then exit 1; fi
+echo '{"hamiltonian": {"n": 2, "J": [[0, 0.5], [0.5, 0]], "h": [1, -2]},
+ "omega_max": 1e308, "t_max": 2}' > "$tmp/omega.json"
+code=0
+ioncodesign simulate-spectrum --config "$tmp/omega.json" --out "$tmp/omega" \
+  2> "$tmp/omega.err" || code=$?
+test "$code" -eq 2
+test ! -e "$tmp/omega"
+grep -q "'omega_max'" "$tmp/omega.err"

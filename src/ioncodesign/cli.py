@@ -4,11 +4,11 @@ Subcommands: simulate-spectrum, depth-sweep, calibrate, feedforward-table,
 noise-stats, infer. `main` checks the subcommand's options before it
 creates the output directory; each subcommand writes its CSV or JSON
 results there, and `main` then writes `manifest.json` (including those
-options), only on success. A runtime failure, a non-finite result or one
-too large to allocate included, exits 1 with an error naming the
-subcommand and removes an output directory `main` created, with whatever
-the subcommand had written there. Identical config and seed give
-byte-identical files.
+options), only on success. A runtime failure, a non-finite result, one
+too large to allocate or a floating-point overflow or invalid operation
+included, exits 1 with an error naming the subcommand and removes an
+output directory `main` created, with whatever the subcommand had written
+there. Identical config and seed give byte-identical files.
 The environment variable IONCODESIGN_SEED overrides the seed (CI hook).
 """
 
@@ -29,6 +29,7 @@ from .artifacts import write_csv, write_json
 from .calibration import fit_c2, fit_phase_damping, simulate_calibration
 from .feedforward import ControlQuery, optimal_input_angle
 from .harness import (
+    SETTING_RULES,
     ConfigError,
     ExperimentConfig,
     check_setting,
@@ -48,55 +49,31 @@ from .motional_noise import (
 from .spectroscopy import hellinger
 
 
-# Parsed names that are not a subcommand's own options; the manifest
-# records them as its command and config fields.
-_COMMON_OPTIONS = ("command", "config", "c2", "seed", "runs", "feedforward", "out")
+# Flags every subcommand takes, each overriding a config field when given:
+# flag -> (field, help). --config comes before them and --out after.
+_CONFIG_FLAGS = {"c2": ("c2", "heating rate, 1/ms"), "seed": ("seed", "master seed"),
+                 "runs": ("n_runs", "noise runs to average"),
+                 "feedforward": ("feedforward", "enable feedforward angle correction")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """A subparser per `_SUBCOMMANDS` entry. Every number option takes its
+    type from SETTING_RULES, so an option without a rule fails here."""
     parser = argparse.ArgumentParser(
         prog="ioncodesign",
         description="Trapped-ion circuit simulation with motional noise and feedforward")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (about, _, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=about)
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--c2", type=float, help="heating rate, 1/ms")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--runs", type=int, help="noise runs to average")
-        p.add_argument("--feedforward", action="store_true", default=None,
-                       help="enable feedforward angle correction")
+        for flag, (name, text) in _CONFIG_FLAGS.items():
+            kind = ({"action": "store_true"} if name == "feedforward"
+                    else {"type": SETTING_RULES[name][0]})
+            p.add_argument(f"--{flag}", default=None, help=text, **kind)
         p.add_argument("--out", default="results", help="output directory")
-
-    p = sub.add_parser("simulate-spectrum", help="noisy Trotter spectrum vs exact")
-    common(p)
-    p.add_argument("--r", type=int, help="Trotter steps")
-
-    p = sub.add_parser("depth-sweep", help="F_int and Hellinger distance vs depth")
-    common(p)
-
-    p = sub.add_parser("calibrate", help="synthetic calibration and c2 fit")
-    common(p)
-    p.add_argument("--shots", type=int, default=10000)
-
-    p = sub.add_parser("feedforward-table", help="optimal input angle table")
-    common(p)
-    p.add_argument("--phi-cap", type=float, default=4.0 * math.pi)
-    p.add_argument("--n-phi", type=int, default=25)
-    p.add_argument("--n-lam", type=int, default=11)
-    p.add_argument("--lam-max", type=float, default=5.0)
-
-    p = sub.add_parser("noise-stats", help="analytic angle statistics")
-    common(p)
-    p.add_argument("--tau", type=float, default=10.0, help="gate time, ms")
-    p.add_argument("--phi-in", type=float, default=math.pi / 2.0)
-    p.add_argument("--r", type=int, default=100, help="steps for noise-to-signal")
-
-    p = sub.add_parser("infer", help="local-search Hamiltonian inference demo")
-    common(p)
-    p.add_argument("--iterations", type=int, default=30)
-    p.add_argument("--perturb", type=float, default=0.3,
-                   help="initial-guess jitter scale")
+        for name, (default, text) in options.items():
+            p.add_argument(f"--{name.replace('_', '-')}", type=SETTING_RULES[name][0],
+                           default=default, help=text)
     return parser
 
 
@@ -108,19 +85,16 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError("config", str(exc)) from exc
     else:
         config = ExperimentConfig(hamiltonian=default_instance())
-    overrides = {}
-    for name, value in (("c2", args.c2), ("seed", args.seed), ("n_runs", args.runs),
-                        ("feedforward", args.feedforward)):
-        if value is not None:
-            overrides[name] = value
+    given = [(name, getattr(args, flag)) for flag, (name, _) in _CONFIG_FLAGS.items()]
+    if args.command == "simulate-spectrum":
+        given.append(("r", args.r))
+    overrides = {name: value for name, value in given if value is not None}
     if "IONCODESIGN_SEED" in os.environ:
         text = os.environ["IONCODESIGN_SEED"]
         try:
             overrides["seed"] = int(text)
         except ValueError:
             raise ConfigError("seed", f"IONCODESIGN_SEED={text!r} is not an integer") from None
-    if args.command == "simulate-spectrum" and args.r is not None:
-        overrides["r"] = args.r
     return dataclasses.replace(config, **overrides)
 
 
@@ -141,7 +115,7 @@ def _check_options(args, config: ExperimentConfig) -> None:
 
 def _subcommand_options(args) -> dict:
     """The parsed options of the subcommand itself, for the manifest."""
-    return {name: value for name, value in vars(args).items() if name not in _COMMON_OPTIONS}
+    return {name: getattr(args, name) for name in _SUBCOMMANDS[args.command][2]}
 
 
 def _cmd_simulate_spectrum(args, config) -> str:
@@ -229,13 +203,22 @@ def _cmd_infer(args, config) -> str:
             f"({args.iterations} iterations, feedforward={config.feedforward})")
 
 
-_COMMANDS = {
-    "simulate-spectrum": _cmd_simulate_spectrum,
-    "depth-sweep": _cmd_depth_sweep,
-    "calibrate": _cmd_calibrate,
-    "feedforward-table": _cmd_feedforward_table,
-    "noise-stats": _cmd_noise_stats,
-    "infer": _cmd_infer,
+# Each subcommand once: its help, its handler and its own options,
+# {name: (default, help)}. simulate-spectrum's --r overrides the config's r.
+_SUBCOMMANDS = {
+    "simulate-spectrum": ("noisy Trotter spectrum vs exact", _cmd_simulate_spectrum,
+                          {"r": (None, "Trotter steps")}),
+    "depth-sweep": ("F_int and Hellinger distance vs depth", _cmd_depth_sweep, {}),
+    "calibrate": ("synthetic calibration and c2 fit", _cmd_calibrate,
+                  {"shots": (10000, None)}),
+    "feedforward-table": ("optimal input angle table", _cmd_feedforward_table,
+                          {"phi_cap": (4.0 * math.pi, None), "n_phi": (25, None),
+                           "n_lam": (11, None), "lam_max": (5.0, None)}),
+    "noise-stats": ("analytic angle statistics", _cmd_noise_stats,
+                    {"tau": (10.0, "gate time, ms"), "phi_in": (math.pi / 2.0, None),
+                     "r": (100, "steps for noise-to-signal")}),
+    "infer": ("local-search Hamiltonian inference demo", _cmd_infer,
+              {"iterations": (30, None), "perturb": (0.3, "initial-guess jitter scale")}),
 }
 
 
@@ -251,7 +234,8 @@ def main(argv=None) -> int:
         _check_options(args, config)
         created = not os.path.exists(args.out)
         os.makedirs(args.out, exist_ok=True)
-        summary = _COMMANDS[args.command](args, config)
+        with np.errstate(over="raise", invalid="raise"):
+            summary = _SUBCOMMANDS[args.command][1](args, config)
         write_manifest(os.path.join(args.out, "manifest.json"), args.command, config,
                        _subcommand_options(args))
         print(summary)

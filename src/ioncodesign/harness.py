@@ -115,6 +115,9 @@ class ExperimentConfig:
                               "overflows")
         if self.omega_max <= self.omega_min:
             raise ConfigError("omega_max", "must exceed omega_min")
+        if not math.isfinite(max(abs(self.omega_min), abs(self.omega_max)) * float(self.t_max)):
+            raise ConfigError("omega_max", "too large: max(|omega_min|, |omega_max|) * t_max "
+                              "overflows")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str = ".") -> "ExperimentConfig":

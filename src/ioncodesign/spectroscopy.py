@@ -3,9 +3,12 @@
 The response S(t), the infinite-temperature autocorrelation of the total
 magnetization from the basis states with positive magnetization, and the
 trace fidelity F(t) against exact evolution are two run-averaged
-reductions of `TrotterEvolver` batches, whose noise depends on (seed,
-run, time index) only. The damped Fourier transform of S(t) is the
-spectrum; Hellinger distance between spectra, and F(t), score circuits.
+reductions of `TrotterEvolver` batches. Their noise depends on (seed,
+run, time index), where the time index of t is the order in which the
+evolver first sees t; both reductions go through the time grid in order,
+so for them the time index is the grid position. The damped Fourier
+transform of S(t) is the spectrum; Hellinger distance between spectra,
+and F(t), score circuits.
 """
 
 from __future__ import annotations
@@ -88,7 +91,12 @@ class TrotterEvolver:
 
     Noise with c2 = 0 counts as no noise. For noisy evolution one run is
     one diffusion path; within one run all initial states share the same
-    path. Seeds derive deterministically from (seed, run index, time index).
+    path. Seeds derive deterministically from (seed, run index, time index),
+    where the time index of t is the order in which this evolver first
+    sees t: a caller that goes through the time grid in order, as
+    `noisy_response` and `fidelity_trace` do, gets time index = grid
+    position. That is why `bench/checks.py` registers every grid time in
+    order before it reproduces a realization.
 
     Every circuit of one evolver has the same gates, sites, start times
     and noise mask; only the angles change with t. The first circuit

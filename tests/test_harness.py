@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ioncodesign import default_instance
+from ioncodesign import cli, default_instance
 from ioncodesign.artifacts import write_csv, write_json
 from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.cli import main
@@ -70,7 +70,7 @@ BAD_FIELDS = [("r", 2.7), ("n_times", 2.5), ("n_omega", 301.0), ("n_runs", 2.0),
               ("feedforward", "no"), ("feedforward", 1), ("correlated", "yes"),
               ("c2", "0.1"), ("r_values", 5), ("r_values", "abc"), ("r_values", [3, "x"]),
               ("r_values", [3, None]), ("r_values", [3, True]), ("r_values", []),
-              ("omega_max", -20.0), ("r_values", [3.0])]
+              ("omega_max", -20.0), ("r_values", [3.0]), ("omega_max", 1e308)]
 
 
 @pytest.mark.parametrize("name,value", BAD_FIELDS)
@@ -83,6 +83,7 @@ def test_config_field_types_are_enforced(name, value, tmp_path, capsys):
     path.write_text(json.dumps(data))
     code = main(["simulate-spectrum", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
+    assert not (tmp_path / "o").exists()
     assert repr(name) in capsys.readouterr().err
 
 
@@ -413,6 +414,63 @@ def test_cli_manifest_records_subcommand_options(tmp_path):
     assert main(["feedforward-table", "--n-phi", "2", "--n-lam", "3", "--out", str(out)]) == 0
     options = json.loads((out / "manifest.json").read_text())["options"]
     assert options == {"lam_max": 5.0, "n_lam": 3, "n_phi": 2, "phi_cap": 4.0 * math.pi}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_CLI_CONFIG))
+    recorded = {}
+    for command, extra, _ in SUBCOMMAND_FILES:
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), *extra, "--out", str(out)]) == 0
+        recorded[command] = json.loads((out / "manifest.json").read_text())["options"]
+        assert set(recorded[command]) == set(cli._SUBCOMMANDS[command][2])
+    assert {command: set(options) for command, options in recorded.items()} == {
+        "simulate-spectrum": {"r"}, "depth-sweep": set(), "calibrate": {"shots"},
+        "feedforward-table": {"phi_cap", "n_phi", "n_lam", "lam_max"},
+        "noise-stats": {"tau", "phi_in", "r"}, "infer": {"iterations", "perturb"}}
+    assert recorded["simulate-spectrum"] == {"r": None}
+
+
+def test_every_cli_number_option_is_typed_by_its_setting_rule():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == list(cli._SUBCOMMANDS)
+    for command, (_, _, options) in cli._SUBCOMMANDS.items():
+        assert set(options) <= set(SETTING_RULES)
+        fields = dict(c2="c2", seed="seed", runs="n_runs", **{name: name for name in options})
+        typed = {a.dest: a.type for a in sub.choices[command]._actions if a.type is not None}
+        assert typed == {dest: SETTING_RULES[field][0] for dest, field in fields.items()}
+
+
+def test_an_option_without_a_setting_rule_fails_when_the_parser_is_built(monkeypatch):
+    about, handler, options = cli._SUBCOMMANDS["infer"]
+    options = {**options, "bogus": (1, None)}
+    monkeypatch.setitem(cli._SUBCOMMANDS, "infer", (about, handler, options))
+    with pytest.raises(KeyError, match="bogus"):
+        cli._build_parser()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("overrides", [{"c2": 1e308, "t_g": 2.0},
+                                       {"c2": 1e307, "t_g": 1.0, "correlated": False}],
+                         ids=["correlated", "uncorrelated"])
+@pytest.mark.parametrize("argv", [["simulate-spectrum"], ["depth-sweep"],
+                                  ["infer", "--iterations", "0"]], ids=lambda argv: argv[0])
+def test_cli_overflow_inside_a_simulation_is_one_error_line(argv, overrides, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TINY_CLI_CONFIG, **overrides)))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: overflow encountered in ") and err.count("\n") == 1
+
+
+def test_config_bounds_the_largest_spectral_phase():
+    # max(|omega_min|, |omega_max|) * t_max must be finite, also for integers
+    ham = SpinHamiltonian(2, [[0.0, 0.5], [0.5, 0.0]], [1.0, -2.0])
+    ExperimentConfig(hamiltonian=ham, omega_max=1e308, t_max=1.0)
+    for bad in ({"omega_max": 1e308}, {"omega_min": -1e308}, {"omega_max": 10**308}):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(hamiltonian=ham, t_max=2, **bad)
+        assert exc.value.field == "omega_max"
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -662,6 +720,7 @@ def simulating_runs(draw):
     return data, [command]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(simulating_runs())
 @example((dict(TINY_CLI_CONFIG, c2=1e308, t_g=2.0), ["simulate-spectrum"]))  # NaN paths
