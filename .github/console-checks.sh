@@ -8,7 +8,9 @@
 # result too large to allocate exits 1 and creates no --out. A Hamiltonian
 # whose scale overflows, one whose entries are JSON strings, a frequency
 # grid whose largest phase overflows, and a config naming the retired
-# `out_dir` are config errors (exit 2) that name the field. A heating rate
+# `out_dir` are config errors (exit 2) that name the field. So is an
+# inference jitter that throws the initial guess out of range, found once
+# the command runs: it names `perturb` and leaves no --out. A heating rate
 # that overflows inside the simulation exits 1 with one error line, no
 # RuntimeWarning and no --out.
 tmp=$(mktemp -d)
@@ -84,3 +86,9 @@ ioncodesign simulate-spectrum --config "$tmp/omega.json" --out "$tmp/omega" \
 test "$code" -eq 2
 test ! -e "$tmp/omega"
 grep -q "'omega_max'" "$tmp/omega.err"
+code=0
+ioncodesign infer --perturb 1e307 --iterations 1 --out "$tmp/perturb" \
+  2> "$tmp/perturb.err" || code=$?
+test "$code" -eq 2
+test ! -e "$tmp/perturb"
+grep -q "'perturb'" "$tmp/perturb.err"

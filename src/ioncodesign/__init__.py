@@ -27,13 +27,10 @@ from .feedforward import (
 from .hamiltonian import (
     ExactEvolver,
     SpinHamiltonian,
-    exact_evolve,
-    exact_unitary,
     hamiltonian_matrix,
 )
 from .motional_noise import (
     AngleDistribution,
-    MotionalTrajectory,
     NoiseParams,
     angle_correlation,
     angle_moments,
@@ -47,11 +44,8 @@ from .motional_noise import (
 from .spinsim import (
     CompiledCircuit,
     GateSpec,
-    StateVector,
-    apply_gate,
     basis_state,
     circuit_unitary,
-    expect_sz_tot,
     gate_matrix,
 )
 from .spectroscopy import (

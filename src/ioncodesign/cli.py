@@ -4,12 +4,12 @@ Subcommands: simulate-spectrum, depth-sweep, calibrate, feedforward-table,
 noise-stats, infer. `main` checks the subcommand's options before it
 creates the output directory; each subcommand writes its CSV or JSON
 results there, and `main` then writes `manifest.json` (including those
-options), only on success. A runtime failure, a non-finite result, one
-too large to allocate or a floating-point overflow or invalid operation
-included, exits 1 with an error naming the subcommand and removes an
-output directory `main` created, with whatever the subcommand had written
+options), only on success. A config error exits 2 with an error naming
+the field. A runtime failure, a non-finite result, one too large to
+allocate or a floating-point overflow or invalid operation included,
+exits 1 with an error naming the subcommand. Either way `main` removes an
+output directory it created, with whatever the subcommand had written
 there. Identical config and seed give byte-identical files.
-The environment variable IONCODESIGN_SEED overrides the seed (CI hook).
 """
 
 from __future__ import annotations
@@ -88,14 +88,8 @@ def _load_config(args) -> ExperimentConfig:
     given = [(name, getattr(args, flag)) for flag, (name, _) in _CONFIG_FLAGS.items()]
     if args.command == "simulate-spectrum":
         given.append(("r", args.r))
-    overrides = {name: value for name, value in given if value is not None}
-    if "IONCODESIGN_SEED" in os.environ:
-        text = os.environ["IONCODESIGN_SEED"]
-        try:
-            overrides["seed"] = int(text)
-        except ValueError:
-            raise ConfigError("seed", f"IONCODESIGN_SEED={text!r} is not an integer") from None
-    return dataclasses.replace(config, **overrides)
+    return dataclasses.replace(config, **{name: value for name, value in given
+                                          if value is not None})
 
 
 def _check_options(args, config: ExperimentConfig) -> None:
@@ -190,10 +184,15 @@ def _cmd_noise_stats(args, config) -> str:
 
 
 def _cmd_infer(args, config) -> str:
-    target = exact_spectrum(config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed,
                                                        spawn_key=(123456789,)))
-    guess = perturbed_instance(config.hamiltonian, args.perturb, rng)
+    try:
+        guess = perturbed_instance(config.hamiltonian, args.perturb, rng)
+        dataclasses.replace(config, hamiltonian=guess)  # the checks every evaluation runs
+    except (ValueError, ArithmeticError):
+        raise ConfigError("perturb", "too large: the jittered initial guess is not a "
+                          "valid Hamiltonian for this config") from None
+    target = exact_spectrum(config)
     log = run_inference_demo(target, guess, args.iterations, config)
     write_csv(os.path.join(args.out, "inference_log.csv"),
               ["iteration", "d_h", "accepted", "params"],
@@ -242,12 +241,13 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (OSError, ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
-        if created and os.path.isdir(args.out):
-            shutil.rmtree(args.out)
-        return 1
+        code = 1
+    if created and os.path.isdir(args.out):
+        shutil.rmtree(args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
+from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,17 +118,3 @@ class ExactEvolver:
         coeff = self.eigenvectors.conj().T @ amplitudes
         phases = np.exp(-1j * self.eigenvalues * t)
         return self.eigenvectors @ (phases.reshape((-1,) + (1,) * (coeff.ndim - 1)) * coeff)
-
-
-def exact_unitary(ham: SpinHamiltonian, t: float) -> np.ndarray:
-    """exp(-iHt) via Hermitian eigendecomposition."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return ham.exact.unitary(t)
-
-
-def exact_evolve(ham: SpinHamiltonian, t: float, state: StateVector) -> StateVector:
-    """Exact time evolution of a statevector."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return StateVector(state.n_qubits, ham.exact.evolve(state.amplitudes, t))

@@ -32,20 +32,6 @@ class NoiseParams:
             raise ValueError("c2 must be non-negative")
 
 
-@dataclass
-class MotionalTrajectory:
-    """Dimensionless displacement u sampled at gate start times."""
-
-    times: np.ndarray  # ms
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.times.shape != self.u.shape:
-            raise ValueError("times and u must have the same length")
-
-
 @dataclass(frozen=True)
 class AngleDistribution:
     phi_in: float
@@ -56,44 +42,28 @@ class AngleDistribution:
             raise ValueError("lambda and phi_in must be non-negative")
 
 
-def sample_trajectory(times, params: NoiseParams,
-                      rng: np.random.Generator | None = None) -> MotionalTrajectory:
-    """One diffusion path of u(tau) over the given gate start times.
+def sample_trajectory(times, params: NoiseParams, rngs) -> np.ndarray:
+    """(len(times), len(rngs)) u at gate start times sorted from 0 up:
+    column k is one diffusion path drawn from rngs[k].
 
     The scaled amplitude z(tau) is an exact two-dimensional Wiener
     process from z(0) = 0 with E|z(tau)|^2 = c2 * tau (Gaussian
-    increments, no discretization error). With correlated=False every
-    u is drawn independently from Exponential(mean c2 * tau), which is
-    the single-time marginal of the correlated process.
+    increments of scale sqrt(c2 * dtau / 2), no discretization error).
+    With correlated=False every u is drawn independently from
+    Exponential(mean c2 * tau), the single-time marginal of the
+    correlated process, its mean floored at 1e-300 and u exactly 0 at
+    tau = 0. With c2 = 0 every u is 0 and nothing is drawn.
     """
     times = np.asarray(times, dtype=float)
-    scale = _path_scale(times, params)
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
-    if params.c2 == 0.0 or times.size == 0:
-        return MotionalTrajectory(times, np.zeros_like(times))
-    return MotionalTrajectory(times, _draw_paths(scale, params.correlated, [rng])[:, 0])
-
-
-def _path_scale(times: np.ndarray, params: NoiseParams) -> np.ndarray:
-    """The scale `_draw_paths` takes for gate start times sorted from 0 up.
-
-    Correlated: the step scale sqrt(c2 * dtau / 2) of each gate's path
-    increment. Uncorrelated: each gate's Exponential mean c2 * tau,
-    floored at 1e-300, and 0 at tau = 0, where u is exactly 0.
-    """
     if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
         raise ValueError("times must be sorted ascending and non-negative")
+    if params.c2 == 0.0 or times.size * len(rngs) == 0:
+        return np.zeros((times.size, len(rngs)))
     if not params.correlated:
-        return np.where(times == 0.0, 0.0, np.maximum(params.c2 * times, 1e-300))
-    return np.sqrt(params.c2 * np.diff(times, prepend=0.0) / 2.0)
-
-
-def _draw_paths(scale: np.ndarray, correlated: bool, rngs) -> np.ndarray:
-    """(gates, len(rngs)) u: column k is one path drawn from rngs[k] with `_path_scale`'s scale."""
-    if not correlated:
+        scale = np.where(times == 0.0, 0.0, np.maximum(params.c2 * times, 1e-300))
         return np.array([rng.exponential(scale) for rng in rngs]).T
-    normals = np.array([(rng.standard_normal(scale.size), rng.standard_normal(scale.size))
+    scale = np.sqrt(params.c2 * np.diff(times, prepend=0.0) / 2.0)
+    normals = np.array([(rng.standard_normal(times.size), rng.standard_normal(times.size))
                         for rng in rngs])
     steps = (normals[:, 0] + 1j * normals[:, 1]) * scale
     return (np.abs(np.cumsum(steps, axis=1)) ** 2).T

@@ -19,7 +19,7 @@ import numpy as np
 
 from .feedforward import FeedforwardTable, correct_circuit
 from .hamiltonian import SpinHamiltonian
-from .motional_noise import NoiseParams, _draw_paths, _path_scale
+from .motional_noise import NoiseParams, sample_trajectory
 from .spinsim import CompiledCircuit, sz_tot_diagonal
 from .trotter import GateTiming, TimedCircuit, build_trotter_circuit
 
@@ -101,8 +101,8 @@ class TrotterEvolver:
     Every circuit of one evolver has the same gates, sites, start times
     and noise mask; only the angles change with t. The first circuit
     `circuit_for` makes therefore fixes the evolver's `CompiledCircuit`
-    plan, noisy mask and path scale, and `evolve` and `evolve_runs` apply
-    them to each time's angles.
+    plan, noisy mask and gate start times, and `evolve` and `evolve_runs`
+    apply them to each time's angles.
     """
 
     def __init__(self, ham: SpinHamiltonian, r: int, timing: GateTiming = GateTiming(),
@@ -152,11 +152,10 @@ class TrotterEvolver:
         return self._angles(circuit, self._noise_path(circuit), t, [run])[:, 0].tolist()
 
     def _noise_path(self, circuit: TimedCircuit):
-        """(noisy mask as a column, path scale) of the circuit; None if noiseless."""
+        """(noisy mask as a column, gate start times) of the circuit; None if noiseless."""
         if self.noise is None:
             return None
-        return (np.array([g.noisy for g in circuit.gates])[:, None],
-                _path_scale(circuit.gate_times(), self.noise))
+        return np.array([g.noisy for g in circuit.gates])[:, None], circuit.gate_times()
 
     def _angles(self, circuit: TimedCircuit, path, t: float, runs) -> np.ndarray:
         """(gates, len(runs)) realized angles, one column per noise run.
@@ -168,12 +167,12 @@ class TrotterEvolver:
         nominal = np.array([g.spec.angle for g in circuit.gates])[:, None]
         if path is None:
             return np.repeat(nominal, len(runs), axis=1)
-        noisy, scale = path
+        noisy, times = path
         it = self._time_index.setdefault(float(t), len(self._time_index))
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=self.noise.seed,
                                                              spawn_key=(run, it)))
                 for run in runs]
-        u = _draw_paths(scale, self.noise.correlated, rngs)
+        u = sample_trajectory(times, self.noise, rngs)
         return np.where(noisy, nominal * np.exp(-u), nominal)
 
 

@@ -64,25 +64,8 @@ class GateSpec:
             raise ValueError("site indices must be non-negative")
 
 
-@dataclass
-class StateVector:
-    """Normalized pure state of n_qubits spins."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError("amplitude length must be 2**n_qubits")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def basis_state(n_qubits: int, bits) -> StateVector:
-    """Computational basis state with the given bit pattern (site 0 = MSB)."""
+def basis_state(n_qubits: int, bits) -> np.ndarray:
+    """Amplitudes of the computational basis state with the given bit pattern (site 0 = MSB)."""
     bits = list(bits)
     if len(bits) != n_qubits:
         raise ValueError(f"expected {n_qubits} bits, got {len(bits)}")
@@ -93,7 +76,7 @@ def basis_state(n_qubits: int, bits) -> StateVector:
         index = (index << 1) | b
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[index] = 1.0
-    return StateVector(n_qubits, amps)
+    return amps
 
 
 def gate_kernel(gate: GateSpec) -> np.ndarray:
@@ -129,23 +112,9 @@ def apply_kernel(array: np.ndarray, kernel: np.ndarray, sites, n_qubits: int) ->
     return tensor.reshape((2**n_qubits,) + tail)
 
 
-def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
-    """Return the state with the gate applied on its target sites."""
-    if any(s >= state.n_qubits for s in gate.sites):
-        raise ValueError("gate site index out of range")
-    amps = apply_kernel(state.amplitudes, gate_kernel(gate), gate.sites, state.n_qubits)
-    return StateVector(state.n_qubits, amps)
-
-
 def sz_tot_diagonal(n_qubits: int) -> np.ndarray:
     """Diagonal of S^z_tot in the computational basis."""
     return np.bitwise_count(np.arange(2**n_qubits)) - n_qubits / 2.0
-
-
-def expect_sz_tot(state: StateVector) -> float:
-    """Expectation value of the total S^z operator."""
-    diag = sz_tot_diagonal(state.n_qubits)
-    return float(np.real(np.sum(diag * np.abs(state.amplitudes) ** 2)))
 
 
 def gate_matrix(gate: GateSpec, n_qubits: int) -> np.ndarray:

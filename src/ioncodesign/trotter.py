@@ -12,7 +12,6 @@ Gates are scheduled serially: gate m starts at tau_0 + m * t_g.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +47,6 @@ class TimedCircuit:
 
     def gate_times(self) -> np.ndarray:
         return np.array([g.start_time for g in self.gates])
-
-    def dump_jsonl(self, path) -> None:
-        """One gate per line: kind, sites, angle, start time, noisy flag."""
-        with open(path, "w") as fh:
-            for g in self.gates:
-                fh.write(json.dumps({
-                    "kind": g.spec.kind,
-                    "sites": list(g.spec.sites),
-                    "angle": g.spec.angle,
-                    "start_time_ms": g.start_time,
-                    "noisy": g.noisy,
-                }) + "\n")
 
 
 def trotter_step_layers(ham: SpinHamiltonian, dt: float) -> list[GateSpec]:

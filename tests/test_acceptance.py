@@ -53,8 +53,8 @@ def test_criterion_01_noise_law_exactness():
         tau = lam / c2
         params = NoiseParams(c2=c2, seed=20, correlated=False)
         rng = np.random.default_rng(20)
-        traj = sample_trajectory(np.full(100000, tau), params, rng=rng)
-        phis = noisy_angle(phi_in, traj.u)
+        u = sample_trajectory(np.full(100000, tau), params, [rng])[:, 0]
+        phis = noisy_angle(phi_in, u)
         moments = angle_moments(AngleDistribution(phi_in, lam))
         mean_err = abs(phis.mean() - moments["mean"]) / moments["mean"]
         var_err = abs(phis.var() - moments["variance"]) / moments["variance"]

@@ -30,7 +30,7 @@ def test_trajectory_marginal_is_exponential():
     params = NoiseParams(c2=0.05, seed=0)
     tau = 20.0
     rng = np.random.default_rng(11)
-    samples = np.array([sample_trajectory([tau], params, rng=rng).u[0]
+    samples = np.array([sample_trajectory([tau], params, [rng])[0, 0]
                         for _ in range(4000)])
     lam = params.c2 * tau
     assert samples.mean() == pytest.approx(lam, rel=0.1)
@@ -39,21 +39,33 @@ def test_trajectory_marginal_is_exponential():
 
 def test_trajectory_is_nondecreasing_in_variance():
     params = NoiseParams(c2=0.1, seed=3)
-    traj = sample_trajectory(np.linspace(0.0, 50.0, 200), params)
-    assert traj.u.min() >= 0.0
-    assert traj.u.shape == (200,)
+    u = sample_trajectory(np.linspace(0.0, 50.0, 200), params,
+                          [np.random.default_rng(params.seed)])
+    assert u.min() >= 0.0
+    assert u.shape == (200, 1)
 
 
 def test_uncorrelated_mode_matches_marginal():
     params = NoiseParams(c2=0.05, seed=1, correlated=False)
     tau = 10.0
-    traj = sample_trajectory(np.full(20000, tau), params)
-    assert traj.u.mean() == pytest.approx(params.c2 * tau, rel=0.05)
+    u = sample_trajectory(np.full(20000, tau), params, [np.random.default_rng(params.seed)])
+    assert u.mean() == pytest.approx(params.c2 * tau, rel=0.05)
 
 
 def test_zero_heating_rate_gives_zero_displacement():
-    traj = sample_trajectory([1.0, 2.0, 3.0], NoiseParams(c2=0.0))
-    assert np.all(traj.u == 0.0)
+    u = sample_trajectory([1.0, 2.0, 3.0], NoiseParams(c2=0.0), [np.random.default_rng(0)])
+    assert u.shape == (3, 1) and np.all(u == 0.0)
+
+
+@pytest.mark.parametrize("correlated", [True, False])
+def test_each_generator_draws_its_own_column(correlated):
+    params = NoiseParams(c2=0.3, correlated=correlated)
+    times = np.linspace(0.0, 4.0, 9)
+    u = sample_trajectory(times, params, [np.random.default_rng(seed) for seed in (5, 6, 7)])
+    assert u.shape == (9, 3)
+    for k, seed in enumerate((5, 6, 7)):
+        alone = sample_trajectory(times, params, [np.random.default_rng(seed)])
+        assert np.array_equal(u[:, k], alone[:, 0])
 
 
 def test_noisy_angle_damps():
@@ -329,7 +341,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         angle_pdf(AngleDistribution(1.0, 0.0), 0.5)
     with pytest.raises(ValueError):
-        sample_trajectory([2.0, 1.0], NoiseParams(c2=0.1))
+        sample_trajectory([2.0, 1.0], NoiseParams(c2=0.1), [np.random.default_rng(0)])
     with pytest.raises(ValueError):
         angle_correlation(0.0, 1.0, 0.1)
 

@@ -260,8 +260,8 @@ def _fresh_angles(circuit, noise, runs, it):
     """Reference draw: sample_trajectory over the circuit's own start times, one run a column."""
     nominal = np.array([g.spec.angle for g in circuit.gates])[:, None]
     noisy = np.array([g.noisy for g in circuit.gates])[:, None]
-    u = np.stack([sample_trajectory(circuit.gate_times(), noise, rng=np.random.default_rng(
-        np.random.SeedSequence(entropy=noise.seed, spawn_key=(run, it)))).u
+    u = np.stack([sample_trajectory(circuit.gate_times(), noise, [np.random.default_rng(
+        np.random.SeedSequence(entropy=noise.seed, spawn_key=(run, it)))])[:, 0]
         for run in runs], axis=1)
     return np.where(noisy, nominal * np.exp(-u), nominal)
 

@@ -1,11 +1,9 @@
 """Unit tests for the timed first-order Trotter circuit builder."""
 
-import json
-
 import numpy as np
 import pytest
 
-from ioncodesign.hamiltonian import SpinHamiltonian, exact_unitary
+from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.spinsim import circuit_unitary
 from ioncodesign.trotter import (
     GateTiming,
@@ -77,7 +75,7 @@ def test_first_order_convergence_slope():
 def test_circuit_approaches_exact_unitary():
     ham = random_instance(3, seed=4)
     t = 1.5
-    exact = exact_unitary(ham, t)
+    exact = ham.exact.unitary(t)
     approx = circuit_unitary(build_trotter_circuit(ham, t, 64))
     assert np.linalg.norm(approx - exact, ord=2) < 0.05
 
@@ -97,17 +95,6 @@ def test_only_xx_gates_flagged_noisy():
     circ = build_trotter_circuit(ham, 0.5, 1)
     for g in circ.gates:
         assert g.noisy == (g.spec.kind == "XX")
-
-
-def test_dump_jsonl_round_trip(tmp_path):
-    ham = random_instance(2, seed=7)
-    circ = build_trotter_circuit(ham, 0.4, 1)
-    path = tmp_path / "circ.jsonl"
-    circ.dump_jsonl(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == len(circ.gates)
-    assert rows[0]["kind"] == circ.gates[0].spec.kind
-    assert rows[0]["angle"] == pytest.approx(circ.gates[0].spec.angle)
 
 
 def test_invalid_arguments():
