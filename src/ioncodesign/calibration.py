@@ -12,7 +12,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .artifacts import write_csv
 from .motional_noise import return_probability
@@ -89,6 +88,13 @@ def simulate_calibration(phi_grid, tau_grid, c2_true: float, shots: int,
 def _model_residual(curve: CalibrationCurve, c2: float) -> float:
     pred = return_probability(curve.phi_in[:, None], c2 * curve.tau[None, :])
     return float(np.sum((curve.p_return - pred) ** 2))
+
+
+def minimize_scalar(fun, **options):
+    """`scipy.optimize.minimize_scalar`, imported on first use: it is most of the import time."""
+    from scipy.optimize import minimize_scalar as minimize
+
+    return minimize(fun, **options)
 
 
 def _scan_refine(loss, x_max: float) -> tuple[float, float]:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .motional_noise import hyp1f2, hyp1f2_float, series_lambda
 from .trotter import TimedCircuit, TimedGate
@@ -171,6 +170,8 @@ def optimal_input_angle(query: ControlQuery, rows: dict | None = None) -> dict:
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     if hi > lo:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(_refine_objective(phi_p, lam),
                               bounds=(lo, hi), method="bounded",
                               options={"xatol": REFINE_TOL})

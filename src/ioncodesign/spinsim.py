@@ -1,9 +1,9 @@
 """Dense statevector engine for small spin-1/2 registers.
 
 `CompiledCircuit` runs a circuit, fused into X-basis phase layers and
-per-site 2x2 layers, on statevector columns under one or a batch of angle
-realizations; `circuit_unitary` and `gate_matrix` return ndarrays. The
-per-gate `gate_kernel`, `apply_kernel` and `gate_matrix` are its oracle.
+Kronecker site layers, on statevector columns under one or a batch of
+angle realizations; `circuit_unitary` and `gate_matrix` return ndarrays.
+The per-gate `gate_kernel`, `apply_kernel` and `gate_matrix` are its oracle.
 
 Conventions used throughout the package:
 
@@ -21,6 +21,7 @@ evolution go through |Tr| or density matrices.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,54 +137,47 @@ class CompiledCircuit:
     The state is kept in the X eigenbasis (H on every site on entry and
     exit; bit 0 of a site means sigma^x = +1). Each run of XX/RX gates is
     one phase layer, exp(-i sum_g phi_g s_g(x) / 4) with s_g(x) = +-1;
-    each run of RY/RZ gates is one site layer: per touched site the
-    product of its H-conjugated kernels, applied as one gather
-    diag[x] psi[x] + off[x] psi[x ^ mask].
+    each run of RY/RZ gates is one site layer, the Kronecker product of
+    each site's H-conjugated kernels: one dense factor up to 4 sites, else
+    A (x) B over the first ceil(n/2) sites and the rest, two BLAS products.
 
     (gates, B) angles run B realizations on a (2**n, B or 1, k) array,
     realization b on column b, in chunks of 2**n * B * k <= BATCH_ENTRIES
-    complex entries (or one realization). A chunk builds its phases and
-    2x2 matrices in a fixed number of NumPy calls, each phase summed in
-    gate order, so no realization's arithmetic depends on the chunk width.
+    complex entries (or one realization). Phases sum in gate order and a
+    factor is one matmul per realization, so no realization's arithmetic
+    depends on the chunk width. A chunk whose realizations share RY/RZ
+    angles builds all factors at once, any other one layer at a time.
     """
 
     def __init__(self, circuit):
         n = self.n_qubits = circuit.n_qubits
         self.dim, self.n_gates = 2**n, len(circuit.gates)
+        if any(site >= n for gate in circuit.gates for site in gate.spec.sites):
+            raise ValueError("gate site index out of range")
         # Kernel rows: the gates', the identity, then H, which every site gets first and last.
         edge = [(self.n_gates + 1, "H", (site,)) for site in range(n)]
         gates = [(g, gate.spec.kind, gate.spec.sites) for g, gate in enumerate(circuit.gates)]
-        # ("phase", [(gate, mask of its sites)]) or ("site", {site mask: kernel rows});
-        # a site past the register makes a negative shift, a ValueError.
-        layers = []
-        for row, kind, sites in edge + gates + edge:
-            kind = "phase" if kind in ("XX", "RX") else "site"
-            if not layers or layers[-1][0] != kind:
-                layers.append((kind, [] if kind == "phase" else {}))
-            if kind == "phase":
-                layers[-1][1].append((row, sum(1 << (n - 1 - site) for site in sites)))
-            else:
-                layers[-1][1].setdefault(1 << (n - 1 - sites[0]), []).append(row)
-        self._schedule, phase, starts, slots = [], [], [], []
-        for kind, layer in layers:
-            if kind == "phase":
-                self._schedule.append((kind, len(starts)))
+        # Site and phase layers alternate, site layers first and last. Phase gates are (gate,
+        # mask of its sites), starts index each phase layer's first; slots are per layer, site.
+        phase, starts, slots = [], [], []
+        for is_phase, run in itertools.groupby(edge + gates + edge, lambda g: g[1] in ("XX", "RX")):
+            run = list(run)
+            if is_phase:
                 starts.append(len(phase))
-                phase += layer
+                phase += [(row, sum(1 << (n - 1 - s) for s in sites)) for row, _, sites in run]
             else:
-                self._schedule += [(kind, len(slots) + j) for j in range(len(layer))]
-                slots += sorted(layer.items())
+                slots += [[row for row, _, sites in run if sites == (site,)] for site in range(n)]
         index = np.arange(self.dim)
         self._phase_gates, masks = np.array(phase, dtype=int).reshape(-1, 2).T
-        self._signs = (1.0 - 2.0 * (np.bitwise_count(index & masks[:, None]) & 1))[:, :, None]
+        self._signs = (1.0 - 2.0 * (np.bitwise_count(index & masks[:, None]) & 1))[:, None]
         self._starts = np.array(starts, dtype=int)
         self._generators = np.array([_FRAME_GENERATORS.get(gate.spec.kind, np.zeros((2, 2)))
                                      for gate in circuit.gates]).reshape(-1, 1, 2, 2)
-        depth = max(len(rows) for _, rows in slots)
+        depth = max(len(rows) for rows in slots)
         self._kernel_rows = np.array([rows + [self.n_gates] * (depth - len(rows))
-                                      for _, rows in slots]).T
-        slot_masks = np.array([mask for mask, _ in slots])[:, None]
-        self._bits, self._flip = np.bitwise_count(index & slot_masks), index ^ slot_masks
+                                      for rows in slots]).T
+        # (first, end site) per factor, in apply order; two half-size ones win from 5 sites on.
+        self._factors = [(0, n)] if n <= 4 else [((n + 1) // 2, n), (0, (n + 1) // 2)]
 
     def apply(self, array: np.ndarray, angles) -> np.ndarray:
         """Apply the gates with the given angles to the leading 2**n axis.
@@ -211,26 +205,35 @@ class CompiledCircuit:
 
     def _apply_chunk(self, out: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """All layers on a (2**n, B or 1, k) block, with (gates, B) angles / 4."""
-        phases = np.exp(-1j * np.add.reduceat(self._signs * theta[self._phase_gates][:, None],
+        batch = theta.shape[1]
+        phases = np.exp(-1j * np.add.reduceat(self._signs * theta[self._phase_gates][..., None],
                                               self._starts, axis=0))[..., None]
         t = theta[..., None, None]
         kernels = np.concatenate([np.cos(t) * _EYE_AND_H[0] + np.sin(t) * self._generators,
-                                  np.broadcast_to(_EYE_AND_H[:, None], (2, t.shape[1], 2, 2))])
-        matrices = functools.reduce(lambda m, f: f @ m, kernels[self._kernel_rows])
-        rows = np.arange(len(matrices))[:, None]
-        diag = matrices[rows, :, self._bits, self._bits][..., None]
-        off = matrices[rows, :, self._bits, 1 - self._bits][..., None]
-        # The entry site layer's first gather allocates the full block.
-        out = np.broadcast_to(out, (self.dim, theta.shape[1], out.shape[2]))
-        for kind, index in self._schedule:
-            if kind == "phase":
-                out *= phases[index]
-                continue
-            flipped = out[self._flip[index]]
-            flipped *= off[index]
-            out = diag[index] * out
-            out += flipped
-        return out
+                                  np.broadcast_to(_EYE_AND_H[:, None], (2, batch, 2, 2))])
+        # (site layers, B, sites, 2, 2); when all B share them, every layer's factors at once.
+        matrices = functools.reduce(lambda m, f: f @ m, kernels[self._kernel_rows]).reshape(
+            -1, self.n_qubits, batch, 2, 2).swapaxes(1, 2)
+        shared = [_kron(matrices[:, :1, lo:hi]) for lo, hi in self._factors] \
+            if np.all(matrices == matrices[:, :1]) else None
+        # Realization-major: (B, 2**n, k), one contiguous block per realization.
+        x = np.broadcast_to(out.transpose(1, 0, 2), (batch,) + out.shape[::2]).copy()
+        for layer in range(len(matrices)):
+            for j, (lo, hi) in enumerate(self._factors):
+                factor = _kron(matrices[layer, :, lo:hi]) if shared is None else shared[j][layer]
+                x = (factor[:, None] @ x.reshape(batch, 2**lo, 2**(hi - lo), -1)).reshape(x.shape)
+            if layer < len(phases):
+                x *= phases[layer]
+        return x.transpose(1, 0, 2)
+
+
+def _kron(matrices: np.ndarray) -> np.ndarray:
+    """Kronecker product of (..., sites, 2, 2) matrices over the site axis, first site first."""
+    out = matrices[..., 0, :, :]
+    for site in range(1, matrices.shape[-3]):
+        out = (out[..., :, None, :, None] * matrices[..., site, None, :, None, :]).reshape(
+            *out.shape[:-2], 2 * out.shape[-2], 2 * out.shape[-1])
+    return out
 
 
 def circuit_unitary(circuit, angles=None) -> np.ndarray:

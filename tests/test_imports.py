@@ -1,6 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and importing the
+package leaves its slowest dependency unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,13 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_and_cli_import_without_scipy_optimize():
+    # scipy.optimize is most of the package's import time; only the fits use it.
+    code = "import sys, ioncodesign, ioncodesign.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Unit tests for the dense statevector engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,7 +162,7 @@ def test_compiled_circuit_applies_to_a_single_statevector():
 
 @st.composite
 def random_circuits(draw):
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 8))
     site = st.integers(0, n - 1)
     angle = st.floats(-20.0, 20.0, allow_nan=False)
     kinds = ["RX", "RY", "RZ"] + (["XX"] if n > 1 else [])
@@ -178,9 +180,9 @@ def random_circuits(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_circuits())
 def test_compiled_circuit_matches_gate_matrix_product(circuit):
-    # n = 1..7 covers registers on both sides of dimension 64; up to 40
-    # gates give long XX/RX phase layers and several RY/RZ gates on one
-    # site within a site layer.
+    # n = 1..8 covers one dense factor (up to 4 sites) and two factors,
+    # up to two 16 x 16 ones at 8 sites; up to 40 gates give long XX/RX
+    # phase layers and several RY/RZ gates on one site within a site layer.
     dim = 2**circuit.n_qubits
     ref = np.eye(dim, dtype=complex)
     for g in circuit.gates:
@@ -190,27 +192,39 @@ def test_compiled_circuit_matches_gate_matrix_product(circuit):
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
-def _batch_inputs(n, batch, width, seed=0, broadcast=False):
+def _batch_inputs(n, batch, width, seed=0, broadcast=False, jitter="all"):
+    """A random r = 2 circuit and (gates, batch) angles that vary on every gate, or on the
+    XX gates only ("xx"), as noise and feedforward leave them."""
     circuit = build_trotter_circuit(random_instance(n, seed=seed), 0.7, 2)
     rng = np.random.default_rng(seed)
     nominal = np.array([g.spec.angle for g in circuit.gates])
-    angles = nominal[:, None] * rng.uniform(0.5, 1.0, (nominal.size, batch))
+    varies = np.array([jitter == "all" or g.spec.kind == "XX" for g in circuit.gates])
+    angles = nominal[:, None] * np.where(varies[:, None],
+                                         rng.uniform(0.5, 1.0, (nominal.size, batch)), 1.0)
     shape = (2**n, 1 if broadcast else batch, width)
     array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return CompiledCircuit(circuit), array, angles
 
 
-@pytest.mark.parametrize("n,width,batch", [
-    (4, 16, 5),  # below the chunk of 2**13 // (16 * 16) = 32 realizations
-    (4, 16, 32),  # exactly one chunk
-    (4, 16, 70),  # three chunks, the last one partial
-    (4, 5, 103),  # wide chunk (102) for the S(t) column count
-    (7, 128, 3),  # one realization per chunk
+@pytest.mark.parametrize("n,width,batch,jitter", [
+    pytest.param(4, 16, 5, "all", id="4-16-5"),  # below the chunk of 2**13 // (16 * 16) = 32
+    pytest.param(4, 16, 32, "all", id="4-16-32"),  # exactly one chunk
+    pytest.param(4, 16, 70, "all", id="4-16-70"),  # three chunks, the last one partial
+    pytest.param(4, 5, 103, "all", id="4-5-103"),  # wide chunk (102) for the S(t) column count
+    pytest.param(7, 128, 3, "all", id="7-128-3"),  # one realization per chunk
+    # Shared RY/RZ angles: factors built once per chunk, one and two of them.
+    pytest.param(4, 16, 70, "xx", id="4-16-70-xx"),
+    pytest.param(6, 64, 3, "xx", id="6-64-3-xx"),
+    pytest.param(7, 16, 5, "xx", id="7-16-5-xx"),
+    # Per-realization factors past the one-factor registers: uneven and even halves.
+    pytest.param(5, 32, 9, "all", id="5-32-9"),
+    pytest.param(6, 8, 20, "all", id="6-8-20"),
+    pytest.param(7, 8, 10, "all", id="7-8-10"),
 ])
 @pytest.mark.parametrize("broadcast", [False, True])
-def test_batched_apply_equals_separate_runs_bitwise(n, width, batch, broadcast):
+def test_batched_apply_equals_separate_runs_bitwise(n, width, batch, jitter, broadcast):
     compiled, array, angles = _batch_inputs(n, batch, width, seed=n + batch,
-                                            broadcast=broadcast)
+                                            broadcast=broadcast, jitter=jitter)
     out = compiled.apply(array, angles)
     assert out.shape == (2**n, batch, width)
     for b in range(batch):
@@ -242,3 +256,25 @@ def test_batched_apply_rejects_mismatched_batch():
         compiled.apply(array[:, :3], angles)
     with pytest.raises(ValueError):
         compiled.apply(array[:, 0], angles)
+
+
+@pytest.mark.parametrize("n,batch", [(6, 128), (4, 512)])
+def test_per_realization_site_angles_build_factors_one_layer_at_a_time(n, batch):
+    # One column under many realizations of an r = 6 circuit whose RY/RZ
+    # angles vary per realization, all in one chunk. Built for all 19 site
+    # layers at once, the 4-spin dense factors alone would take 38 MiB.
+    circuit = build_trotter_circuit(random_instance(n), 0.7, 6)
+    rng = np.random.default_rng(0)
+    nominal = np.array([g.spec.angle for g in circuit.gates])
+    angles = nominal[:, None] * rng.uniform(0.5, 1.0, (nominal.size, batch))
+    array = rng.standard_normal((2**n, 1, 1)) + 0j
+    compiled = CompiledCircuit(circuit)
+    tracemalloc.start()
+    try:
+        out = compiled.apply(array, angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2**n, batch, 1)
+    assert peak <= 40 * 2**20
+    assert np.array_equal(out[:, 5], compiled.apply(array[:, 0], angles[:, 5]))
