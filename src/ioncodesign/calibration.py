@@ -42,21 +42,25 @@ class CalibrationCurve:
 
     @classmethod
     def from_csv(cls, path) -> "CalibrationCurve":
-        rows = []
+        """Read a `to_csv` file: one row per finite (phi_in, tau_ms), one shot count."""
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append((float(row["phi_in"]), float(row["tau_ms"]),
-                             float(row["p_return"]), int(row["shots"])))
+            rows = [(float(row["phi_in"]), float(row["tau_ms"]), float(row["p_return"]),
+                     int(row["shots"])) for row in csv.DictReader(fh)]
         if not rows:
             raise ValueError(f"calibration CSV {path} has no rows")
+        if not np.all(np.isfinite([r[:2] for r in rows])):
+            raise ValueError(f"calibration CSV {path} has a non-finite phi_in or tau_ms")
+        if len({r[:2] for r in rows}) < len(rows):
+            raise ValueError(f"calibration CSV {path} has two rows for one (phi_in, tau_ms)")
+        if len({r[3] for r in rows}) > 1:
+            raise ValueError(f"calibration CSV {path} mixes shot counts")
         phis = sorted({r[0] for r in rows})
         taus = sorted({r[1] for r in rows})
         p = np.full((len(phis), len(taus)), np.nan)
         for phi, tau, prob, shots in rows:
             p[phis.index(phi), taus.index(tau)] = prob
         if np.any(np.isnan(p)):
-            raise ValueError("calibration CSV does not cover the full grid")
+            raise ValueError(f"calibration CSV {path} does not cover the full grid")
         return cls(np.array(phis), np.array(taus), p, rows[0][3])
 
 

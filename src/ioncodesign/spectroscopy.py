@@ -51,12 +51,6 @@ class FidelityTrace:
     f_int: float
 
 
-def positive_magnetization_states(n_spins: int) -> list[tuple[int, float]]:
-    """(basis index, m) for computational states with m > 0."""
-    diag = sz_tot_diagonal(n_spins)
-    return [(int(i), float(m)) for i, m in enumerate(diag) if m > 0]
-
-
 def _magnetization(n_spins: int):
     """The basis states with m_j > 0 as columns, and the S(t) reduce of them.
 
@@ -64,12 +58,9 @@ def _magnetization(n_spins: int):
     column j of the evolved (2^N, k) array is |z_j(t)>.
     """
     dim = 2**n_spins
-    states = positive_magnetization_states(n_spins)
-    columns = np.zeros((dim, len(states)), dtype=complex)
-    for k, (idx, _) in enumerate(states):
-        columns[idx, k] = 1.0
-    weights = np.array([m for _, m in states]) / dim
     diag = sz_tot_diagonal(n_spins)
+    positive = np.flatnonzero(diag > 0)
+    columns, weights = np.eye(dim, dtype=complex)[:, positive], diag[positive] / dim
 
     def magnetization(it, evolved):
         expect = np.real(np.einsum("d,dk->k", diag, np.abs(evolved) ** 2))
@@ -101,8 +92,8 @@ class TrotterEvolver:
     Every circuit of one evolver has the same gates, sites, start times
     and noise mask; only the angles change with t. The first circuit
     `circuit_for` makes therefore fixes the evolver's `CompiledCircuit`
-    plan, noisy mask and gate start times, and `evolve` and `evolve_runs`
-    apply them to each time's angles.
+    plan, noisy mask and gate start times, which `evolve_runs` (and
+    `evolve`, its one-run block) applies to each time's angles.
     """
 
     def __init__(self, ham: SpinHamiltonian, r: int, timing: GateTiming = GateTiming(),
@@ -121,6 +112,8 @@ class TrotterEvolver:
 
     def runs(self, n_runs: int) -> int:
         """Noise runs worth averaging: one when the evolution is deterministic."""
+        if n_runs < 1:
+            raise ValueError("n_runs must be at least 1")
         return n_runs if self.noise is not None else 1
 
     def circuit_for(self, t: float) -> TimedCircuit:
@@ -134,14 +127,12 @@ class TrotterEvolver:
 
     def evolve(self, columns: np.ndarray, run: int, t: float) -> np.ndarray:
         """Columns evolved under noise realization `run` at time t."""
-        circuit = self.circuit_for(t)
-        return self._plan.apply(columns, self._angles(circuit, self._path, t, [run])[:, 0])
+        return self.evolve_runs(columns, t, [run])[0]
 
-    def evolve_runs(self, columns: np.ndarray, t: float, runs: int) -> np.ndarray:
-        """The (2^N, k) columns evolved under runs 0..runs-1: (2^N, runs, k)."""
+    def evolve_runs(self, columns: np.ndarray, t: float, runs) -> np.ndarray:
+        """The (2^N, k) columns evolved under each run in `runs`: (len(runs), 2^N, k)."""
         circuit = self.circuit_for(t)
-        return self._plan.apply(columns[:, None],
-                                self._angles(circuit, self._path, t, range(runs)))
+        return self._plan.apply(columns, self._angles(circuit, self._path, t, runs))
 
     def realized_angles(self, circuit: TimedCircuit, run: int, t: float) -> list[float]:
         """Noisy angle realization for one run; nominal if noiseless.
@@ -182,15 +173,14 @@ def _run_average(ev: TrotterEvolver, times: np.ndarray, n_runs: int, columns: np
 
     Times are the outer loop, so the evolver registers them in grid
     order; per time the run values are added in run order, each reduced
-    on a contiguous copy of its run.
+    on its run's block of the realization-major batch.
     """
     runs = ev.runs(n_runs)
     values = np.empty(times.size)
     for it, t in enumerate(times):
-        batch = ev.evolve_runs(columns, t, runs)
         total = 0.0
-        for run in range(runs):
-            total += reduce(it, np.ascontiguousarray(batch[:, run]))
+        for evolved in ev.evolve_runs(columns, t, range(runs)):
+            total += reduce(it, evolved)
         values[it] = total / runs
     return values
 

@@ -141,12 +141,14 @@ class CompiledCircuit:
     each site's H-conjugated kernels: one dense factor up to 4 sites, else
     A (x) B over the first ceil(n/2) sites and the rest, two BLAS products.
 
-    (gates, B) angles run B realizations on a (2**n, B or 1, k) array,
-    realization b on column b, in chunks of 2**n * B * k <= BATCH_ENTRIES
-    complex entries (or one realization). Phases sum in gate order and a
-    factor is one matmul per realization, so no realization's arithmetic
-    depends on the chunk width. A chunk whose realizations share RY/RZ
-    angles builds all factors at once, any other one layer at a time.
+    (gates, B) angles run B realizations on one shared (2**n, ...) input
+    and return them realization-major, (B,) + input.shape with
+    realization b at index b, each a C-contiguous block. They run in
+    chunks of B * input.size <= BATCH_ENTRIES complex entries (or one
+    realization). Phases sum in gate order and a factor is one matmul per
+    realization, so no realization's arithmetic depends on the chunk
+    width. A chunk whose realizations share RY/RZ angles builds all
+    factors at once, any other one layer at a time.
     """
 
     def __init__(self, circuit):
@@ -182,29 +184,24 @@ class CompiledCircuit:
     def apply(self, array: np.ndarray, angles) -> np.ndarray:
         """Apply the gates with the given angles to the leading 2**n axis.
 
-        1-D angles act on an array of any (2**n, ...) shape. 2-D angles
-        (gates, B) act on a (2**n, B or 1, k) array and return
-        (2**n, B, k), realization b on column b.
+        1-D angles return an array of the input's (2**n, ...) shape; 2-D
+        angles (gates, B) return (B,) + input.shape, realization b at b.
         """
         out = np.asarray(array, dtype=complex)
         theta = np.asarray(angles, dtype=float) / 4.0
         if theta.shape[0] != self.n_gates:
             raise ValueError(f"need {self.n_gates} angles per realization, got {theta.shape[0]}")
-        if theta.ndim == 1:
-            return self._apply_chunk(out.reshape(self.dim, 1, -1),
-                                     theta[:, None]).reshape(out.shape)
-        batch = theta.shape[1]
-        if out.ndim != 3 or out.shape[0] != self.dim or out.shape[1] not in (1, batch):
-            raise ValueError(f"need a (2**n, 1 or {batch}, k) array for {batch} realizations, "
-                             f"got {out.shape}")
-        chunk = max(1, BATCH_ENTRIES // (self.dim * out.shape[2]))
-        return np.concatenate([
-            self._apply_chunk(out if out.shape[1] == 1 else out[:, b:b + chunk],
-                              theta[:, b:b + chunk])
-            for b in range(0, batch, chunk)], axis=1)
+        if out.shape[:1] != (self.dim,):
+            raise ValueError(f"need a (2**n, ...) array with 2**n = {self.dim}, got {out.shape}")
+        columns, batch = out.reshape(self.dim, -1), theta.reshape(self.n_gates, -1)
+        chunk = max(1, BATCH_ENTRIES // max(out.size, 1))
+        chunks = [self._apply_chunk(columns, batch[:, b:b + chunk])
+                  for b in range(0, batch.shape[1], chunk)]
+        x = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        return x.reshape(theta.shape[1:] + out.shape)
 
     def _apply_chunk(self, out: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """All layers on a (2**n, B or 1, k) block, with (gates, B) angles / 4."""
+        """All layers on a shared (2**n, k) block, with (gates, B) angles / 4: (B, 2**n, k)."""
         batch = theta.shape[1]
         phases = np.exp(-1j * np.add.reduceat(self._signs * theta[self._phase_gates][..., None],
                                               self._starts, axis=0))[..., None]
@@ -217,14 +214,14 @@ class CompiledCircuit:
         shared = [_kron(matrices[:, :1, lo:hi]) for lo, hi in self._factors] \
             if np.all(matrices == matrices[:, :1]) else None
         # Realization-major: (B, 2**n, k), one contiguous block per realization.
-        x = np.broadcast_to(out.transpose(1, 0, 2), (batch,) + out.shape[::2]).copy()
+        x = np.broadcast_to(out, (batch,) + out.shape).copy()
         for layer in range(len(matrices)):
             for j, (lo, hi) in enumerate(self._factors):
                 factor = _kron(matrices[layer, :, lo:hi]) if shared is None else shared[j][layer]
                 x = (factor[:, None] @ x.reshape(batch, 2**lo, 2**(hi - lo), -1)).reshape(x.shape)
             if layer < len(phases):
                 x *= phases[layer]
-        return x.transpose(1, 0, 2)
+        return x
 
 
 def _kron(matrices: np.ndarray) -> np.ndarray:

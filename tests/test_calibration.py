@@ -102,6 +102,19 @@ def test_csv_without_rows_is_rejected(tmp_path):
         CalibrationCurve.from_csv(path)
 
 
+@pytest.mark.parametrize("rows,message", [
+    (["0.5,0.0,1.0,10", "0.5,0.0,0.9,10", "0.5,1.0,0.8,10"], "two rows for one"),
+    (["0.5,0.0,1.0,10", "0.5,1.0,0.8,20"], "mixes shot counts"),
+    (["nan,0.0,1.0,10", "nan,1.0,0.8,10"], "non-finite phi_in"),
+], ids=["duplicate-point", "mixed-shots", "nan-phi"])
+def test_csv_with_an_inconsistent_row_is_rejected(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["phi_in,tau_ms,p_return,shots"] + rows) + "\n")
+    with pytest.raises(ValueError, match=message) as info:
+        CalibrationCurve.from_csv(path)
+    assert str(path) in str(info.value)
+
+
 def test_csv_bytes_match_the_row_by_row_writer(tmp_path):
     curve = simulate_calibration(np.linspace(0.5, 2 * np.pi, 8), np.linspace(0.0, 60.0, 13),
                                  c2_true=0.02, shots=1000, seed=4)

@@ -16,8 +16,8 @@ from ioncodesign.spectroscopy import (
     fidelity_trace,
     hellinger,
     lorentzian_pair_spectra,
+    _magnetization,
     noisy_response,
-    positive_magnetization_states,
     spectrum,
 )
 from ioncodesign.spinsim import CompiledCircuit, sz_tot_diagonal
@@ -38,9 +38,15 @@ def four_spin(seed=42, n=4):
 
 
 def test_positive_magnetization_states():
-    states = positive_magnetization_states(2)
-    assert states == [(3, 1.0)]
-    assert len(positive_magnetization_states(4)) == 5
+    # S(t) starts from the basis states with m > 0, one column each, in basis order.
+    columns, _ = _magnetization(2)
+    assert columns.tolist() == [[0], [0], [0], [1]]
+    columns, _ = _magnetization(4)
+    assert columns.shape == (16, 5)
+    assert np.array_equal(np.abs(columns).sum(axis=0), np.ones(5))
+    states = np.flatnonzero(np.abs(columns).sum(axis=1))
+    assert states.tolist() == [7, 11, 13, 14, 15]
+    assert np.all(sz_tot_diagonal(4)[states] > 0)
 
 
 def test_single_spin_response_is_cosine():
@@ -174,12 +180,12 @@ def test_spectrum_input_validation():
 
 def _magnetization_reduce(n):
     """The m > 0 basis columns, and the S(t) reduce of their evolved copies."""
-    states = positive_magnetization_states(n)
+    diag = sz_tot_diagonal(n)
+    states = [(idx, float(m)) for idx, m in enumerate(diag) if m > 0]
     columns = np.zeros((2**n, len(states)), dtype=complex)
     for k, (idx, _) in enumerate(states):
         columns[idx, k] = 1.0
     weights = np.array([m for _, m in states]) / 2**n
-    diag = sz_tot_diagonal(n)
 
     def magnetization(it, evolved):
         return 2.0 * float(weights @ np.real(np.einsum("d,dk->k", diag, np.abs(evolved) ** 2)))
@@ -242,13 +248,38 @@ def test_batched_evolution_uses_the_per_run_realizations():
     batch = TrotterEvolver(ham, 2, noise=noise)
     single = TrotterEvolver(ham, 2, noise=noise)
     eye = np.eye(16, dtype=complex)
-    out = batch.evolve_runs(eye, 1.0, 3)
+    out = batch.evolve_runs(eye, 1.0, range(3))
     compiled = CompiledCircuit(single.circuit_for(1.0))
     for run in range(3):
         angles = single.realized_angles(single.circuit_for(1.0), run, 1.0)
         assert isinstance(angles, list)
-        assert np.array_equal(out[:, run], compiled.apply(eye, angles))
-        assert np.array_equal(out[:, run], single.evolve(eye, run, 1.0))
+        assert np.array_equal(out[run], compiled.apply(eye, angles))
+        assert np.array_equal(out[run], single.evolve(eye, run, 1.0))
+
+
+@pytest.mark.parametrize("c2,n_columns", [(0.3, 16), (0.3, 5), (0.0, 16)])
+def test_evolve_runs_blocks_are_contiguous_and_equal_evolve(c2, n_columns):
+    ham = four_spin()
+    ev = TrotterEvolver(ham, 3, noise=NoiseParams(c2=c2, seed=2))
+    columns = np.eye(16, dtype=complex)[:, 16 - n_columns:]
+    runs = [4, 0, 2]
+    out = ev.evolve_runs(columns, 0.8, runs)
+    assert out.shape == (3, 16, n_columns)
+    for block, run in zip(out, runs):
+        assert block.flags.c_contiguous
+        assert np.array_equal(block, ev.evolve(columns, run, 0.8))
+
+
+@pytest.mark.parametrize("c2", [0.05, 0.0])
+@pytest.mark.parametrize("n_runs", [0, -1])
+def test_fewer_than_one_run_is_rejected(c2, n_runs):
+    ham, times, noise = four_spin(), np.linspace(0.0, 1.0, 3), NoiseParams(c2=c2, seed=1)
+    with pytest.raises(ValueError, match="n_runs must be at least 1"):
+        noisy_response(ham, times, 2, noise, n_runs=n_runs)
+    with pytest.raises(ValueError, match="n_runs must be at least 1"):
+        fidelity_trace(ham, times, 2, noise=noise, n_runs=n_runs)
+    with pytest.raises(ValueError, match="n_runs must be at least 1"):
+        TrotterEvolver(ham, 2, noise=noise).runs(n_runs)
 
 
 def _fresh_circuit(ham, t, r, noise, feedforward, table):
@@ -272,11 +303,11 @@ def _fresh_average(ham, times, r, noise, feedforward, runs, columns, reduce):
     values = np.empty(times.size)
     for it, t in enumerate(times):
         circuit = _fresh_circuit(ham, t, r, noise, feedforward, table)
-        batch = CompiledCircuit(circuit).apply(columns[:, None],
+        batch = CompiledCircuit(circuit).apply(columns,
                                                _fresh_angles(circuit, noise, range(runs), it))
         total = 0.0
         for run in range(runs):
-            total += reduce(it, np.ascontiguousarray(batch[:, run]))
+            total += reduce(it, batch[run])
         values[it] = total / runs
     return values
 
@@ -358,7 +389,7 @@ def test_each_evolver_compiles_one_plan(monkeypatch):
     for t in times:
         for run in range(3):
             ev.evolve(np.eye(16, dtype=complex), run, t)
-        ev.evolve_runs(np.eye(16, dtype=complex), t, 3)
+        ev.evolve_runs(np.eye(16, dtype=complex), t, range(3))
     assert len(built) == 3
 
 

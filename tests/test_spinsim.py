@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ioncodesign import default_instance
 from ioncodesign.spinsim import (
     BATCH_ENTRIES,
     CompiledCircuit,
@@ -192,16 +193,16 @@ def test_compiled_circuit_matches_gate_matrix_product(circuit):
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
-def _batch_inputs(n, batch, width, seed=0, broadcast=False, jitter="all"):
-    """A random r = 2 circuit and (gates, batch) angles that vary on every gate, or on the
-    XX gates only ("xx"), as noise and feedforward leave them."""
+def _batch_inputs(n, batch, width, seed=0, jitter="all"):
+    """A random r = 2 circuit, (2**n, width) columns and (gates, batch) angles that vary on
+    every gate, or on the XX gates only ("xx"), as noise and feedforward leave them."""
     circuit = build_trotter_circuit(random_instance(n, seed=seed), 0.7, 2)
     rng = np.random.default_rng(seed)
     nominal = np.array([g.spec.angle for g in circuit.gates])
     varies = np.array([jitter == "all" or g.spec.kind == "XX" for g in circuit.gates])
     angles = nominal[:, None] * np.where(varies[:, None],
                                          rng.uniform(0.5, 1.0, (nominal.size, batch)), 1.0)
-    shape = (2**n, 1 if broadcast else batch, width)
+    shape = (2**n, width)
     array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return CompiledCircuit(circuit), array, angles
 
@@ -221,22 +222,24 @@ def _batch_inputs(n, batch, width, seed=0, broadcast=False, jitter="all"):
     pytest.param(6, 8, 20, "all", id="6-8-20"),
     pytest.param(7, 8, 10, "all", id="7-8-10"),
 ])
-@pytest.mark.parametrize("broadcast", [False, True])
-def test_batched_apply_equals_separate_runs_bitwise(n, width, batch, jitter, broadcast):
-    compiled, array, angles = _batch_inputs(n, batch, width, seed=n + batch,
-                                            broadcast=broadcast, jitter=jitter)
+@pytest.mark.parametrize("unit_axis", [False, True])
+def test_batched_apply_equals_separate_runs_bitwise(n, width, batch, jitter, unit_axis):
+    # All realizations share one input, (2**n, width) or with a unit axis (2**n, 1, width);
+    # the result is realization-major, (batch,) + input.shape.
+    compiled, array, angles = _batch_inputs(n, batch, width, seed=n + batch, jitter=jitter)
+    array = array[:, None] if unit_axis else array
     out = compiled.apply(array, angles)
-    assert out.shape == (2**n, batch, width)
+    assert out.shape == (batch,) + array.shape
     for b in range(batch):
-        column = array[:, 0 if broadcast else b]
-        assert np.array_equal(out[:, b], compiled.apply(column, angles[:, b]))
+        assert out[b].flags.c_contiguous
+        assert np.array_equal(out[b], compiled.apply(array, angles[:, b]))
 
 
 @pytest.mark.parametrize("n,width,batch,chunks", [(4, 16, 10, [10]), (4, 16, 70, [32, 32, 6]),
                                                   (7, 64, 2, [1, 1]), (7, 128, 3, [1, 1, 1])])
 def test_batched_apply_chunks_stay_within_the_working_set(n, width, batch, chunks,
                                                           monkeypatch):
-    compiled, array, angles = _batch_inputs(n, batch, width, broadcast=True)
+    compiled, array, angles = _batch_inputs(n, batch, width)
     seen = []
     original = CompiledCircuit._apply_chunk
 
@@ -251,11 +254,26 @@ def test_batched_apply_chunks_stay_within_the_working_set(n, width, batch, chunk
 
 
 def test_batched_apply_rejects_mismatched_batch():
+    # One input serves every realization: a per-realization stack, in the (B, 2**n, k)
+    # layout apply returns, or angles for another gate count are rejected.
     compiled, array, angles = _batch_inputs(3, 4, 2)
     with pytest.raises(ValueError):
-        compiled.apply(array[:, :3], angles)
+        compiled.apply(np.stack([array] * 4), angles)
     with pytest.raises(ValueError):
-        compiled.apply(array[:, 0], angles)
+        compiled.apply(array, angles[:-1])
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_apply_rejects_a_leading_axis_other_than_2_to_the_n(batch):
+    # The bundled 4-spin instance: an (8, 2) array has a multiple of 16 entries, but its
+    # leading axis is not 2**4, for 1-D angles and for (gates, batch) angles alike.
+    circuit = build_trotter_circuit(default_instance(), 0.5, 1)
+    compiled = CompiledCircuit(circuit)
+    nominal = np.array([g.spec.angle for g in circuit.gates])
+    angles = nominal if batch is None else np.repeat(nominal[:, None], batch, axis=1)
+    for shape in [(8, 2), (32,), (2, 16), (8, 1, 2)]:
+        with pytest.raises(ValueError, match=r"2\*\*n = 16"):
+            compiled.apply(np.ones(shape, dtype=complex), angles)
 
 
 @pytest.mark.parametrize("n,batch", [(6, 128), (4, 512)])
@@ -267,7 +285,7 @@ def test_per_realization_site_angles_build_factors_one_layer_at_a_time(n, batch)
     rng = np.random.default_rng(0)
     nominal = np.array([g.spec.angle for g in circuit.gates])
     angles = nominal[:, None] * rng.uniform(0.5, 1.0, (nominal.size, batch))
-    array = rng.standard_normal((2**n, 1, 1)) + 0j
+    array = rng.standard_normal((2**n, 1)) + 0j
     compiled = CompiledCircuit(circuit)
     tracemalloc.start()
     try:
@@ -275,6 +293,6 @@ def test_per_realization_site_angles_build_factors_one_layer_at_a_time(n, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shape == (2**n, batch, 1)
+    assert out.shape == (batch, 2**n, 1)
     assert peak <= 40 * 2**20
-    assert np.array_equal(out[:, 5], compiled.apply(array[:, 0], angles[:, 5]))
+    assert np.array_equal(out[5], compiled.apply(array, angles[:, 5]))
