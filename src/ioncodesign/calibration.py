@@ -101,13 +101,13 @@ def minimize_scalar(fun, **options):
     return minimize(fun, **options)
 
 
-def _scan_refine(loss, x_max: float) -> tuple[float, float]:
-    """(x, loss(x)) at the minimum of loss on [0, x_max].
+def _scan_refine(loss) -> tuple[float, float]:
+    """(x, loss(x)) at the minimum of loss on [0, 10].
 
     A scan over 0 and a log-spaced grid brackets the minimum, then a
     bounded scalar minimization refines it; the scan point wins a tie.
     """
-    grid = np.concatenate(([0.0], np.geomspace(1e-6, x_max, 60)))
+    grid = np.concatenate(([0.0], np.geomspace(1e-6, 10.0, 60)))
     losses = np.array([loss(x) for x in grid])
     k = int(np.argmin(losses))
     lo = grid[max(k - 1, 0)]
@@ -118,7 +118,7 @@ def _scan_refine(loss, x_max: float) -> tuple[float, float]:
     return float(grid[k]), float(losses[k])
 
 
-def fit_c2(curve: CalibrationCurve, c2_max: float = 10.0) -> dict:
+def fit_c2(curve: CalibrationCurve) -> dict:
     """Least-squares heating-rate estimate pooling all grid points.
 
     Returns {"c2_hat", "residual"}.
@@ -127,7 +127,7 @@ def fit_c2(curve: CalibrationCurve, c2_max: float = 10.0) -> dict:
         raise ValueError("need at least 2 distinct tau values")
     if np.all(curve.phi_in == 0):
         raise ValueError("all phi_in are zero; c2 is unidentifiable")
-    c2_hat, residual = _scan_refine(lambda c2: _model_residual(curve, c2), c2_max)
+    c2_hat, residual = _scan_refine(lambda c2: _model_residual(curve, c2))
     return {"c2_hat": c2_hat, "residual": residual}
 
 
@@ -145,7 +145,7 @@ def _phase_damping_residual(curve: CalibrationCurve, gamma: float) -> float:
     return float(np.sum((y - 0.5 * c[:, None] * decay[None, :]) ** 2))
 
 
-def fit_phase_damping(curve: CalibrationCurve, gamma_max: float = 10.0) -> dict:
+def fit_phase_damping(curve: CalibrationCurve) -> dict:
     """Reference fit of the phase-damping model, for model discrimination."""
-    gamma_hat, residual = _scan_refine(lambda g: _phase_damping_residual(curve, g), gamma_max)
+    gamma_hat, residual = _scan_refine(lambda g: _phase_damping_residual(curve, g))
     return {"gamma_hat": gamma_hat, "residual": residual}

@@ -290,7 +290,6 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
     res = table.lookup(np.array([g.spec.angle for g in noisy], dtype=float),
                        c2 * np.array([g.start_time for g in noisy], dtype=float))
     angles = iter(res["phi_in_star"].tolist())
-    gates = tuple(TimedGate(spec=GateSpec(g.spec.kind, g.spec.sites, next(angles)),
-                            start_time=g.start_time, noisy=True) if g.noisy else g
-                  for g in circuit.gates)
-    return TimedCircuit(circuit.n_qubits, gates, circuit.total_duration)
+    gates = tuple(TimedGate(GateSpec(g.spec.kind, g.spec.sites, next(angles)), g.start_time)
+                  if g.noisy else g for g in circuit.gates)
+    return TimedCircuit(circuit.n_qubits, gates)

@@ -28,8 +28,8 @@ class NoiseParams:
     correlated: bool = True
 
     def __post_init__(self):
-        if self.c2 < 0:
-            raise ValueError("c2 must be non-negative")
+        if not 0 <= self.c2 < np.inf:
+            raise ValueError("c2 must be non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -201,8 +201,8 @@ def noisy_response(ham: SpinHamiltonian, times, r: int, noise: NoiseParams | Non
 def spectrum(series: ResponseSeries, gamma: float, omega_grid) -> Spectrum:
     """Damped Fourier transform with trapezoidal weights, then a clipped
     and normalized copy suitable for Hellinger comparisons."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     omega_grid = np.asarray(omega_grid, dtype=float)
     t = series.times
     weights = np.full(t.size, 1.0)

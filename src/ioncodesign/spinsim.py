@@ -143,12 +143,13 @@ class CompiledCircuit:
 
     (gates, B) angles run B realizations on one shared (2**n, ...) input
     and return them realization-major, (B,) + input.shape with
-    realization b at index b, each a C-contiguous block. They run in
-    chunks of B * input.size <= BATCH_ENTRIES complex entries (or one
+    realization b at index b, each a C-contiguous block. Only XX gates
+    are noisy (`TimedGate.noisy`), so realizations differ only in their
+    XX/RX angles: the RY/RZ site layers are shared by all of them, and
+    `apply` builds their factors once. The phase layers are formed per
+    chunk of B * input.size <= BATCH_ENTRIES complex entries (or one
     realization). Phases sum in gate order and a factor is one matmul per
-    realization, so no realization's arithmetic depends on the chunk
-    width. A chunk whose realizations share RY/RZ angles builds all
-    factors at once, any other one layer at a time.
+    realization, so no realization's arithmetic depends on the chunk width.
     """
 
     def __init__(self, circuit):
@@ -174,7 +175,7 @@ class CompiledCircuit:
         self._signs = (1.0 - 2.0 * (np.bitwise_count(index & masks[:, None]) & 1))[:, None]
         self._starts = np.array(starts, dtype=int)
         self._generators = np.array([_FRAME_GENERATORS.get(gate.spec.kind, np.zeros((2, 2)))
-                                     for gate in circuit.gates]).reshape(-1, 1, 2, 2)
+                                     for gate in circuit.gates]).reshape(-1, 2, 2)
         depth = max(len(rows) for rows in slots)
         self._kernel_rows = np.array([rows + [self.n_gates] * (depth - len(rows))
                                       for rows in slots]).T
@@ -186,39 +187,41 @@ class CompiledCircuit:
 
         1-D angles return an array of the input's (2**n, ...) shape; 2-D
         angles (gates, B) return (B,) + input.shape, realization b at b.
+        Every realization must have the same RY/RZ angles.
         """
         out = np.asarray(array, dtype=complex)
         theta = np.asarray(angles, dtype=float) / 4.0
-        if theta.shape[0] != self.n_gates:
-            raise ValueError(f"need {self.n_gates} angles per realization, got {theta.shape[0]}")
+        if theta.ndim not in (1, 2) or theta.shape[0] != self.n_gates:
+            raise ValueError(f"need {self.n_gates} angles per realization, got {theta.shape}")
         if out.shape[:1] != (self.dim,):
             raise ValueError(f"need a (2**n, ...) array with 2**n = {self.dim}, got {out.shape}")
         columns, batch = out.reshape(self.dim, -1), theta.reshape(self.n_gates, -1)
+        site = batch[self._generators.any(axis=(1, 2))]  # the RY/RZ rows
+        if np.any(site[:, 1:] != site[:, :1]):
+            raise ValueError("RY/RZ angles must be the same in every realization")
+        # Per site layer, its one or two Kronecker factors: (site layers, 2**k, 2**k) each.
+        t = batch[:, 0, None, None]
+        kernels = np.concatenate([np.cos(t) * _EYE_AND_H[0] + np.sin(t) * self._generators,
+                                  _EYE_AND_H])
+        matrices = functools.reduce(lambda m, f: f @ m, kernels[self._kernel_rows]).reshape(
+            -1, self.n_qubits, 2, 2)
+        factors = [_kron(matrices[:, lo:hi]) for lo, hi in self._factors]
         chunk = max(1, BATCH_ENTRIES // max(out.size, 1))
-        chunks = [self._apply_chunk(columns, batch[:, b:b + chunk])
+        chunks = [self._apply_chunk(columns, batch[:, b:b + chunk], factors)
                   for b in range(0, batch.shape[1], chunk)]
         x = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         return x.reshape(theta.shape[1:] + out.shape)
 
-    def _apply_chunk(self, out: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def _apply_chunk(self, out: np.ndarray, theta: np.ndarray, factors) -> np.ndarray:
         """All layers on a shared (2**n, k) block, with (gates, B) angles / 4: (B, 2**n, k)."""
         batch = theta.shape[1]
         phases = np.exp(-1j * np.add.reduceat(self._signs * theta[self._phase_gates][..., None],
                                               self._starts, axis=0))[..., None]
-        t = theta[..., None, None]
-        kernels = np.concatenate([np.cos(t) * _EYE_AND_H[0] + np.sin(t) * self._generators,
-                                  np.broadcast_to(_EYE_AND_H[:, None], (2, batch, 2, 2))])
-        # (site layers, B, sites, 2, 2); when all B share them, every layer's factors at once.
-        matrices = functools.reduce(lambda m, f: f @ m, kernels[self._kernel_rows]).reshape(
-            -1, self.n_qubits, batch, 2, 2).swapaxes(1, 2)
-        shared = [_kron(matrices[:, :1, lo:hi]) for lo, hi in self._factors] \
-            if np.all(matrices == matrices[:, :1]) else None
         # Realization-major: (B, 2**n, k), one contiguous block per realization.
         x = np.broadcast_to(out, (batch,) + out.shape).copy()
-        for layer in range(len(matrices)):
-            for j, (lo, hi) in enumerate(self._factors):
-                factor = _kron(matrices[layer, :, lo:hi]) if shared is None else shared[j][layer]
-                x = (factor[:, None] @ x.reshape(batch, 2**lo, 2**(hi - lo), -1)).reshape(x.shape)
+        for layer, layer_factors in enumerate(zip(*factors)):
+            for factor, (lo, hi) in zip(layer_factors, self._factors):
+                x = (factor @ x.reshape(batch, 2**lo, 2**(hi - lo), -1)).reshape(x.shape)
             if layer < len(phases):
                 x *= phases[layer]
         return x

@@ -7,7 +7,8 @@ transverse field. Note the fixed conjugation rotations must be +-pi
 under the convention R^a(phi) = exp(-i S^a phi / 2) for the axis change
 x -> y (or x -> z) to come out right.
 
-Gates are scheduled serially: gate m starts at tau_0 + m * t_g.
+Gates are scheduled serially: gate m starts at m * t_g. Only the XX
+gates are noisy: heating of the ions' shared motion damps only them.
 """
 
 from __future__ import annotations
@@ -25,25 +26,27 @@ class GateTiming:
     """Serial gate schedule: every gate occupies its own t_g slot."""
 
     t_g: float = 0.01  # ms per gate
-    tau_0: float = 0.0  # experiment time when the first gate starts, ms
 
     def __post_init__(self):
-        if self.t_g <= 0:
-            raise ValueError("t_g must be positive")
+        if not 0 < self.t_g < np.inf:
+            raise ValueError("t_g must be positive and finite")
 
 
 @dataclass(frozen=True)
 class TimedGate:
     spec: GateSpec
     start_time: float  # ms
-    noisy: bool
+
+    @property
+    def noisy(self) -> bool:
+        """Whether heating damps the angle: true of the XX gates only."""
+        return self.spec.kind == "XX"
 
 
 @dataclass
 class TimedCircuit:
     n_qubits: int
     gates: tuple[TimedGate, ...]
-    total_duration: float
 
     def gate_times(self) -> np.ndarray:
         return np.array([g.start_time for g in self.gates])
@@ -75,10 +78,9 @@ def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
         raise ValueError("r must be at least 1")
     if t < 0:
         raise ValueError("t must be non-negative")
-    gates = tuple(TimedGate(spec, timing.tau_0 + m * timing.t_g, spec.kind == "XX")
-                  for m, spec in enumerate(trotter_step_layers(ham, t / r) * r))
-    duration = (gates[-1].start_time + timing.t_g) if gates else timing.tau_0
-    return TimedCircuit(ham.n_spins, gates, duration)
+    specs = trotter_step_layers(ham, t / r) * r
+    return TimedCircuit(ham.n_spins, tuple(TimedGate(spec, m * timing.t_g)
+                                           for m, spec in enumerate(specs)))
 
 
 def trotter_error(ham: SpinHamiltonian, t: float, r: int,

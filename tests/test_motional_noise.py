@@ -333,6 +333,13 @@ def test_markovian_noise_to_signal():
         markovian_noise_to_signal(0, lam)
 
 
+@pytest.mark.parametrize("c2", [math.nan, math.inf])
+def test_non_finite_heating_rate_is_rejected(c2):
+    # A NaN rate used to read as no noise, so the evolver ran noiseless.
+    with pytest.raises(ValueError, match="c2 must be non-negative and finite"):
+        NoiseParams(c2=c2)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         NoiseParams(c2=-0.1)

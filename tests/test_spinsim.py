@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ioncodesign import default_instance
+from ioncodesign import default_instance, spinsim
 from ioncodesign.spinsim import (
     BATCH_ENTRIES,
     CompiledCircuit,
@@ -131,9 +131,18 @@ def test_realized_angles_wrong_length():
         CompiledCircuit(circuit).apply(np.eye(4), np.zeros((len(circuit.gates) + 1, 2)))
 
 
+def test_angles_other_than_1d_or_2d_are_rejected():
+    circuit = build_trotter_circuit(default_instance(), 0.5, 1)
+    nominal = np.array([g.spec.angle for g in circuit.gates])
+    with pytest.raises(ValueError, match="angles per realization"):
+        circuit_unitary(circuit, 0.5)
+    with pytest.raises(ValueError, match="angles per realization"):
+        circuit_unitary(circuit, np.broadcast_to(nominal[:, None, None], (nominal.size, 2, 3)))
+
+
 @pytest.mark.parametrize("kind,sites", [("XX", (0, 2)), ("RX", (2,)), ("RY", (3,))])
 def test_compiled_circuit_rejects_sites_outside_the_register(kind, sites):
-    circuit = TimedCircuit(2, (TimedGate(GateSpec(kind, sites, 0.3), 0.0, False),), 0.0)
+    circuit = TimedCircuit(2, (TimedGate(GateSpec(kind, sites, 0.3), 0.0),))
     with pytest.raises(ValueError):
         CompiledCircuit(circuit)
 
@@ -174,8 +183,8 @@ def random_circuits(draw):
             sites = tuple(draw(st.lists(site, min_size=2, max_size=2, unique=True)))
         else:
             sites = (draw(site),)
-        gates.append(TimedGate(GateSpec(kind, sites, draw(angle)), 0.0, False))
-    return TimedCircuit(n, tuple(gates), 0.0)
+        gates.append(TimedGate(GateSpec(kind, sites, draw(angle)), 0.0))
+    return TimedCircuit(n, tuple(gates))
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,40 +202,41 @@ def test_compiled_circuit_matches_gate_matrix_product(circuit):
     assert np.max(np.abs(out - ref)) < 1e-12
 
 
-def _batch_inputs(n, batch, width, seed=0, jitter="all"):
+def _batch_inputs(n, batch, width, seed=0):
     """A random r = 2 circuit, (2**n, width) columns and (gates, batch) angles that vary on
-    every gate, or on the XX gates only ("xx"), as noise and feedforward leave them."""
+    the XX gates only, as noise and feedforward leave them."""
     circuit = build_trotter_circuit(random_instance(n, seed=seed), 0.7, 2)
     rng = np.random.default_rng(seed)
     nominal = np.array([g.spec.angle for g in circuit.gates])
-    varies = np.array([jitter == "all" or g.spec.kind == "XX" for g in circuit.gates])
-    angles = nominal[:, None] * np.where(varies[:, None],
+    noisy = np.array([g.noisy for g in circuit.gates])
+    angles = nominal[:, None] * np.where(noisy[:, None],
                                          rng.uniform(0.5, 1.0, (nominal.size, batch)), 1.0)
     shape = (2**n, width)
     array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return CompiledCircuit(circuit), array, angles
 
 
-@pytest.mark.parametrize("n,width,batch,jitter", [
-    pytest.param(4, 16, 5, "all", id="4-16-5"),  # below the chunk of 2**13 // (16 * 16) = 32
-    pytest.param(4, 16, 32, "all", id="4-16-32"),  # exactly one chunk
-    pytest.param(4, 16, 70, "all", id="4-16-70"),  # three chunks, the last one partial
-    pytest.param(4, 5, 103, "all", id="4-5-103"),  # wide chunk (102) for the S(t) column count
-    pytest.param(7, 128, 3, "all", id="7-128-3"),  # one realization per chunk
-    # Shared RY/RZ angles: factors built once per chunk, one and two of them.
-    pytest.param(4, 16, 70, "xx", id="4-16-70-xx"),
-    pytest.param(6, 64, 3, "xx", id="6-64-3-xx"),
-    pytest.param(7, 16, 5, "xx", id="7-16-5-xx"),
-    # Per-realization factors past the one-factor registers: uneven and even halves.
-    pytest.param(5, 32, 9, "all", id="5-32-9"),
-    pytest.param(6, 8, 20, "all", id="6-8-20"),
-    pytest.param(7, 8, 10, "all", id="7-8-10"),
+@pytest.mark.parametrize("n,width,batch,seed", [
+    pytest.param(4, 16, 5, 9, id="4-16-5"),  # below the chunk of 2**13 // (16 * 16) = 32
+    pytest.param(4, 16, 32, 36, id="4-16-32"),  # exactly one chunk
+    pytest.param(4, 16, 70, 74, id="4-16-70"),  # three chunks, the last one partial
+    pytest.param(4, 5, 103, 107, id="4-5-103"),  # wide chunk (102) for the S(t) column count
+    pytest.param(7, 128, 3, 10, id="7-128-3"),  # one realization per chunk
+    # 4-16-70 on another draw; two factors on chunks of 2 + 1 and of 4 + 1 realizations.
+    pytest.param(4, 16, 70, 1, id="4-16-70-xx"),
+    pytest.param(6, 64, 3, 9, id="6-64-3-xx"),
+    pytest.param(7, 16, 5, 12, id="7-16-5-xx"),
+    # Two factors past the one-factor registers, several realizations per chunk:
+    # uneven and even halves.
+    pytest.param(5, 32, 9, 14, id="5-32-9"),
+    pytest.param(6, 8, 20, 26, id="6-8-20"),
+    pytest.param(7, 8, 10, 17, id="7-8-10"),
 ])
 @pytest.mark.parametrize("unit_axis", [False, True])
-def test_batched_apply_equals_separate_runs_bitwise(n, width, batch, jitter, unit_axis):
+def test_batched_apply_equals_separate_runs_bitwise(n, width, batch, seed, unit_axis):
     # All realizations share one input, (2**n, width) or with a unit axis (2**n, 1, width);
     # the result is realization-major, (batch,) + input.shape.
-    compiled, array, angles = _batch_inputs(n, batch, width, seed=n + batch, jitter=jitter)
+    compiled, array, angles = _batch_inputs(n, batch, width, seed=seed)
     array = array[:, None] if unit_axis else array
     out = compiled.apply(array, angles)
     assert out.shape == (batch,) + array.shape
@@ -243,9 +253,9 @@ def test_batched_apply_chunks_stay_within_the_working_set(n, width, batch, chunk
     seen = []
     original = CompiledCircuit._apply_chunk
 
-    def record(self, out, theta):
+    def record(self, out, theta, factors):
         seen.append(theta.shape[1])
-        return original(self, out, theta)
+        return original(self, out, theta, factors)
 
     monkeypatch.setattr(CompiledCircuit, "_apply_chunk", record)
     compiled.apply(array, angles)
@@ -276,15 +286,33 @@ def test_apply_rejects_a_leading_axis_other_than_2_to_the_n(batch):
             compiled.apply(np.ones(shape, dtype=complex), angles)
 
 
+def test_site_factors_are_built_once_per_apply(monkeypatch):
+    # Seven spins, 128 columns: one realization per chunk, so three chunks, and two factors.
+    compiled, array, angles = _batch_inputs(7, 3, 128)
+    calls = []
+    original = spinsim._kron
+
+    def counting(matrices):
+        calls.append(matrices.shape)
+        return original(matrices)
+
+    monkeypatch.setattr(spinsim, "_kron", counting)
+    compiled.apply(array, angles)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("n,batch", [(6, 128), (4, 512)])
 def test_per_realization_site_angles_build_factors_one_layer_at_a_time(n, batch):
-    # One column under many realizations of an r = 6 circuit whose RY/RZ
-    # angles vary per realization, all in one chunk. Built for all 19 site
-    # layers at once, the 4-spin dense factors alone would take 38 MiB.
+    # One column under many realizations of an r = 6 circuit, all in one chunk. Their XX
+    # angles vary, so every phase layer is per realization; the RY/RZ factors are shared.
+    # Built per realization for all 19 site layers, the 4-spin dense factors alone would
+    # take 38 MiB. Realizations whose RY/RZ angles differ are rejected.
     circuit = build_trotter_circuit(random_instance(n), 0.7, 6)
     rng = np.random.default_rng(0)
     nominal = np.array([g.spec.angle for g in circuit.gates])
-    angles = nominal[:, None] * rng.uniform(0.5, 1.0, (nominal.size, batch))
+    jitter = rng.uniform(0.5, 1.0, (nominal.size, batch))
+    noisy = np.array([g.noisy for g in circuit.gates])[:, None]
+    angles = nominal[:, None] * np.where(noisy, jitter, 1.0)
     array = rng.standard_normal((2**n, 1)) + 0j
     compiled = CompiledCircuit(circuit)
     tracemalloc.start()
@@ -296,3 +324,5 @@ def test_per_realization_site_angles_build_factors_one_layer_at_a_time(n, batch)
     assert out.shape == (batch, 2**n, 1)
     assert peak <= 40 * 2**20
     assert np.array_equal(out[5], compiled.apply(array, angles[:, 5]))
+    with pytest.raises(ValueError, match="RY/RZ"):
+        compiled.apply(array, nominal[:, None] * jitter)
