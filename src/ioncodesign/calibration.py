@@ -9,7 +9,9 @@ heating rate c2.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,11 +96,74 @@ def _model_residual(curve: CalibrationCurve, c2: float) -> float:
     return float(np.sum((curve.p_return - pred) ** 2))
 
 
-def minimize_scalar(fun, **options):
-    """`scipy.optimize.minimize_scalar`, imported on first use: it is most of the import time."""
-    from scipy.optimize import minimize_scalar as minimize
+Minimum = NamedTuple("Minimum", [("x", float), ("fun", float), ("nfev", int)])
 
-    return minimize(fun, **options)
+
+def minimize_scalar(fun, bounds, xatol: float, maxiter: int = 500) -> Minimum:
+    """Minimum of fun on bounds = (a, b) to xatol in x, in at most max(maxiter, 2) calls.
+
+    Brent's bounded minimizer (Algorithms for Minimization without
+    Derivatives, 1973, ch. 5; the `fmin` of Forsythe, Malcolm and Moler,
+    1977): golden-section steps, and parabolic ones where a parabola through
+    the last three points falls inside the bracket. Its float operations are
+    SciPy's `minimize_scalar(method="bounded")` in the same order, so x, fun
+    and nfev equal SciPy's bit for bit; a property test holds it to that.
+    """
+    a, b = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(f"bounds must be finite with lo <= hi, got {bounds}")
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    # xf: the best point so far, nfc: the second best, fulc: the previous nfc
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    ffulc = fnfc = fx = fun(xf)
+    nfev = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+        if parabolic:
+            rat = (p + 0.0) / q
+            if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                rat = tol1 * (1.0 if xm - xf >= 0 else -1.0)
+        else:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = fun(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= maxiter:
+            break
+    return Minimum(xf, fx, nfev)
 
 
 def _scan_refine(loss) -> tuple[float, float]:
@@ -112,7 +177,7 @@ def _scan_refine(loss) -> tuple[float, float]:
     k = int(np.argmin(losses))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
-    res = minimize_scalar(loss, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    res = minimize_scalar(loss, (lo, hi), 1e-10)
     if res.fun < losses[k]:
         return float(res.x), float(res.fun)
     return float(grid[k]), float(losses[k])

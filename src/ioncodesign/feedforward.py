@@ -7,8 +7,9 @@ functions. The optimal input maximizes it; the landscape is multimodal
 laser-power cap), so the search is a dense scan plus local refinement.
 The closed form is written once, in `_noisy_fidelity`, which the
 vectorized fidelity, the dense scan and the float refinement all
-evaluate. The scan's lambda rows live in a dict the caller owns, which
-FeedforwardTable keeps per table.
+evaluate. The refinement is the package's bounded Brent minimizer,
+`calibration.minimize_scalar`, on plain floats. The scan's lambda rows
+live in a dict the caller owns, which FeedforwardTable keeps per table.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import minimize_scalar
 from .motional_noise import hyp1f2, hyp1f2_float, series_lambda
 from .trotter import TimedCircuit, TimedGate
 from .spinsim import GateSpec
@@ -126,11 +128,13 @@ def _refine_objective(phi_p: float, lam: float):
 
     Each call evaluates `_noisy_fidelity` on plain floats with the float
     1F2 series. x is squared as x * x, which is what NumPy's square
-    computes; Python's x**2 can differ in the last bit.
+    computes; Python's x**2 can differ in the last bit. On the noiseless
+    branch the cosine is squared as c ** 2, which is what NumPy's scalar
+    power computes; c * c can differ in the last bit.
     """
     _, noisy, half = series_lambda(lam)
     if not noisy:
-        return lambda x: -avg_gate_fidelity(x, phi_p, lam)
+        return lambda x: -(float(np.cos((float(x) - phi_p) / 4.0)) ** 2)
     half = float(half)
     cp, sp = float(np.cos(phi_p / 2.0)), float(np.sin(phi_p / 2.0))
 
@@ -170,12 +174,8 @@ def optimal_input_angle(query: ControlQuery, rows: dict | None = None) -> dict:
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     if hi > lo:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(_refine_objective(phi_p, lam),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": REFINE_TOL})
-        candidates = [(float(res.x), -float(res.fun))]
+        res = minimize_scalar(_refine_objective(phi_p, lam), (lo, hi), REFINE_TOL)
+        candidates = [(res.x, -res.fun)]
     else:
         candidates = []
     candidates.append((float(grid[best]), float(values[best])))
@@ -280,8 +280,8 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
     c2 times the gate's start time; all noisy gates go through one table
     lookup. Non-noisy gates pass through.
     """
-    if c2 < 0:
-        raise ValueError("c2 must be non-negative")
+    if not 0 <= c2 < math.inf:
+        raise ValueError("c2 must be non-negative and finite")
     if c2 == 0:
         return circuit
     if table is None:

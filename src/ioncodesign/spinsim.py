@@ -186,13 +186,14 @@ class CompiledCircuit:
         """Apply the gates with the given angles to the leading 2**n axis.
 
         1-D angles return an array of the input's (2**n, ...) shape; 2-D
-        angles (gates, B) return (B,) + input.shape, realization b at b.
+        angles (gates, B), B >= 1, return (B,) + input.shape, realization b at b.
         Every realization must have the same RY/RZ angles.
         """
         out = np.asarray(array, dtype=complex)
         theta = np.asarray(angles, dtype=float) / 4.0
-        if theta.ndim not in (1, 2) or theta.shape[0] != self.n_gates:
-            raise ValueError(f"need {self.n_gates} angles per realization, got {theta.shape}")
+        if theta.ndim not in (1, 2) or theta.shape[0] != self.n_gates or 0 in theta.shape[1:]:
+            raise ValueError(f"need {self.n_gates} angles per realization and at least one "
+                             f"realization, got {theta.shape}")
         if out.shape[:1] != (self.dim,):
             raise ValueError(f"need a (2**n, ...) array with 2**n = {self.dim}, got {out.shape}")
         columns, batch = out.reshape(self.dim, -1), theta.reshape(self.n_gates, -1)

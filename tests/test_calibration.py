@@ -1,5 +1,7 @@
 """Unit tests for heating-rate calibration fits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from ioncodesign.calibration import (
     _phase_damping_residual,
     fit_c2,
     fit_phase_damping,
+    minimize_scalar as brent,
     simulate_calibration,
 )
 from ioncodesign.motional_noise import return_probability
@@ -154,6 +157,9 @@ def test_validation_errors():
         fit_c2(zero_phi)
     with pytest.raises(ValueError):
         simulate_calibration(np.array([1.0]), np.array([1.0]), 0.02, shots=0)
+    for bounds in [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)]:
+        with pytest.raises(ValueError, match="bounds"):
+            brent(math.cos, bounds, 1e-6)
 
 
 def _scanned_phase_damping_residual(curve, gamma):
@@ -182,3 +188,27 @@ def test_closed_form_phase_damping_matches_scan(seed):
         closed = _phase_damping_residual(curve, gamma)
         assert closed == pytest.approx(_scanned_phase_damping_residual(curve, gamma),
                                        rel=1e-12, abs=1e-12)
+
+
+OBJECTIVES = {
+    "smooth": lambda c: lambda x: (x - c) ** 2 + math.sin(3.0 * x),
+    "cusp": lambda c: lambda x: abs(x - c) ** 1.5,
+    "step": lambda c: lambda x: float(x > c),
+    "stairs": lambda c: lambda x: float(math.floor(7.0 * (x - c)) ** 2),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(OBJECTIVES)), lo=st.floats(-10.0, 10.0),
+       width=st.floats(1e-8, 20.0), c=st.floats(-12.0, 12.0),
+       xatol=st.floats(-12.0, -3.0).map(lambda e: 10.0**e),
+       maxiter=st.one_of(st.just(500), st.integers(1, 40)))
+def test_minimize_scalar_is_scipy_bounded_bit_for_bit(kind, lo, width, c, xatol, maxiter):
+    # The package's Brent port against SciPy's bounded method, compared with ==.
+    # Written against SciPy 1.17.1, which it matched on every case; the floors CI
+    # job runs it against SciPy 1.13, the oldest release the test extra allows.
+    fun, bounds = OBJECTIVES[kind](c), (lo, lo + width)
+    ours = brent(fun, bounds, xatol, maxiter)
+    theirs = minimize_scalar(fun, bounds=bounds, method="bounded",
+                             options={"xatol": xatol, "maxiter": maxiter})
+    assert (ours.x, ours.fun, ours.nfev) == (theirs.x, theirs.fun, theirs.nfev)

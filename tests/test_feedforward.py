@@ -250,6 +250,14 @@ def test_correct_circuit_zero_noise_is_identity():
         correct_circuit(circuit, -0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c2", [math.nan, math.inf, -1.0])
+def test_correct_circuit_rejects_a_bad_heating_rate(c2):
+    circuit = build_trotter_circuit(default_instance(), 0.5, 1)
+    with pytest.raises(ValueError, match="c2 must be non-negative and finite"):
+        correct_circuit(circuit, c2)
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         ControlQuery(1.0, -0.1)

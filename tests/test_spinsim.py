@@ -138,6 +138,8 @@ def test_angles_other_than_1d_or_2d_are_rejected():
         circuit_unitary(circuit, 0.5)
     with pytest.raises(ValueError, match="angles per realization"):
         circuit_unitary(circuit, np.broadcast_to(nominal[:, None, None], (nominal.size, 2, 3)))
+    with pytest.raises(ValueError, match="at least one realization"):
+        CompiledCircuit(circuit).apply(np.eye(16), np.zeros((nominal.size, 0)))
 
 
 @pytest.mark.parametrize("kind,sites", [("XX", (0, 2)), ("RX", (2,)), ("RY", (3,))])
