@@ -10,6 +10,7 @@ vectorized fidelity, the dense scan and the float refinement all
 evaluate. The refinement is the package's bounded Brent minimizer,
 `calibration.minimize_scalar`, on plain floats. The scan's lambda rows
 live in a dict the caller owns, which FeedforwardTable keeps per table.
+`correct_circuit` works on a circuit's arrays, never its per-gate view.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from .calibration import minimize_scalar
 from .motional_noise import hyp1f2, hyp1f2_float, series_lambda
-from .trotter import TimedCircuit, TimedGate
-from .spinsim import GateSpec
+from .trotter import TimedCircuit
 
 SCAN_STEP = 1e-3  # rad, dense-scan resolution
 REFINE_TOL = 1e-6  # rad, local refinement tolerance
@@ -254,9 +254,13 @@ class FeedforwardTable:
         # corner k of entry n is (i0 + di, j0 + dj), (di, dj) = (0,0), (0,1), (1,0), (1,1)
         ci = i0.astype(np.int64)[:, None] + [0, 0, 1, 1]
         cj = j0.astype(np.int64)[:, None] + [0, 1, 0, 1]
-        keys, inverse = np.unique(np.stack([cj.ravel(), ci.ravel()], axis=1),
-                                  axis=0, return_inverse=True)
-        solved = np.array([self._corner(int(i), int(j))[0] for j, i in keys])
+        # distinct corners in (lambda, phi) order: runs of a stable sort, numbered by cumsum
+        order = np.lexsort((ci.ravel(), cj.ravel()))
+        sj, si = cj.ravel()[order], ci.ravel()[order]
+        first = np.concatenate(([True], (sj[1:] != sj[:-1]) | (si[1:] != si[:-1])))
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        solved = np.array([self._corner(int(i), int(j))[0] for j, i in zip(sj[first], si[first])])
         c = solved[inverse.reshape(ci.shape)]
         interp = ((1 - fx) * (1 - fy) * c[:, 0]
                   + (1 - fx) * fy * c[:, 1]
@@ -278,7 +282,8 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
 
     The desired output angle is the gate's nominal angle and lambda is
     c2 times the gate's start time; all noisy gates go through one table
-    lookup. Non-noisy gates pass through.
+    lookup, written into a copy of the angle array. Non-noisy gates pass
+    through, and the corrected circuit shares the structure of this one.
     """
     if not 0 <= c2 < math.inf:
         raise ValueError("c2 must be non-negative and finite")
@@ -286,10 +291,8 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
         return circuit
     if table is None:
         table = FeedforwardTable()
-    noisy = [g for g in circuit.gates if g.noisy]
-    res = table.lookup(np.array([g.spec.angle for g in noisy], dtype=float),
-                       c2 * np.array([g.start_time for g in noisy], dtype=float))
-    angles = iter(res["phi_in_star"].tolist())
-    gates = tuple(TimedGate(GateSpec(g.spec.kind, g.spec.sites, next(angles)), g.start_time)
-                  if g.noisy else g for g in circuit.gates)
-    return TimedCircuit(circuit.n_qubits, gates)
+    noisy = circuit.noisy
+    angles = circuit.angles.copy()
+    angles[noisy] = table.lookup(angles[noisy], c2 * circuit.start_times[noisy])["phi_in_star"]
+    return TimedCircuit.from_arrays(circuit.n_qubits, circuit.kinds, circuit.sites, angles,
+                                    circuit.start_times, noisy)

@@ -184,9 +184,11 @@ def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
     converged, neither have all entries, so the full test is skipped and
     the series stops at the same term as a full test on every term would.
     The witness starts at the largest |z| and moves, after each failed
-    full test, to the entry furthest from converging.
+    full test, to the entry furthest from converging. 0-d parameters are
+    summed as floats, the same IEEE operations without the 0-d ufunc calls.
     """
     shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
+    a, b1, b2 = (float(v) if v.ndim == 0 else v for v in (a, b1, b2))
     term = np.ones(shape)
     total = np.ones(shape)
     if not term.size:

@@ -92,8 +92,8 @@ class TrotterEvolver:
     Every circuit of one evolver has the same gates, sites, start times
     and noise mask; only the angles change with t. The first circuit
     `circuit_for` makes therefore fixes the evolver's `CompiledCircuit`
-    plan, noisy mask and gate start times, which `evolve_runs` (and
-    `evolve`, its one-run block) applies to each time's angles.
+    plan, which `evolve_runs` (and `evolve`, its one-run block) applies
+    to each time's angle array, drawn from the circuit's own arrays.
     """
 
     def __init__(self, ham: SpinHamiltonian, r: int, timing: GateTiming = GateTiming(),
@@ -108,7 +108,7 @@ class TrotterEvolver:
         self.feedforward = feedforward
         self.table = table if table is not None else FeedforwardTable()
         self._time_index = {}
-        self._plan = self._path = None
+        self._plan = None
 
     def runs(self, n_runs: int) -> int:
         """Noise runs worth averaging: one when the evolution is deterministic."""
@@ -122,7 +122,7 @@ class TrotterEvolver:
         if self.feedforward and self.noise is not None:
             circuit = correct_circuit(circuit, self.noise.c2, self.table)
         if self._plan is None:
-            self._plan, self._path = CompiledCircuit(circuit), self._noise_path(circuit)
+            self._plan = CompiledCircuit(circuit)
         return circuit
 
     def evolve(self, columns: np.ndarray, run: int, t: float) -> np.ndarray:
@@ -132,7 +132,7 @@ class TrotterEvolver:
     def evolve_runs(self, columns: np.ndarray, t: float, runs) -> np.ndarray:
         """The (2^N, k) columns evolved under each run in `runs`: (len(runs), 2^N, k)."""
         circuit = self.circuit_for(t)
-        return self._plan.apply(columns, self._angles(circuit, self._path, t, runs))
+        return self._plan.apply(columns, self._angles(circuit, t, runs))
 
     def realized_angles(self, circuit: TimedCircuit, run: int, t: float) -> list[float]:
         """Noisy angle realization for one run; nominal if noiseless.
@@ -140,31 +140,24 @@ class TrotterEvolver:
         The circuit's own start times and noise mask are used, so it need
         not be one this evolver made.
         """
-        return self._angles(circuit, self._noise_path(circuit), t, [run])[:, 0].tolist()
+        return self._angles(circuit, t, [run])[:, 0].tolist()
 
-    def _noise_path(self, circuit: TimedCircuit):
-        """(noisy mask as a column, gate start times) of the circuit; None if noiseless."""
-        if self.noise is None:
-            return None
-        return np.array([g.noisy for g in circuit.gates])[:, None], circuit.gate_times()
-
-    def _angles(self, circuit: TimedCircuit, path, t: float, runs) -> np.ndarray:
+    def _angles(self, circuit: TimedCircuit, t: float, runs) -> np.ndarray:
         """(gates, len(runs)) realized angles, one column per noise run.
 
         Run `run` at the time index of t draws its diffusion path from
         SeedSequence(seed, spawn_key=(run, time index)); the path damps
         each noisy gate's angle by exp(-u).
         """
-        nominal = np.array([g.spec.angle for g in circuit.gates])[:, None]
-        if path is None:
+        nominal = circuit.angles[:, None]
+        if self.noise is None:
             return np.repeat(nominal, len(runs), axis=1)
-        noisy, times = path
         it = self._time_index.setdefault(float(t), len(self._time_index))
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=self.noise.seed,
                                                              spawn_key=(run, it)))
                 for run in runs]
-        u = sample_trajectory(times, self.noise, rngs)
-        return np.where(noisy, nominal * np.exp(-u), nominal)
+        u = sample_trajectory(circuit.start_times, self.noise, rngs)
+        return np.where(circuit.noisy[:, None], nominal * np.exp(-u), nominal)
 
 
 def _run_average(ev: TrotterEvolver, times: np.ndarray, n_runs: int, columns: np.ndarray,

@@ -33,7 +33,8 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 _SIGMA = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 # Largest working set, in complex entries (128 KiB), that one pass of the
-# batched layer loop touches; bigger batches are split into chunks.
+# batched layer loop touches; bigger batches are split into chunks. The
+# float64 phase product of a chunk is held to 32 times as many (2 MiB).
 BATCH_ENTRIES = 2**13
 
 # The identity and the Hadamard H, which maps sigma^x to diag(1, -1). In the X eigenbasis
@@ -129,10 +130,10 @@ def gate_matrix(gate: GateSpec, n_qubits: int) -> np.ndarray:
 class CompiledCircuit:
     """Layer-fused plan of a circuit, reusable across angle realizations.
 
-    The plan reads only each gate's kind and sites, never its angle, so
-    one plan serves every circuit of the same structure: a
-    `TrotterEvolver` builds one and applies it to each sample time's
-    angles.
+    The plan reads only the circuit's structure (its `kinds` and `sites`
+    tuples), never its angles or its `gates` view, so one plan serves every
+    circuit of the same structure: a `TrotterEvolver` builds one and
+    applies it to each sample time's angle array.
 
     The state is kept in the X eigenbasis (H on every site on entry and
     exit; bit 0 of a site means sigma^x = +1). Each run of XX/RX gates is
@@ -147,19 +148,21 @@ class CompiledCircuit:
     are noisy (`TimedGate.noisy`), so realizations differ only in their
     XX/RX angles: the RY/RZ site layers are shared by all of them, and
     `apply` builds their factors once. The phase layers are formed per
-    chunk of B * input.size <= BATCH_ENTRIES complex entries (or one
-    realization). Phases sum in gate order and a factor is one matmul per
-    realization, so no realization's arithmetic depends on the chunk width.
+    chunk of B * input.size <= BATCH_ENTRIES complex entries and at most
+    32 * BATCH_ENTRIES in the (phase gates, B, 2**n) float64 phase product
+    (or one realization). Phases sum in gate order and a factor is one
+    matmul per realization, so no realization's arithmetic depends on the
+    chunk width.
     """
 
     def __init__(self, circuit):
         n = self.n_qubits = circuit.n_qubits
-        self.dim, self.n_gates = 2**n, len(circuit.gates)
-        if any(site >= n for gate in circuit.gates for site in gate.spec.sites):
+        self.dim, self.n_gates = 2**n, len(circuit.kinds)
+        if any(site >= n for sites in circuit.sites for site in sites):
             raise ValueError("gate site index out of range")
         # Kernel rows: the gates', the identity, then H, which every site gets first and last.
         edge = [(self.n_gates + 1, "H", (site,)) for site in range(n)]
-        gates = [(g, gate.spec.kind, gate.spec.sites) for g, gate in enumerate(circuit.gates)]
+        gates = list(zip(range(self.n_gates), circuit.kinds, circuit.sites))
         # Site and phase layers alternate, site layers first and last. Phase gates are (gate,
         # mask of its sites), starts index each phase layer's first; slots are per layer, site.
         phase, starts, slots = [], [], []
@@ -174,8 +177,8 @@ class CompiledCircuit:
         self._phase_gates, masks = np.array(phase, dtype=int).reshape(-1, 2).T
         self._signs = (1.0 - 2.0 * (np.bitwise_count(index & masks[:, None]) & 1))[:, None]
         self._starts = np.array(starts, dtype=int)
-        self._generators = np.array([_FRAME_GENERATORS.get(gate.spec.kind, np.zeros((2, 2)))
-                                     for gate in circuit.gates]).reshape(-1, 2, 2)
+        self._generators = np.array([_FRAME_GENERATORS.get(kind, np.zeros((2, 2)))
+                                     for kind in circuit.kinds]).reshape(-1, 2, 2)
         depth = max(len(rows) for rows in slots)
         self._kernel_rows = np.array([rows + [self.n_gates] * (depth - len(rows))
                                       for rows in slots]).T
@@ -207,7 +210,8 @@ class CompiledCircuit:
         matrices = functools.reduce(lambda m, f: f @ m, kernels[self._kernel_rows]).reshape(
             -1, self.n_qubits, 2, 2)
         factors = [_kron(matrices[:, lo:hi]) for lo, hi in self._factors]
-        chunk = max(1, BATCH_ENTRIES // max(out.size, 1))
+        chunk = max(1, min(BATCH_ENTRIES // max(out.size, 1),
+                           32 * BATCH_ENTRIES // max(self._phase_gates.size * self.dim, 1)))
         chunks = [self._apply_chunk(columns, batch[:, b:b + chunk], factors)
                   for b in range(0, batch.shape[1], chunk)]
         x = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
@@ -241,5 +245,5 @@ def circuit_unitary(circuit, angles=None) -> np.ndarray:
     """Ordered product of the circuit's gates (gates[0] acts first) at the
     realized `angles`, one per gate, or else at the nominal angles."""
     if angles is None:
-        angles = [g.spec.angle for g in circuit.gates]
+        angles = circuit.angles
     return CompiledCircuit(circuit).apply(np.eye(2**circuit.n_qubits, dtype=complex), angles)

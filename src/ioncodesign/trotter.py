@@ -9,6 +9,7 @@ x -> y (or x -> z) to come out right.
 
 Gates are scheduled serially: gate m starts at m * t_g. Only the XX
 gates are noisy: heating of the ions' shared motion damps only them.
+Circuits are built, corrected and evolved as arrays (`TimedCircuit`).
 """
 
 from __future__ import annotations
@@ -43,44 +44,83 @@ class TimedGate:
         return self.spec.kind == "XX"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimedCircuit:
+    """A timed circuit held as arrays, with its gates as a lazy view.
+
+    Its structure is `kinds` and `sites` (tuples, one entry per gate) and
+    the `noisy` mask; circuits that differ only in their angles share it.
+    `angles` and `start_times` are read-only float arrays. A circuit made
+    from `gates` derives them from the gates; one made by `from_arrays`
+    builds `gates`, a tuple of `TimedGate`s, on first read.
+    """
+
     n_qubits: int
     gates: tuple[TimedGate, ...]
 
-    def gate_times(self) -> np.ndarray:
-        return np.array([g.start_time for g in self.gates])
+    def __post_init__(self):
+        vars(self).update(vars(self.from_arrays(
+            self.n_qubits, tuple(g.spec.kind for g in self.gates),
+            tuple(g.spec.sites for g in self.gates), [g.spec.angle for g in self.gates],
+            [g.start_time for g in self.gates])))
+
+    @classmethod
+    def from_arrays(cls, n_qubits: int, kinds, sites, angles, start_times,
+                    noisy=None) -> "TimedCircuit":
+        """The circuit of these arrays, which it keeps and makes read-only; no copy is made."""
+        circuit = object.__new__(cls)
+        angles, start_times = (np.asarray(v, dtype=float) for v in (angles, start_times))
+        if noisy is None:
+            noisy = np.array(kinds, dtype=str) == "XX"  # `TimedGate.noisy` as a mask
+        for array in (angles, start_times, noisy):
+            array.flags.writeable = False
+        vars(circuit).update(n_qubits=n_qubits, kinds=kinds, sites=sites, noisy=noisy,
+                             angles=angles, start_times=start_times)
+        return circuit
+
+    def __getattr__(self, name):
+        if name != "gates":
+            raise AttributeError(f"'TimedCircuit' object has no attribute {name!r}")
+        gates = vars(self)["gates"] = tuple(
+            TimedGate(GateSpec(*gate[:3]), gate[3]) for gate in zip(
+                self.kinds, self.sites, self.angles.tolist(), self.start_times.tolist()))
+        return gates
+
+
+def _step(ham: SpinHamiltonian, dt: float) -> list[tuple]:
+    """(kind, sites, angle) of each gate of one first-order step, in application order."""
+    n = ham.n_spins
+
+    def rotations(kind, angles):
+        return [(kind, (i,), angle) for i, angle in enumerate(angles)]
+
+    # The Hamiltonian sums couplings over unique pairs, so one step needs
+    # exp(-i J_ij S_i^a S_j^a dt) per pair and axis: XX angle is J_ij * dt.
+    xx_layer = [("XX", (i, j), ham.J[i, j] * dt) for i, j in ham.coupled_pairs()]
+    return (xx_layer + rotations("RZ", [np.pi] * n) + xx_layer + rotations("RZ", [-np.pi] * n)
+            + rotations("RY", [np.pi] * n) + xx_layer + rotations("RZ", -2.0 * ham.h * dt)
+            + rotations("RY", [-np.pi] * n))
 
 
 def trotter_step_layers(ham: SpinHamiltonian, dt: float) -> list[GateSpec]:
     """Gate list of one first-order step, in application order."""
-    n = ham.n_spins
-    pairs = ham.coupled_pairs()
-    # The Hamiltonian sums couplings over unique pairs, so one step needs
-    # exp(-i J_ij S_i^a S_j^a dt) per pair and axis: XX angle is J_ij * dt.
-    xx_layer = [GateSpec("XX", (i, j), ham.J[i, j] * dt) for i, j in pairs]
-    gates: list[GateSpec] = []
-    gates += xx_layer
-    gates += [GateSpec("RZ", (i,), np.pi) for i in range(n)]
-    gates += xx_layer
-    gates += [GateSpec("RZ", (i,), -np.pi) for i in range(n)]
-    gates += [GateSpec("RY", (i,), np.pi) for i in range(n)]
-    gates += xx_layer
-    gates += [GateSpec("RZ", (i,), -2.0 * ham.h[i] * dt) for i in range(n)]
-    gates += [GateSpec("RY", (i,), -np.pi) for i in range(n)]
-    return gates
+    return [GateSpec(*gate) for gate in _step(ham, dt)]
 
 
 def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
                           timing: GateTiming = GateTiming()) -> TimedCircuit:
-    """r repetitions of the first-order step approximating exp(-iHt)."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    specs = trotter_step_layers(ham, t / r) * r
-    return TimedCircuit(ham.n_spins, tuple(TimedGate(spec, m * timing.t_g)
-                                           for m, spec in enumerate(specs)))
+    """r repetitions of the first-order step approximating exp(-iHt).
+
+    One step's angles are tiled over the r steps; gate m starts at m * t_g.
+    """
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"r must be an integer >= 1, not a bool; got {r!r}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be non-negative and finite; got {t!r}")
+    kinds, sites, angles = zip(*_step(ham, t / r))
+    return TimedCircuit.from_arrays(ham.n_spins, kinds * r, sites * r,
+                                    np.tile(np.array(angles, dtype=float), r),
+                                    np.arange(len(kinds) * r) * timing.t_g)
 
 
 def trotter_error(ham: SpinHamiltonian, t: float, r: int,
@@ -92,6 +132,6 @@ def trotter_error(ham: SpinHamiltonian, t: float, r: int,
 
 def gate_counts(circuit: TimedCircuit) -> dict:
     """Total, two-qubit, and single-qubit gate counts."""
-    two = sum(1 for g in circuit.gates if g.spec.kind == "XX")
-    total = len(circuit.gates)
+    two = circuit.kinds.count("XX")
+    total = len(circuit.kinds)
     return {"total": total, "two_qubit": two, "single_qubit": total - two}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from ioncodesign import default_instance
+from ioncodesign import default_instance, feedforward
 
 from ioncodesign.feedforward import (
     ControlQuery,
@@ -21,7 +21,7 @@ from ioncodesign.feedforward import (
 )
 from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.motional_noise import hyp1f2, series_lambda
-from ioncodesign.trotter import GateTiming, build_trotter_circuit
+from ioncodesign.trotter import GateTiming, TimedCircuit, build_trotter_circuit
 
 
 def test_avg_fidelity_noiseless_limit():
@@ -298,6 +298,62 @@ def test_lookup_rejects_inputs_whose_corner_index_overflows(phi_p, lam, name):
     assert not table._corners
     # the largest upper corner index that fits still answers
     assert math.isfinite(table.lookup(np.nextafter(2.0**63, 0) * 0.01, 0.5)["phi_in_star"])
+
+
+def _old_interpolate(self, phi_p, lam):
+    """FeedforwardTable._interpolate as it was, with its corners found by np.unique(axis=0)."""
+    cap = self.phi_cap
+    x, y = phi_p / feedforward.MEMO_PITCH_PHI, lam / feedforward.MEMO_PITCH_LAM
+    for name, scaled in (("phi_p", x), ("lam", y)):
+        if not scaled.max() < 2.0**63:
+            raise ValueError(f"{name} too large: its table corner index overflows int64")
+    i0, fx = np.divmod(x, 1.0)
+    j0, fy = np.divmod(y, 1.0)
+    ci = i0.astype(np.int64)[:, None] + [0, 0, 1, 1]
+    cj = j0.astype(np.int64)[:, None] + [0, 1, 0, 1]
+    keys, inverse = np.unique(np.stack([cj.ravel(), ci.ravel()], axis=1),
+                              axis=0, return_inverse=True)
+    solved = np.array([self._corner(int(i), int(j))[0] for j, i in keys])
+    c = solved[inverse.reshape(ci.shape)]
+    interp = ((1 - fx) * (1 - fy) * c[:, 0] + (1 - fx) * fy * c[:, 1]
+              + fx * (1 - fy) * c[:, 2] + fx * fy * c[:, 3])
+    n = phi_p.size
+    candidates = np.clip(np.column_stack([interp, c, np.minimum(phi_p, cap),
+                                          np.zeros(n), np.full(n, cap)]), 0.0, cap)
+    fids = avg_gate_fidelity(candidates, phi_p[:, None], lam[:, None])
+    best = np.argmax(fids, axis=1)
+    return candidates[np.arange(n), best], fids[np.arange(n), best]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corner_dedupe_matches_the_unique_oracle(seed, monkeypatch):
+    # Random lookups, some entries repeated and some at the largest corner index that
+    # fits int64: the same angles, and the corners solved in the same (lambda-major) order.
+    rng = np.random.default_rng(seed)
+    phi_p = rng.uniform(-4 * math.pi, 4 * math.pi, 24)
+    lam = rng.choice([0.0, 0.013, 0.2, 0.71, 1.5], 24) + rng.uniform(0.0, 0.03, 24)
+    phi_p[:4], lam[:4] = phi_p[4:8], lam[4:8]
+    phi_p[8] = np.nextafter(2.0**63, 0) * 0.01 * (-1) ** seed
+    table, oracle = FeedforwardTable(), FeedforwardTable()
+    got = table.lookup(phi_p, lam)
+    monkeypatch.setattr(FeedforwardTable, "_interpolate", _old_interpolate)
+    want = oracle.lookup(phi_p, lam)
+    assert got["phi_in_star"].tobytes() == want["phi_in_star"].tobytes()
+    assert got["fidelity_star"].tobytes() == want["fidelity_star"].tobytes()
+    assert list(table._corners) == list(oracle._corners)
+
+
+def test_correct_circuit_is_the_same_for_array_and_gate_built_circuits():
+    circuit = build_trotter_circuit(default_instance(), 2.0, 3, GateTiming(t_g=0.04))
+    from_gates = TimedCircuit(circuit.n_qubits, circuit.gates)
+    table = FeedforwardTable()
+    corrected = correct_circuit(circuit, 0.02, table)
+    assert corrected.angles.tobytes() == correct_circuit(from_gates, 0.02, table).angles.tobytes()
+    assert corrected.angles[~circuit.noisy].tobytes() == circuit.angles[~circuit.noisy].tobytes()
+    # the corrected circuit shares the structure and start times; the input is untouched
+    assert corrected.kinds is circuit.kinds and corrected.noisy is circuit.noisy
+    assert corrected.start_times is circuit.start_times
+    assert circuit.angles.tobytes() == from_gates.angles.tobytes()
 
 
 def _old_hyp1f2(a, b1, b2, z):

@@ -226,6 +226,17 @@ def test_array_series_is_bit_identical_on_the_scan_grid(lam):
         _assert_series_bit_identical(a, 1.5, b2, z[::-1])
 
 
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(1e-3, 50.0), size=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_scalar_parameter_series_is_the_0d_array_series_bit_for_bit(lam, size, seed):
+    # 0-d a, b1 and b2 are summed as floats: the same IEEE operations in the same order
+    # as the 0-d array arithmetic of the reference.
+    z = -np.random.default_rng(seed).uniform(0.0, 150.0, size)
+    half = 0.5 / lam
+    for a, b2 in ((1.0 + half, 2.0 + half), (0.5 + half, 1.5 + half)):
+        _assert_series_bit_identical(a, 1.5, b2, z)
+
+
 def test_array_series_is_bit_identical_when_broadcast():
     rng = np.random.default_rng(4)
     a = rng.uniform(0.6, 60.0, (5, 1, 1))

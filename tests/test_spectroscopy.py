@@ -1,9 +1,11 @@
 """Unit tests for response functions, spectra, and fidelity metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ioncodesign import default_instance
+from ioncodesign import default_instance, spectroscopy
 from ioncodesign.feedforward import FeedforwardTable, correct_circuit
 from ioncodesign.hamiltonian import ExactEvolver, SpinHamiltonian
 from ioncodesign.motional_noise import NoiseParams, sample_trajectory
@@ -19,7 +21,7 @@ from ioncodesign.spectroscopy import (
     spectrum,
 )
 from ioncodesign.spinsim import CompiledCircuit, sz_tot_diagonal
-from ioncodesign.trotter import GateTiming, build_trotter_circuit
+from ioncodesign.trotter import GateTiming, TimedCircuit, build_trotter_circuit
 
 
 def single_spin(h0):
@@ -296,7 +298,7 @@ def _fresh_angles(circuit, noise, runs, it):
     """Reference draw: sample_trajectory over the circuit's own start times, one run a column."""
     nominal = np.array([g.spec.angle for g in circuit.gates])[:, None]
     noisy = np.array([g.noisy for g in circuit.gates])[:, None]
-    u = np.stack([sample_trajectory(circuit.gate_times(), noise, [np.random.default_rng(
+    u = np.stack([sample_trajectory(circuit.start_times, noise, [np.random.default_rng(
         np.random.SeedSequence(entropy=noise.seed, spawn_key=(run, it)))])[:, 0]
         for run in runs], axis=1)
     return np.where(noisy, nominal * np.exp(-u), nominal)
@@ -369,6 +371,42 @@ def test_realized_angles_of_a_foreign_circuit_use_its_own_times_and_mask():
     got = np.array(ev.realized_angles(later, 2, 1.0))
     assert got.tobytes() == _fresh_angles(later, noise, [2], 0)[:, 0].tobytes()
     assert not np.array_equal(got, ev.realized_angles(own, 2, 1.0))
+
+
+def test_feedforward_replaced_through_gates_reaches_the_engine(monkeypatch):
+    # A corrected circuit whose noisy angles are halved through dataclasses.replace(...,
+    # gates=...) must be what the evolver evolves: its arrays come from the new gates.
+    ham, noise = four_spin(seed=5), NoiseParams(c2=0.05, seed=2)
+    columns = np.eye(16, dtype=complex)[:, :3]
+    good = TrotterEvolver(ham, 2, noise=noise, feedforward=True).evolve_runs(columns, 1.0, [0])
+    original = spectroscopy.correct_circuit
+    made = []
+
+    def worse(circuit, c2, table=None):
+        corrected = original(circuit, c2, table)
+        gates = tuple(dataclasses.replace(
+            g, spec=dataclasses.replace(g.spec, angle=0.5 * g.spec.angle)) if g.noisy else g
+            for g in corrected.gates)
+        made.append(dataclasses.replace(corrected, gates=gates))
+        return made[-1]
+
+    monkeypatch.setattr(spectroscopy, "correct_circuit", worse)
+    bad = TrotterEvolver(ham, 2, noise=noise, feedforward=True).evolve_runs(columns, 1.0, [0])
+    assert not np.allclose(bad, good)
+    want = CompiledCircuit(made[0]).apply(columns, _fresh_angles(made[0], noise, [0], 0)[:, 0])
+    assert bad[0].tobytes() == want.tobytes()
+
+
+def test_evolution_never_builds_the_per_gate_view(monkeypatch):
+    # Build, feedforward correction and both run-averaged reductions read only the arrays.
+    def no_view(self, name):
+        raise AssertionError(f"read {name}")
+
+    monkeypatch.setattr(TimedCircuit, "__getattr__", no_view)
+    ham, noise = four_spin(seed=6), NoiseParams(c2=0.05, seed=1)
+    times = np.linspace(0.0, 1.0, 3)
+    fidelity_trace(ham, times, 2, noise=noise, feedforward=True, n_runs=2)
+    noisy_response(ham, times, 2, noise, feedforward=True, n_runs=2)
 
 
 def test_each_evolver_compiles_one_plan(monkeypatch):

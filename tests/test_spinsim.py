@@ -303,28 +303,55 @@ def test_site_factors_are_built_once_per_apply(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("n,batch", [(6, 128), (4, 512)])
-def test_per_realization_site_angles_build_factors_one_layer_at_a_time(n, batch):
-    # One column under many realizations of an r = 6 circuit, all in one chunk. Their XX
-    # angles vary, so every phase layer is per realization; the RY/RZ factors are shared.
-    # Built per realization for all 19 site layers, the 4-spin dense factors alone would
-    # take 38 MiB. Realizations whose RY/RZ angles differ are rejected.
+def _one_column_batch(n, batch):
+    """An r = 6 circuit's plan, one column and (gates, batch) angles that vary on the XX
+    gates only, and the jitter that made them."""
     circuit = build_trotter_circuit(random_instance(n), 0.7, 6)
     rng = np.random.default_rng(0)
-    nominal = np.array([g.spec.angle for g in circuit.gates])
-    jitter = rng.uniform(0.5, 1.0, (nominal.size, batch))
-    noisy = np.array([g.noisy for g in circuit.gates])[:, None]
-    angles = nominal[:, None] * np.where(noisy, jitter, 1.0)
+    jitter = rng.uniform(0.5, 1.0, (circuit.angles.size, batch))
+    angles = circuit.angles[:, None] * np.where(circuit.noisy[:, None], jitter, 1.0)
     array = rng.standard_normal((2**n, 1)) + 0j
-    compiled = CompiledCircuit(circuit)
+    return CompiledCircuit(circuit), array, angles, circuit.angles[:, None] * jitter
+
+
+def _traced_peak(compiled, array, angles):
     tracemalloc.start()
     try:
         out = compiled.apply(array, angles)
-        peak = tracemalloc.get_traced_memory()[1]
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,batch", [(6, 128), (4, 512)])
+def test_per_realization_site_angles_build_factors_one_layer_at_a_time(n, batch):
+    # One column under many realizations of an r = 6 circuit, in chunks as wide as the
+    # phase product allows (9 chunks of up to 15 at 6 spins, 4 of up to 151 at 4). Their
+    # XX angles vary, so every phase layer is per realization; the RY/RZ factors are shared.
+    # Built per realization for all 19 site layers, the 4-spin dense factors alone would
+    # take 38 MiB. Realizations whose RY/RZ angles differ are rejected.
+    compiled, array, angles, unshared = _one_column_batch(n, batch)
+    out, peak = _traced_peak(compiled, array, angles)
     assert out.shape == (batch, 2**n, 1)
     assert peak <= 40 * 2**20
     assert np.array_equal(out[5], compiled.apply(array, angles[:, 5]))
     with pytest.raises(ValueError, match="RY/RZ"):
-        compiled.apply(array, nominal[:, None] * jitter)
+        compiled.apply(array, unshared)
+
+
+def test_phase_product_of_a_chunk_is_bounded(monkeypatch):
+    # 6 spins, r = 6 (270 XX gates), B = 128: the (phase gates, B, 2**n) float64 product
+    # took 17.7 MiB in one chunk. Chunks now hold it to 32 * BATCH_ENTRIES entries (2 MiB).
+    compiled, array, angles, _ = _one_column_batch(6, 128)
+    out, peak = _traced_peak(compiled, array, angles)
+    assert peak <= 4 * 2**20
+    widths = []
+    original = CompiledCircuit._apply_chunk
+
+    def record(self, out, theta, factors):
+        widths.append(theta.shape[1])
+        return original(self, out, theta, factors)
+
+    monkeypatch.setattr(CompiledCircuit, "_apply_chunk", record)
+    assert np.array_equal(compiled.apply(array, angles), out)
+    assert max(widths) * 270 * 2**6 <= 32 * BATCH_ENTRIES < (max(widths) + 1) * 270 * 2**6

@@ -1,14 +1,20 @@
 """Unit tests for the timed first-order Trotter circuit builder."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioncodesign.hamiltonian import SpinHamiltonian
-from ioncodesign.spinsim import circuit_unitary
+from ioncodesign.spectroscopy import fidelity_trace
+from ioncodesign.spinsim import GateSpec, circuit_unitary
 from ioncodesign.trotter import (
     GateTiming,
+    TimedCircuit,
+    TimedGate,
     build_trotter_circuit,
     gate_counts,
     trotter_error,
@@ -86,8 +92,9 @@ def test_serial_gate_schedule():
     ham = random_instance(2, seed=5)
     timing = GateTiming(t_g=0.02)
     circ = build_trotter_circuit(ham, 0.5, 2, timing)
-    times = circ.gate_times()
+    times = circ.start_times
     assert np.array_equal(times, np.arange(len(circ.gates)) * 0.02)
+    assert np.array_equal(times, [g.start_time for g in circ.gates])
     assert np.allclose(np.diff(times), 0.02)
 
 
@@ -100,9 +107,9 @@ def test_only_xx_gates_flagged_noisy():
 
 def test_invalid_arguments():
     ham = random_instance(2, seed=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r must be an integer >= 1"):
         build_trotter_circuit(ham, 1.0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t must be non-negative and finite"):
         build_trotter_circuit(ham, -1.0, 2)
     with pytest.raises(ValueError):
         GateTiming(t_g=0.0)
@@ -113,3 +120,98 @@ def test_non_finite_gate_time_is_rejected(t_g):
     # Accepted, it would turn every noisy response into NaN.
     with pytest.raises(ValueError, match="t_g must be positive and finite"):
         GateTiming(t_g=t_g)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_rejected(t):
+    # Accepted, NaN built a circuit of NaN angles.
+    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+        build_trotter_circuit(random_instance(2, seed=8), t, 2)
+
+
+def test_fidelity_at_a_nan_time_is_an_error():
+    # It used to come back as NaN, silently: [1.0, nan].
+    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+        fidelity_trace(random_instance(2, seed=8), [0.0, math.nan], 2)
+
+
+@pytest.mark.parametrize("r", [2.5, True, 2.0, "2"])
+def test_step_count_must_be_an_integer_and_not_a_bool(r):
+    # 2.5 used to raise a TypeError from list repetition, and True built one step.
+    with pytest.raises(ValueError, match="r must be an integer >= 1, not a bool"):
+        build_trotter_circuit(random_instance(2, seed=8), 1.0, r)
+
+
+def test_numpy_integer_step_count_is_accepted():
+    ham = random_instance(3, seed=8)
+    circuit = build_trotter_circuit(ham, 1.0, np.int64(2))
+    assert np.array_equal(circuit.angles, build_trotter_circuit(ham, 1.0, 2).angles)
+
+
+def _old_step_layers(ham, dt):
+    """The per-gate step as it was written before circuits became arrays."""
+    n = ham.n_spins
+    xx_layer = [GateSpec("XX", (i, j), ham.J[i, j] * dt) for i, j in ham.coupled_pairs()]
+    gates = list(xx_layer)
+    gates += [GateSpec("RZ", (i,), np.pi) for i in range(n)]
+    gates += xx_layer
+    gates += [GateSpec("RZ", (i,), -np.pi) for i in range(n)]
+    gates += [GateSpec("RY", (i,), np.pi) for i in range(n)]
+    gates += xx_layer
+    gates += [GateSpec("RZ", (i,), -2.0 * ham.h[i] * dt) for i in range(n)]
+    gates += [GateSpec("RY", (i,), -np.pi) for i in range(n)]
+    return gates
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 10.0),
+       r=st.integers(1, 12), t_g=st.floats(1e-4, 1.0), sparse=st.booleans())
+def test_array_circuit_equals_the_per_gate_reference(n, seed, t, r, t_g, sparse):
+    ham = random_instance(n, seed)
+    if sparse:  # uncoupled pairs have no XX gates
+        J = ham.J.copy()
+        J[0, :] = J[:, 0] = 0.0
+        ham = SpinHamiltonian(n, J, ham.h)
+    step = trotter_step_layers(ham, t / r)
+    assert step == _old_step_layers(ham, t / r)
+    specs = step * r
+    circuit = build_trotter_circuit(ham, t, r, GateTiming(t_g=t_g))
+    assert circuit.kinds == tuple(g.kind for g in specs)
+    assert circuit.sites == tuple(g.sites for g in specs)
+    assert circuit.angles.tolist() == [g.angle for g in specs]
+    assert circuit.start_times.tolist() == [m * t_g for m in range(len(specs))]
+    assert circuit.noisy.tolist() == [g.kind == "XX" for g in specs]
+    # the lazy per-gate view, and a circuit rebuilt from it, hold the same values
+    assert circuit.gates == tuple(TimedGate(g, m * t_g) for m, g in enumerate(specs))
+    rebuilt = TimedCircuit(n, circuit.gates)
+    assert (rebuilt.kinds, rebuilt.sites) == (circuit.kinds, circuit.sites)
+    for name in ("angles", "start_times", "noisy"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(circuit, name))
+
+
+def test_gates_view_is_built_on_first_read_and_arrays_are_read_only():
+    circuit = build_trotter_circuit(random_instance(3, seed=9), 0.5, 2)
+    assert "gates" not in vars(circuit)
+    gates = circuit.gates
+    assert circuit.gates is gates
+    assert [g.spec.angle for g in gates] == circuit.angles.tolist()
+    for name in ("angles", "start_times", "noisy"):
+        with pytest.raises(ValueError):
+            getattr(circuit, name)[0] = 0
+    with pytest.raises(AttributeError, match="gate_times"):
+        circuit.gate_times()
+
+
+def test_replacing_the_gates_replaces_the_arrays():
+    # dataclasses.replace passes `gates` to the constructor, which derives every array
+    # from them, so a circuit whose gates were replaced never runs on stale arrays.
+    circuit = build_trotter_circuit(random_instance(3, seed=10), 0.5, 2)
+    halved = tuple(dataclasses.replace(
+        g, spec=dataclasses.replace(g.spec, angle=0.5 * g.spec.angle)) if g.noisy else g
+        for g in circuit.gates)
+    replaced = dataclasses.replace(circuit, gates=halved)
+    assert replaced.angles.tolist() == [g.spec.angle for g in halved]
+    assert np.array_equal(replaced.angles[circuit.noisy], 0.5 * circuit.angles[circuit.noisy])
+    assert np.array_equal(replaced.angles[~circuit.noisy], circuit.angles[~circuit.noisy])
+    assert replaced.kinds == circuit.kinds and replaced.sites == circuit.sites
+    assert np.array_equal(replaced.start_times, circuit.start_times)
