@@ -10,7 +10,6 @@ vectorized fidelity, the dense scan and the float refinement all
 evaluate. The refinement is the package's bounded Brent minimizer,
 `calibration.minimize_scalar`, on plain floats. The scan's lambda rows
 live in a dict the caller owns, which FeedforwardTable keeps per table.
-`correct_circuit` works on a circuit's arrays, never its per-gate view.
 """
 
 from __future__ import annotations
@@ -282,8 +281,7 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
 
     The desired output angle is the gate's nominal angle and lambda is
     c2 times the gate's start time; all noisy gates go through one table
-    lookup, written into a copy of the angle array. Non-noisy gates pass
-    through, and the corrected circuit shares the structure of this one.
+    lookup on the angle and start-time arrays. Non-noisy gates pass through.
     """
     if not 0 <= c2 < math.inf:
         raise ValueError("c2 must be non-negative and finite")
@@ -295,4 +293,4 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
     angles = circuit.angles.copy()
     angles[noisy] = table.lookup(angles[noisy], c2 * circuit.start_times[noisy])["phi_in_star"]
     return TimedCircuit.from_arrays(circuit.n_qubits, circuit.kinds, circuit.sites, angles,
-                                    circuit.start_times, noisy)
+                                    circuit.start_times)

@@ -33,8 +33,7 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 _SIGMA = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 # Largest working set, in complex entries (128 KiB), that one pass of the
-# batched layer loop touches; bigger batches are split into chunks. The
-# float64 phase product of a chunk is held to 32 times as many (2 MiB).
+# batched layer loop touches; bigger batches are split into chunks.
 BATCH_ENTRIES = 2**13
 
 # The identity and the Hadamard H, which maps sigma^x to diag(1, -1). In the X eigenbasis
@@ -130,10 +129,10 @@ def gate_matrix(gate: GateSpec, n_qubits: int) -> np.ndarray:
 class CompiledCircuit:
     """Layer-fused plan of a circuit, reusable across angle realizations.
 
-    The plan reads only the circuit's structure (its `kinds` and `sites`
-    tuples), never its angles or its `gates` view, so one plan serves every
-    circuit of the same structure: a `TrotterEvolver` builds one and
-    applies it to each sample time's angle array.
+    The plan reads only the circuit's `kinds` and `sites`, never its
+    angles, so one plan serves every circuit of the same structure: a
+    `TrotterEvolver` builds one and applies it to each sample time's
+    angles.
 
     The state is kept in the X eigenbasis (H on every site on entry and
     exit; bit 0 of a site means sigma^x = +1). Each run of XX/RX gates is
@@ -148,11 +147,10 @@ class CompiledCircuit:
     are noisy (`TimedGate.noisy`), so realizations differ only in their
     XX/RX angles: the RY/RZ site layers are shared by all of them, and
     `apply` builds their factors once. The phase layers are formed per
-    chunk of B * input.size <= BATCH_ENTRIES complex entries and at most
-    32 * BATCH_ENTRIES in the (phase gates, B, 2**n) float64 phase product
-    (or one realization). Phases sum in gate order and a factor is one
-    matmul per realization, so no realization's arithmetic depends on the
-    chunk width.
+    chunk of B * input.size <= BATCH_ENTRIES complex entries, with a phase
+    product of at most 32 times as many floats (or one realization). Phases
+    sum in gate order and a factor is one matmul per realization, so no
+    realization's arithmetic depends on the chunk width.
     """
 
     def __init__(self, circuit):

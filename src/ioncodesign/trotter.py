@@ -9,7 +9,6 @@ x -> y (or x -> z) to come out right.
 
 Gates are scheduled serially: gate m starts at m * t_g. Only the XX
 gates are noisy: heating of the ions' shared motion damps only them.
-Circuits are built, corrected and evolved as arrays (`TimedCircuit`).
 """
 
 from __future__ import annotations
@@ -46,13 +45,9 @@ class TimedGate:
 
 @dataclass(frozen=True)
 class TimedCircuit:
-    """A timed circuit held as arrays, with its gates as a lazy view.
-
-    Its structure is `kinds` and `sites` (tuples, one entry per gate) and
-    the `noisy` mask; circuits that differ only in their angles share it.
-    `angles` and `start_times` are read-only float arrays. A circuit made
-    from `gates` derives them from the gates; one made by `from_arrays`
-    builds `gates`, a tuple of `TimedGate`s, on first read.
+    """A timed circuit held as arrays: `kinds` and `sites` tuples, the `noisy`
+    mask and read-only `angles` and `start_times`, one entry per gate. A
+    circuit made from `gates` derives them; `from_arrays` builds `gates` lazily.
     """
 
     n_qubits: int
@@ -65,13 +60,14 @@ class TimedCircuit:
             [g.start_time for g in self.gates])))
 
     @classmethod
-    def from_arrays(cls, n_qubits: int, kinds, sites, angles, start_times,
-                    noisy=None) -> "TimedCircuit":
-        """The circuit of these arrays, which it keeps and makes read-only; no copy is made."""
+    def from_arrays(cls, n_qubits: int, kinds, sites, angles, start_times) -> "TimedCircuit":
+        """The circuit of these gates; it keeps read-only views of the two float arrays."""
         circuit = object.__new__(cls)
-        angles, start_times = (np.asarray(v, dtype=float) for v in (angles, start_times))
-        if noisy is None:
-            noisy = np.array(kinds, dtype=str) == "XX"  # `TimedGate.noisy` as a mask
+        kinds, sites = tuple(kinds), tuple(sites)
+        angles, start_times = (np.asarray(v, dtype=float).view() for v in (angles, start_times))
+        if not (len(kinds),) == (len(sites),) == angles.shape == start_times.shape:
+            raise ValueError("kinds, sites, angles and start_times need one entry per gate")
+        noisy = np.array(kinds, dtype=str) == "XX"  # `TimedGate.noisy` as a mask
         for array in (angles, start_times, noisy):
             array.flags.writeable = False
         vars(circuit).update(n_qubits=n_qubits, kinds=kinds, sites=sites, noisy=noisy,
@@ -109,10 +105,7 @@ def trotter_step_layers(ham: SpinHamiltonian, dt: float) -> list[GateSpec]:
 
 def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
                           timing: GateTiming = GateTiming()) -> TimedCircuit:
-    """r repetitions of the first-order step approximating exp(-iHt).
-
-    One step's angles are tiled over the r steps; gate m starts at m * t_g.
-    """
+    """r repetitions of the first-order step approximating exp(-iHt); gate m starts at m * t_g."""
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
         raise ValueError(f"r must be an integer >= 1, not a bool; got {r!r}")
     if not 0 <= t < np.inf:

@@ -351,8 +351,9 @@ def test_correct_circuit_is_the_same_for_array_and_gate_built_circuits():
     assert corrected.angles.tobytes() == correct_circuit(from_gates, 0.02, table).angles.tobytes()
     assert corrected.angles[~circuit.noisy].tobytes() == circuit.angles[~circuit.noisy].tobytes()
     # the corrected circuit shares the structure and start times; the input is untouched
-    assert corrected.kinds is circuit.kinds and corrected.noisy is circuit.noisy
-    assert corrected.start_times is circuit.start_times
+    assert corrected.kinds is circuit.kinds and corrected.sites is circuit.sites
+    assert np.array_equal(corrected.noisy, circuit.noisy)
+    assert np.shares_memory(corrected.start_times, circuit.start_times)
     assert circuit.angles.tobytes() == from_gates.angles.tobytes()
 
 

@@ -202,6 +202,25 @@ def test_gates_view_is_built_on_first_read_and_arrays_are_read_only():
         circuit.gate_times()
 
 
+def test_from_arrays_leaves_the_callers_arrays_writeable():
+    angles, start_times = np.array([0.1, 0.2]), np.array([0.0, 0.01])
+    circuit = TimedCircuit.from_arrays(2, ("XX", "RZ"), ((0, 1), (0,)), angles, start_times)
+    assert angles.flags.writeable and start_times.flags.writeable
+    assert not circuit.angles.flags.writeable and not circuit.start_times.flags.writeable
+    assert circuit.noisy.tolist() == [g.noisy for g in circuit.gates] == [True, False]
+
+
+@pytest.mark.parametrize("kinds, sites, angles, start_times", [
+    (("XX",), ((0, 1),), [0.1, 0.2], [0.0]),
+    (("XX", "RZ"), ((0, 1),), [0.1, 0.2], [0.0, 0.01]),
+    (("XX",), ((0, 1),), [0.1], [0.0, 0.01]),
+    (("XX",), ((0, 1),), 0.1, [0.0]),
+])
+def test_from_arrays_needs_one_entry_per_gate(kinds, sites, angles, start_times):
+    with pytest.raises(ValueError, match="one entry per gate"):
+        TimedCircuit.from_arrays(2, kinds, sites, angles, start_times)
+
+
 def test_replacing_the_gates_replaces_the_arrays():
     # dataclasses.replace passes `gates` to the constructor, which derives every array
     # from them, so a circuit whose gates were replaced never runs on stale arrays.
