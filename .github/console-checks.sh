@@ -12,7 +12,8 @@
 # inference jitter that throws the initial guess out of range, found once
 # the command runs: it names `perturb` and leaves no --out. A heating rate
 # that overflows inside the simulation exits 1 with one error line, no
-# RuntimeWarning and no --out.
+# RuntimeWarning and no --out. Two calibrate runs write a calibration CSV
+# and a standard-JSON fit, byte for byte the same.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -27,6 +28,14 @@ EOF
 }
 
 ioncodesign --help
+for run in 1 2; do
+  ioncodesign calibrate --shots 200 --out "$tmp/calibrate$run"
+  test -s "$tmp/calibrate$run/calibration.csv"
+  standard_json "$tmp/calibrate$run/calibration_fit.json"
+done
+for file in calibration.csv calibration_fit.json; do
+  cmp "$tmp/calibrate1/$file" "$tmp/calibrate2/$file"
+done
 ioncodesign feedforward-table --n-phi 3 --n-lam 3 --out "$tmp/fftable"
 test -s "$tmp/fftable/feedforward_table.csv"
 code=0

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import write_csv
-from .motional_noise import return_probability
+from .motional_noise import return_probability_slabs
 
 
 @dataclass
@@ -32,8 +32,12 @@ class CalibrationCurve:
         self.p_return = np.asarray(self.p_return, dtype=float)
         if self.p_return.shape != (self.phi_in.size, self.tau.size):
             raise ValueError("p_return must be (n_phi, n_tau)")
-        if np.any((self.p_return < 0) | (self.p_return > 1)):
-            raise ValueError("probabilities must lie in [0, 1]")
+        if not np.all(np.isfinite(self.phi_in)):
+            raise ValueError("phi_in must be finite")
+        if not np.all((self.tau >= 0) & (self.tau < np.inf)):
+            raise ValueError("tau must be non-negative and finite")
+        if not np.all((self.p_return >= 0) & (self.p_return <= 1)):
+            raise ValueError("p_return must lie in [0, 1]")
 
     def to_csv(self, path) -> None:
         """One row per (phi_in, tau) grid point, phi_in outer."""
@@ -50,8 +54,9 @@ class CalibrationCurve:
                      int(row["shots"])) for row in csv.DictReader(fh)]
         if not rows:
             raise ValueError(f"calibration CSV {path} has no rows")
-        if not np.all(np.isfinite([r[:2] for r in rows])):
-            raise ValueError(f"calibration CSV {path} has a non-finite phi_in or tau_ms")
+        for column, name in enumerate(("phi_in", "tau_ms", "p_return")):
+            if not all(math.isfinite(r[column]) for r in rows):
+                raise ValueError(f"calibration CSV {path} has a non-finite {name}")
         if len({r[:2] for r in rows}) < len(rows):
             raise ValueError(f"calibration CSV {path} has two rows for one (phi_in, tau_ms)")
         if len({r[3] for r in rows}) > 1:
@@ -73,27 +78,48 @@ def simulate_calibration(phi_grid, tau_grid, c2_true: float, shots: int,
     Per (phi_in, tau) point: one independent single-time displacement
     sample per shot (the exponential marginal of the diffusion), a noisy
     XX angle, and a Bernoulli draw from the return probability
-    cos^2(phi/4) of that realized angle.
+    cos^2(phi/4) of that realized angle. c2_true, every tau and their
+    products must be non-negative and finite, and every phi_in finite.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     phi_grid = np.asarray(phi_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
+    for name, value in (("c2_true", c2_true), ("tau_grid", tau_grid)):
+        if not np.all((value >= 0) & (value < np.inf)):
+            raise ValueError(f"{name} must be non-negative and finite")
+    if not np.all(np.isfinite(phi_grid)):
+        raise ValueError("phi_grid must be finite")
+    with np.errstate(over="ignore"):
+        lams = c2_true * tau_grid
+    if not np.all(lams < np.inf):
+        raise ValueError("c2_true * tau_grid overflows")
     rng = np.random.default_rng(seed)
     p = np.empty((phi_grid.size, tau_grid.size))
     for i, phi_in in enumerate(phi_grid):
-        for j, tau in enumerate(tau_grid):
-            lam = c2_true * tau
+        for j, lam in enumerate(lams):
             u = rng.exponential(lam, shots) if lam > 0 else np.zeros(shots)
-            prob = np.cos(phi_in * np.exp(-u) / 4.0) ** 2
-            outcomes = rng.random(shots) < prob
-            p[i, j] = outcomes.mean()
+            # u becomes the return probability cos^2(phi_in exp(-u) / 4), in place
+            np.negative(u, out=u)
+            np.exp(u, out=u)
+            u *= phi_in
+            u /= 4.0
+            np.cos(u, out=u)
+            np.square(u, out=u)
+            p[i, j] = np.count_nonzero(rng.random(shots) < u) / shots
     return CalibrationCurve(phi_grid, tau_grid, p, shots)
 
 
-def _model_residual(curve: CalibrationCurve, c2: float) -> float:
-    pred = return_probability(curve.phi_in[:, None], c2 * curve.tau[None, :])
-    return float(np.sum((curve.p_return - pred) ** 2))
+def _model_residuals(curve: CalibrationCurve, c2s) -> list[float]:
+    """The heating model's residual at each c2 in c2s, from one stacked evaluation.
+
+    Each residual is summed over its own contiguous (n_phi, n_tau) block, as
+    a residual evaluated alone is: a reduction over both axes of the stack
+    may round differently.
+    """
+    lam = np.asarray(c2s, dtype=float)[:, None, None] * curve.tau
+    squares = (curve.p_return - return_probability_slabs(curve.phi_in[:, None], lam)) ** 2
+    return [float(np.sum(block)) for block in squares]
 
 
 Minimum = NamedTuple("Minimum", [("x", float), ("fun", float), ("nfev", int)])
@@ -166,21 +192,22 @@ def minimize_scalar(fun, bounds, xatol: float, maxiter: int = 500) -> Minimum:
     return Minimum(xf, fx, nfev)
 
 
-def _scan_refine(loss) -> tuple[float, float]:
-    """(x, loss(x)) at the minimum of loss on [0, 10].
+def _scan_refine(losses) -> tuple[float, float]:
+    """(x, loss at x) at the minimum of a loss on [0, 10]; losses(xs) lists it at each x.
 
-    A scan over 0 and a log-spaced grid brackets the minimum, then a
-    bounded scalar minimization refines it; the scan point wins a tie.
+    A scan over 0 and a log-spaced grid, in one losses call, brackets the
+    minimum, then a bounded scalar minimization refines it, one point per
+    call; the scan point wins a tie.
     """
     grid = np.concatenate(([0.0], np.geomspace(1e-6, 10.0, 60)))
-    losses = np.array([loss(x) for x in grid])
-    k = int(np.argmin(losses))
+    scan = np.array(losses(grid))
+    k = int(np.argmin(scan))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
-    res = minimize_scalar(loss, (lo, hi), 1e-10)
-    if res.fun < losses[k]:
+    res = minimize_scalar(lambda x: losses([x])[0], (lo, hi), 1e-10)
+    if res.fun < scan[k]:
         return float(res.x), float(res.fun)
-    return float(grid[k]), float(losses[k])
+    return float(grid[k]), float(scan[k])
 
 
 def fit_c2(curve: CalibrationCurve) -> dict:
@@ -192,7 +219,7 @@ def fit_c2(curve: CalibrationCurve) -> dict:
         raise ValueError("need at least 2 distinct tau values")
     if np.all(curve.phi_in == 0):
         raise ValueError("all phi_in are zero; c2 is unidentifiable")
-    c2_hat, residual = _scan_refine(lambda c2: _model_residual(curve, c2))
+    c2_hat, residual = _scan_refine(lambda c2s: _model_residuals(curve, c2s))
     return {"c2_hat": c2_hat, "residual": residual}
 
 
@@ -212,5 +239,6 @@ def _phase_damping_residual(curve: CalibrationCurve, gamma: float) -> float:
 
 def fit_phase_damping(curve: CalibrationCurve) -> dict:
     """Reference fit of the phase-damping model, for model discrimination."""
-    gamma_hat, residual = _scan_refine(lambda g: _phase_damping_residual(curve, g))
+    gamma_hat, residual = _scan_refine(
+        lambda gammas: [_phase_damping_residual(curve, g) for g in gammas])
     return {"gamma_hat": gamma_hat, "residual": residual}

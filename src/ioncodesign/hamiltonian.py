@@ -8,6 +8,7 @@ built on first use) is the oracle for every Trotter and noise comparison.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,10 +112,15 @@ class ExactEvolver:
         self.eigenvalues.flags.writeable = self.eigenvectors.flags.writeable = False
 
     def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigenvalues * t)
+        phases = self._phases(t)
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
     def evolve(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
+        phases = self._phases(t)
         coeff = self.eigenvectors.conj().T @ amplitudes
-        phases = np.exp(-1j * self.eigenvalues * t)
         return self.eigenvectors @ (phases.reshape((-1,) + (1,) * (coeff.ndim - 1)) * coeff)
+
+    def _phases(self, t: float) -> np.ndarray:
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite; got {t!r}")
+        return np.exp(-1j * self.eigenvalues * t)

@@ -140,27 +140,18 @@ def hyp1f2(a, b1, b2, z):
 
     Entire in z, so the series always converges; terms are accumulated
     until they fall below 1e-16 of the running sum. All four arguments
-    broadcast against each other, and every entry is summed in one array
-    series that stops once all entries have converged; scalar arguments
-    take the same path and give a float. For large negative z the
-    alternating terms cancel catastrophically in double precision, so
-    entries with |z| > 150 are evaluated one by one in arbitrary
-    precision instead.
+    broadcast against each other, and every entry is summed as one slab
+    of `_hyp1f2_series`: one array series that stops once all entries
+    have converged. Scalar arguments take the same path and give a float.
+    For large negative z the alternating terms cancel catastrophically in
+    double precision, so entries with |z| > 150 are evaluated one by one
+    in arbitrary precision instead.
     """
     a, b1, b2, z = (np.asarray(v, dtype=float) for v in (a, b1, b2, z))
     for b in (b1, b2):
         if np.any((b <= 0) & (b == np.floor(b))):
             raise ValueError("b parameters must not be non-positive integers")
-    shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
-    big = np.broadcast_to(np.abs(z) > _SERIES_Z_LIMIT, shape)
-    if big.any():
-        out = np.empty(shape)
-        a, b1, b2, z = np.broadcast_arrays(a, b1, b2, z)
-        out[big] = [_hyp1f2_mpmath(*args) for args in zip(a[big], b1[big], b2[big], z[big])]
-        small = ~big
-        out[small] = _hyp1f2_series(a[small], b1[small], b2[small], z[small])
-    else:
-        out = _hyp1f2_series(a, b1, b2, z)
+    out = _hyp1f2_series(*(v[None] if v.ndim else v for v in (a, b1, b2)), z[None])[0]
     return out if out.ndim else float(out)
 
 
@@ -178,34 +169,62 @@ def hyp1f2_float(a: float, b1: float, b2: float, z: float) -> float:
 
 
 def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
-    """The array series, stopping at the first term where every entry has converged.
+    """Independent 1F2 series stacked along axis 0 (slabs), summed in one array loop.
 
-    The stopping test runs on one witness entry first: while it has not
-    converged, neither have all entries, so the full test is skipped and
-    the series stops at the same term as a full test on every term would.
-    The witness starts at the largest |z| and moves, after each failed
-    full test, to the entry furthest from converging. 0-d parameters are
-    summed as floats, the same IEEE operations without the 0-d ufunc calls.
+    The arguments broadcast; one without the leading axis, or with length
+    1 there, is shared by every slab. A slab stops at the first term where
+    all its entries have converged, as it would alone, so slab s is bit for
+    bit `hyp1f2(a[s], b1[s], b2[s], z[s])`; it then writes its totals out
+    and the live slabs are copied without it. Entries past |z| = 150 are
+    evaluated one by one in arbitrary precision, and sum z = 0 in the
+    series meanwhile, which converges at once and so moves no stop.
+
+    A slab's stopping test runs on one witness entry first: while it has
+    not converged, neither have all entries. The witness starts at the
+    slab's largest |z| and moves, after each failed full test, to the
+    entry furthest from converging. 0-d parameters are summed as floats,
+    the same IEEE operations without the 0-d ufunc calls.
     """
-    shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
-    a, b1, b2 = (float(v) if v.ndim == 0 else v for v in (a, b1, b2))
+    shape = np.broadcast(a, b1, b2, z).shape
+    out = total = np.ones(shape)
+    if not out.size:
+        return out
+    if (np.abs(z) > _SERIES_Z_LIMIT).any():
+        a, b1, b2, z = np.broadcast_arrays(a, b1, b2, z)
+        big = np.abs(z) > _SERIES_Z_LIMIT
+        out = _hyp1f2_series(a, b1, b2, np.where(big, 0.0, z))
+        out[big] = [_hyp1f2_mpmath(*args) for args in zip(a[big], b1[big], b2[big], z[big])]
+        return out
+    a, b1, b2, z = (float(v) if np.ndim(v) == 0 else v for v in (a, b1, b2, z))
     term = np.ones(shape)
-    total = np.ones(shape)
-    if not term.size:
-        return total
-    flat_term, flat_total = term.reshape(-1), total.reshape(-1)
-    witness = int(np.argmax(np.abs(np.broadcast_to(z, shape))))
+    live = np.arange(shape[0])
+    flat_term, flat_total = term.reshape(live.size, -1), total.reshape(live.size, -1)
+    witness = np.abs(np.broadcast_to(z, shape)).reshape(live.size, -1).argmax(axis=1).tolist()
     for k in range(_MAX_SERIES_TERMS):
         term *= (a + k) / ((b1 + k) * (b2 + k))
         term *= z
         term /= k + 1.0
         total += term
-        if not abs(flat_term[witness]) < 1e-16 * max(abs(flat_total[witness]), 1e-300):
+        done = []
+        for s, w in enumerate(witness):
+            if abs(flat_term.item(s, w)) < 1e-16 * max(abs(flat_total.item(s, w)), 1e-300):
+                size = np.maximum(np.abs(flat_total[s]), 1e-300)
+                if np.all(np.abs(flat_term[s]) < 1e-16 * size):
+                    done.append(s)
+                else:
+                    witness[s] = int(np.argmax(np.abs(flat_term[s]) / size))
+        if not done:
             continue
-        size = np.maximum(np.abs(total), 1e-300)
-        if np.all(np.abs(term) < 1e-16 * size):
-            return total
-        witness = int(np.argmax(np.abs(flat_term) / size.reshape(-1)))
+        if total is not out:
+            out[live[done]] = total[done]
+        keep = [s for s in range(live.size) if s not in done]
+        if not keep:
+            return out
+        live, term, total = live[keep], term[keep], total[keep]
+        a, b1, b2, z = (v if np.ndim(v) < len(shape) or v.shape[0] == 1 else v[keep]
+                        for v in (a, b1, b2, z))  # the rest are shared by every slab
+        witness = [witness[s] for s in keep]
+        flat_term, flat_total = term.reshape(live.size, -1), total.reshape(live.size, -1)
     raise RuntimeError("1F2 series did not converge")
 
 
@@ -235,7 +254,21 @@ def return_probability(phi_in, lam):
     """Average probability of returning to |down,down> after a noisy XX gate.
 
     phi_in and lam broadcast; entries on the noiseless branch (see
-    `series_lambda`) return the noiseless cos^2(phi_in/4).
+    `series_lambda`) return the noiseless cos^2(phi_in/4). The one-slab
+    case of `return_probability_slabs`.
+    """
+    phi_in, lam = (np.asarray(v, dtype=float)[None] for v in (phi_in, lam))
+    out = return_probability_slabs(phi_in, lam)[0]
+    return out if out.ndim else float(out)
+
+
+def return_probability_slabs(phi_in, lam) -> np.ndarray:
+    """`return_probability` of each slab along axis 0 of the broadcast (phi_in, lam).
+
+    An argument whose leading axis is 1, or which has fewer axes, is
+    shared by every slab. Slab s is bit for bit return_probability(phi_in[s],
+    lam[s]); the 1F2 series of all slabs are summed in one `_hyp1f2_series`
+    loop.
     """
     phi_in = np.asarray(phi_in, dtype=float)
     lam, noisy, half = series_lambda(lam)
@@ -245,10 +278,9 @@ def return_probability(phi_in, lam):
         correction = np.where(
             noisy,
             (phi_in**2 * lam / (8.0 + 16.0 * lam))
-            * hyp1f2(1.0 + half, 1.5, 2.0 + half, -(phi_in**2) / 16.0),
+            * _hyp1f2_series(1.0 + half, 1.5, 2.0 + half, -(phi_in**2) / 16.0),
             0.0)
-    out = base + correction
-    return out if out.ndim else float(out)
+    return base + correction
 
 
 def markovian_noise_to_signal(r: int, lam: float) -> dict:

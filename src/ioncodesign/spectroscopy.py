@@ -13,6 +13,7 @@ and F(t), score circuits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,10 +229,12 @@ def fidelity_trace(ham: SpinHamiltonian, times, r: int,
     times = np.asarray(times, dtype=float)
     ev = TrotterEvolver(ham, r, timing, noise, feedforward, table)
     dim = 2**ham.n_spins
-    targets = [ham.exact.unitary(t) for t in times]
+    # each exact target is made when its time is reached, after the circuit
+    # builder has checked that time
+    target = functools.cache(lambda it: ham.exact.unitary(times[it]))
 
     def trace_fidelity(it, u1):
-        return abs(np.vdot(u1, targets[it]) / dim) ** 2
+        return abs(np.vdot(u1, target(it)) / dim) ** 2
 
     fid = _run_average(ev, times, n_runs, np.eye(dim, dtype=complex), trace_fidelity)
     if times.size > 1 and times[-1] > times[0]:

@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from ioncodesign.calibration import (
     CalibrationCurve,
-    _model_residual,
+    _model_residuals,
     _phase_damping_residual,
     fit_c2,
     fit_phase_damping,
@@ -42,9 +42,43 @@ def _loop_residual(curve, c2):
 def test_vectorized_residual_matches_loop():
     curve = simulate_calibration(np.linspace(0.5, 2 * np.pi, 8), np.linspace(0.0, 60.0, 13),
                                  0.02, 2000, seed=3)
-    for c2 in (0.0, 1e-6, 0.005, 0.02, 0.3, 10.0):
-        assert _model_residual(curve, c2) == pytest.approx(_loop_residual(curve, c2),
-                                                           rel=1e-12)
+    c2s = (0.0, 1e-6, 0.005, 0.02, 0.3, 10.0)
+    for c2, stacked in zip(c2s, _model_residuals(curve, c2s)):
+        assert _model_residuals(curve, [c2]) == [stacked]
+        assert stacked == pytest.approx(_loop_residual(curve, c2), rel=1e-12)
+
+
+def _old_model_residual(curve, c2):
+    pred = return_probability(curve.phi_in[:, None], c2 * curve.tau[None, :])
+    return float(np.sum((curve.p_return - pred) ** 2))
+
+
+def _old_fit_c2(curve):
+    """fit_c2 as it was before its scan was one stacked evaluation: one
+    return_probability call per scan point and per refine step."""
+    def loss(c2):
+        return _old_model_residual(curve, c2)
+
+    grid = np.concatenate(([0.0], np.geomspace(1e-6, 10.0, 60)))
+    losses = np.array([loss(x) for x in grid])
+    k = int(np.argmin(losses))
+    res = brent(loss, (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]), 1e-10)
+    if res.fun < losses[k]:
+        return {"c2_hat": float(res.x), "residual": float(res.fun)}
+    return {"c2_hat": float(grid[k]), "residual": float(losses[k])}
+
+
+@settings(max_examples=30, deadline=None)
+@given(c2=st.one_of(st.just(0.0), st.floats(1e-5, 3.0)), n_phi=st.integers(1, 9),
+       n_tau=st.integers(2, 14), phi_max=st.floats(0.5, 60.0), tau_max=st.floats(1.0, 80.0),
+       shots=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+def test_stacked_fit_is_the_per_point_scan_bit_for_bit(c2, n_phi, n_tau, phi_max, tau_max,
+                                                       shots, seed):
+    # phi_max past 49 puts |z| > 150 in every slab: those entries take mpmath
+    phi, tau = np.linspace(0.1, phi_max, n_phi), np.linspace(0.0, tau_max, n_tau)
+    for curve in (simulate_calibration(phi, tau, c2, shots, seed=seed),
+                  analytic_curve(c2, phi, tau)):
+        assert fit_c2(curve) == _old_fit_c2(curve)
 
 
 def test_fit_recovers_exactly_from_analytic_data():
@@ -160,6 +194,50 @@ def test_validation_errors():
     for bounds in [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)]:
         with pytest.raises(ValueError, match="bounds"):
             brent(math.cos, bounds, 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c2,tau,phi,name", [
+    (math.nan, [0.0, 60.0], [1.0], "c2_true"),  # simulated noiseless data
+    (-0.02, [0.0, 60.0], [1.0], "c2_true"),  # simulated noiseless data
+    (math.inf, [0.0, 60.0], [1.0], "c2_true"),  # RuntimeWarning in a multiply
+    (0.02, [-1.0, 60.0], [1.0], "tau_grid"),  # taken as tau = 0
+    (0.02, [0.0, math.nan], [1.0], "tau_grid"),
+    (0.02, [0.0, math.inf], [1.0], "tau_grid"),
+    (0.02, [0.0, 60.0], [math.nan], "phi_grid"),
+    (0.02, [0.0, 60.0], [-math.inf], "phi_grid"),
+    (1e308, [0.0, 60.0], [1.0], "c2_true"),  # RuntimeWarning in a multiply
+])
+def test_simulate_calibration_rejects_bad_inputs_by_name(c2, tau, phi, name):
+    with pytest.raises(ValueError, match=name):
+        simulate_calibration(phi, tau, c2, 100)
+
+
+@pytest.mark.parametrize("phi,tau,p,name", [
+    ([math.nan], [0.0, 5.0], [[1.0, 0.9]], "phi_in"),  # 1F2 series did not converge
+    ([math.inf], [0.0, 5.0], [[1.0, 0.9]], "phi_in"),
+    ([1.0], [-5.0, 5.0], [[1.0, 0.9]], "tau"),  # b parameters must not be ...
+    ([1.0], [0.0, math.inf], [[1.0, 0.9]], "tau"),
+    ([1.0], [0.0, math.nan], [[1.0, 0.9]], "tau"),
+    ([1.0], [0.0, 5.0], [[1.0, math.nan]], "p_return"),  # fit_c2 gave a nan residual
+])
+def test_calibration_curve_rejects_non_finite_fields_by_name(phi, tau, p, name):
+    with pytest.raises(ValueError, match=name):
+        CalibrationCurve(phi, tau, p, shots=10)
+
+
+def test_negative_phi_in_is_accepted():
+    # the return probability is even in phi_in, so a negative input angle is data
+    assert np.array_equal(simulate_calibration([-2.0, 2.0], [0.0, 30.0], 0.02, 100).phi_in,
+                          [-2.0, 2.0])
+
+
+def test_csv_with_a_nan_probability_names_it(tmp_path):
+    # it used to be reported as a grid that the rows do not cover
+    path = tmp_path / "nan-p.csv"
+    path.write_text("phi_in,tau_ms,p_return,shots\n0.5,0.0,nan,10\n0.5,1.0,0.8,10\n")
+    with pytest.raises(ValueError, match="non-finite p_return"):
+        CalibrationCurve.from_csv(path)
 
 
 def _scanned_phase_damping_residual(curve, gamma):

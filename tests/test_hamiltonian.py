@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ def test_batched_evolution_matches_columnwise():
     batch = ev.evolve(cols, 0.8)
     for k in range(3):
         assert np.allclose(batch[:, k], ev.evolve(cols[:, k], 0.8))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_exact_evolution_rejects_a_non_finite_time(t):
+    # unitary(nan) used to return NaNs, and an infinite t warned in exp
+    exact = two_spin(0.7, (0.3, -0.2)).exact
+    with pytest.raises(ValueError, match="t must be finite"):
+        exact.unitary(t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        exact.evolve(np.eye(4), t)
+    assert np.allclose(exact.unitary(-1.5) @ exact.unitary(1.5), np.eye(4))
 
 
 def test_dict_json_round_trip(tmp_path):

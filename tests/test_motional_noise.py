@@ -206,9 +206,14 @@ def _reference_array_series(a, b1, b2, z):
     raise RuntimeError("1F2 series did not converge")
 
 
+def _one_slab(a, b1, b2, z):
+    """The array series with every entry in one slab, as hyp1f2 sums it."""
+    return _hyp1f2_series(*(v[None] if v.ndim else v for v in (a, b1, b2)), z[None])[0]
+
+
 def _assert_series_bit_identical(a, b1, b2, z):
     args = [np.asarray(v, dtype=float) for v in (a, b1, b2, z)]
-    got, want = _hyp1f2_series(*args), _reference_array_series(*args)
+    got, want = _one_slab(*args), _reference_array_series(*args)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -245,6 +250,48 @@ def test_array_series_is_bit_identical_when_broadcast():
     _assert_series_bit_identical(a, 1.5, b2, z)
     _assert_series_bit_identical(a, np.array([1.5, 2.5]).reshape(1, 1, 2, 1), b2[..., None],
                                  np.concatenate([z, -z[:5] / 10.0]))
+
+
+def _slab_case(draw_lam, draw_phi, slabs, seed):
+    """(a, b1, b2, z) of `slabs` return-probability-like series, each slab with
+    its own lambda row, lambda = 0 placeholders (a = 2, b2 = 3) and a z = 0 entry."""
+    rng = np.random.default_rng(seed)
+    half = np.where(rng.random((slabs, 1, 4)) < 0.2, 1.0, 0.5 / draw_lam(rng, (slabs, 1, 4)))
+    z = -draw_phi(rng, (1, 5, 1)) ** 2 / 16.0
+    z[0, 0, 0] = 0.0
+    return 1.0 + half, 1.5, 2.0 + half, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(slabs=st.integers(1, 12), lam_max=st.floats(1e-3, 50.0),
+       phi_max=st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1),
+       big=st.booleans(), scalar=st.booleans())
+def test_each_slab_is_hyp1f2_of_that_slab_bit_for_bit(slabs, lam_max, phi_max, seed, big,
+                                                        scalar):
+    # Slabs with different lambda rows converge at different terms and retire
+    # one by one; a slab with |z| > 150 takes the mpmath route on its own.
+    a, b1, b2, z = _slab_case(lambda rng, shape: rng.uniform(1e-3, lam_max, shape),
+                              lambda rng, shape: rng.uniform(0.0, phi_max, shape), slabs, seed)
+    z = np.broadcast_to(z, (slabs, 5, 1)).copy()
+    if big:
+        z[-1, -1, 0] = -151.0 - phi_max
+    if scalar:
+        a, b2 = a[:, :1, :1].reshape(-1)[0], b2[:, :1, :1].reshape(-1)[0]
+    out = _hyp1f2_series(a, b1, b2, z)
+    assert out.shape == np.broadcast_shapes(np.shape(a), z.shape)
+    for s in range(out.shape[0]):
+        pick = [v[s] if np.ndim(v) == 3 else v for v in (a, b1, b2, z)]
+        assert out[s].tobytes() == np.asarray(hyp1f2(*pick)).tobytes()
+
+
+def test_a_single_slab_and_0d_parameters_are_the_one_slab_series():
+    a, b1, b2, z = _slab_case(lambda rng, shape: rng.uniform(1e-3, 5.0, shape),
+                              lambda rng, shape: rng.uniform(0.0, 12.0, shape), 1, 3)
+    assert _hyp1f2_series(a, b1, b2, z)[0].tobytes() == hyp1f2(a[0], b1, b2[0], z[0]).tobytes()
+    zs = np.array([[0.0, -1.0, -9.0], [-0.5, -2.0, -4.0]])
+    for a in (2.0, np.asarray(2.0), np.array([[2.0]])):
+        out = _hyp1f2_series(a, 1.5, 3.0, zs)
+        assert [row.tobytes() for row in out] == [hyp1f2(2.0, 1.5, 3.0, z).tobytes() for z in zs]
 
 
 def test_array_series_of_empty_arrays_is_empty():

@@ -135,6 +135,14 @@ def test_fidelity_at_a_nan_time_is_an_error():
         fidelity_trace(random_instance(2, seed=8), [0.0, math.nan], 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.inf, -1.0])
+def test_fidelity_at_a_bad_time_warns_nothing_before_the_error(t):
+    # An infinite time printed two RuntimeWarnings from the exact target first.
+    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+        fidelity_trace(random_instance(2, seed=8), [0.0, t], 2)
+
+
 @pytest.mark.parametrize("r", [2.5, True, 2.0, "2"])
 def test_step_count_must_be_an_integer_and_not_a_bool(r):
     # 2.5 used to raise a TypeError from list repetition, and True built one step.
