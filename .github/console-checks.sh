@@ -13,7 +13,9 @@
 # the command runs: it names `perturb` and leaves no --out. A heating rate
 # that overflows inside the simulation exits 1 with one error line, no
 # RuntimeWarning and no --out. Two calibrate runs write a calibration CSV
-# and a standard-JSON fit, byte for byte the same.
+# and a standard-JSON fit, byte for byte the same, and so do two
+# feedforward-table runs, whose corners share the dense scan's rows through
+# one caller-owned dict; the table is also written at a 0.5 rad cap.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -36,8 +38,13 @@ done
 for file in calibration.csv calibration_fit.json; do
   cmp "$tmp/calibrate1/$file" "$tmp/calibrate2/$file"
 done
-ioncodesign feedforward-table --n-phi 3 --n-lam 3 --out "$tmp/fftable"
-test -s "$tmp/fftable/feedforward_table.csv"
+for run in 1 2; do
+  ioncodesign feedforward-table --n-phi 4 --n-lam 3 --out "$tmp/fftable$run"
+  test -s "$tmp/fftable$run/feedforward_table.csv"
+done
+cmp "$tmp/fftable1/feedforward_table.csv" "$tmp/fftable2/feedforward_table.csv"
+ioncodesign feedforward-table --n-phi 4 --n-lam 3 --phi-cap 0.5 --out "$tmp/fftable-cap"
+test -s "$tmp/fftable-cap/feedforward_table.csv"
 code=0
 ioncodesign noise-stats --tau 1e200 --out "$tmp/bad" || code=$?
 test "$code" -eq 2

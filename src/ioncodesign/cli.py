@@ -209,15 +209,19 @@ _SUBCOMMANDS = {
                           {"r": (None, "Trotter steps")}),
     "depth-sweep": ("F_int and Hellinger distance vs depth", _cmd_depth_sweep, {}),
     "calibrate": ("synthetic calibration and c2 fit", _cmd_calibrate,
-                  {"shots": (10000, None)}),
+                  {"shots": (10000, "measurement shots per (phi_in, tau) point")}),
     "feedforward-table": ("optimal input angle table", _cmd_feedforward_table,
-                          {"phi_cap": (4.0 * math.pi, None), "n_phi": (25, None),
-                           "n_lam": (11, None), "lam_max": (5.0, None)}),
+                          {"phi_cap": (4.0 * math.pi, "laser-power cap on the input angle, rad"),
+                           "n_phi": (25, "desired angles, evenly spaced in (0, phi_cap]"),
+                           "n_lam": (11, "lambdas, evenly spaced in [0, lam_max]"),
+                           "lam_max": (5.0, "largest lambda = c2 * tau")}),
     "noise-stats": ("analytic angle statistics", _cmd_noise_stats,
-                    {"tau": (10.0, "gate time, ms"), "phi_in": (math.pi / 2.0, None),
+                    {"tau": (10.0, "gate time, ms"),
+                     "phi_in": (math.pi / 2.0, "requested input angle, rad"),
                      "r": (100, "steps for noise-to-signal")}),
     "infer": ("local-search Hamiltonian inference demo", _cmd_infer,
-              {"iterations": (30, None), "perturb": (0.3, "initial-guess jitter scale")}),
+              {"iterations": (30, "local-search iterations"),
+               "perturb": (0.3, "initial-guess jitter scale")}),
 }
 
 

@@ -65,7 +65,7 @@ def avg_gate_fidelity(phi_in, phi_p, lam):
         out = gate_fidelity(phi_in, phi_p) + np.zeros(noisy.shape)
         return out if out.ndim else float(out)
     square = phi_in**2
-    out = _noisy_fidelity(phi_in, square, 0.5 * np.cos(phi_in / 2.0), lam,
+    out = _noisy_fidelity(0.5 * np.cos(phi_in / 2.0), *_lam_products(phi_in, square, lam),
                           np.cos(phi_p / 2.0), np.sin(phi_p / 2.0),
                           *_hyp_pair(hyp1f2, half, -square / 16.0))
     if not noisy.all():
@@ -79,20 +79,29 @@ def _hyp_pair(series, half, z):
             series(0.5 + half, 1.5, 1.5 + half, z))
 
 
-def _noisy_fidelity(phi, square, half_cos, lam, cp, sp, h1, h2):
-    """avg_gate_fidelity's noisy branch on floats or arrays: square = phi**2,
-    half_cos = cos(phi/2)/2, (cp, sp) = cos, sin(phi_p/2), (h1, h2) = `_hyp_pair`."""
-    return (0.5 + half_cos * cp + square * lam / (8.0 + 16.0 * lam) * cp * h1
-            + phi / (4.0 + 4.0 * lam) * sp * h2)
+def _lam_products(phi, square, lam):
+    """The lambda-dependent factors (p, q) of `_noisy_fidelity`, square = phi**2."""
+    return square * lam / (8.0 + 16.0 * lam), phi / (4.0 + 4.0 * lam)
+
+
+def _noisy_fidelity(half_cos, p, q, cp, sp, h1, h2):
+    """avg_gate_fidelity's noisy branch on floats or arrays: half_cos =
+    cos(phi/2)/2, (p, q) = `_lam_products`, (cp, sp) = cos, sin(phi_p/2),
+    (h1, h2) = `_hyp_pair`."""
+    return 0.5 + half_cos * cp + p * cp * h1 + q * sp * h2
 
 
 class _Scan:
     """The dense scan grid on [0, cap] and the lambda rows evaluated on it.
 
-    The lambda-independent arrays are built once. A lambda row holds the
+    The lambda-independent arrays are built once. A lambda row holds
+    `series_lambda`'s branch and 0.5/lam, as a bool and a float, and the
     `_hyp_pair` over the grid, () on the noiseless branch; at most
-    SCAN_ROWS_MAX rows are kept, the oldest evicted first. Every array is
-    read-only.
+    SCAN_ROWS_MAX rows are kept, the oldest evicted first. The hot row is
+    the `_lam_products` over the grid for the last noisy lambda scanned,
+    rebuilt only when lambda changes: corners are solved lambda by lambda,
+    so consecutive solves share it. Every kept array is read-only, and
+    `values` returns a fresh array.
     """
 
     def __init__(self, cap: float):
@@ -103,45 +112,64 @@ class _Scan:
         self.half_cos = 0.5 * np.cos(grid / 2.0)
         for array in (self.grid, self.square, self.z, self.half_cos):
             array.flags.writeable = False
-        self.rows: dict[float, tuple[np.ndarray, ...]] = {}
+        self.rows: dict[float, tuple[bool, float, tuple[np.ndarray, ...]]] = {}
+        self.hot: tuple = (None, None, None)
 
-    def values(self, phi_p: float, lam: float) -> np.ndarray:
-        """avg_gate_fidelity(grid, phi_p, lam), bit for bit."""
+    def row(self, lam: float) -> tuple[bool, float, tuple[np.ndarray, ...]]:
+        """lam's row (noisy, half, pair), built on first use."""
         if lam not in self.rows:
             if len(self.rows) >= SCAN_ROWS_MAX:
                 del self.rows[next(iter(self.rows))]
             _, noisy, half = series_lambda(lam)
-            row = _hyp_pair(hyp1f2, half, self.z) if noisy else ()
-            for array in row:
+            pair = _hyp_pair(hyp1f2, half, self.z) if noisy else ()
+            for array in pair:
                 array.flags.writeable = False
-            self.rows[lam] = row
-        row = self.rows[lam]
-        if not row:
+            self.rows[lam] = bool(noisy), float(half), pair
+        return self.rows[lam]
+
+    def values(self, phi_p: float, lam: float) -> np.ndarray:
+        """avg_gate_fidelity(grid, phi_p, lam), bit for bit."""
+        _, _, pair = self.row(lam)
+        if not pair:
             return gate_fidelity(self.grid, phi_p)
-        return _noisy_fidelity(self.grid, self.square, self.half_cos, lam,
-                               np.cos(phi_p / 2.0), np.sin(phi_p / 2.0), *row)
+        if self.hot[0] != lam:
+            p, q = _lam_products(self.grid, self.square, lam)
+            p.flags.writeable = q.flags.writeable = False
+            self.hot = lam, p, q
+        _, p, q = self.hot
+        h1, h2 = pair
+        cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
+        # _noisy_fidelity in place, in its order: ((0.5 + hc*cp) + (p*cp)*h1) + (q*sp)*h2
+        out = np.multiply(self.half_cos, cp)
+        out += 0.5
+        term = np.multiply(p, cp)
+        term *= h1
+        out += term
+        np.multiply(q, sp, out=term)
+        term *= h2
+        out += term
+        return out
 
 
-def _refine_objective(phi_p: float, lam: float):
+def _refine_objective(phi_p: float, lam: float, noisy: bool, half: float):
     """x -> -avg_gate_fidelity(x, phi_p, lam) for a float x, bit for bit.
 
-    Each call evaluates `_noisy_fidelity` on plain floats with the float
-    1F2 series. x is squared as x * x, which is what NumPy's square
-    computes; Python's x**2 can differ in the last bit. On the noiseless
-    branch the cosine is squared as c ** 2, which is what NumPy's scalar
-    power computes; c * c can differ in the last bit.
+    (noisy, half) is lam's branch and 0.5/lam from `series_lambda`, as a
+    scan row keeps them. Each call evaluates `_noisy_fidelity` on plain
+    floats with the float 1F2 series. x is squared as x * x, which is what
+    NumPy's square computes; Python's x**2 can differ in the last bit. On
+    the noiseless branch the cosine is squared as c ** 2, which is what
+    NumPy's scalar power computes; c * c can differ in the last bit.
     """
-    _, noisy, half = series_lambda(lam)
     if not noisy:
         return lambda x: -(float(np.cos((float(x) - phi_p) / 4.0)) ** 2)
-    half = float(half)
     cp, sp = float(np.cos(phi_p / 2.0)), float(np.sin(phi_p / 2.0))
 
     def objective(x):
         x = float(x)
         square = x * x
-        return -_noisy_fidelity(x, square, 0.5 * float(np.cos(x / 2.0)), lam, cp, sp,
-                                *_hyp_pair(hyp1f2_float, half, -square / 16.0))
+        return -_noisy_fidelity(0.5 * float(np.cos(x / 2.0)), *_lam_products(x, square, lam),
+                                cp, sp, *_hyp_pair(hyp1f2_float, half, -square / 16.0))
 
     return objective
 
@@ -173,7 +201,8 @@ def optimal_input_angle(query: ControlQuery, rows: dict | None = None) -> dict:
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     if hi > lo:
-        res = minimize_scalar(_refine_objective(phi_p, lam), (lo, hi), REFINE_TOL)
+        noisy, half, _ = scan.row(lam)
+        res = minimize_scalar(_refine_objective(phi_p, lam, noisy, half), (lo, hi), REFINE_TOL)
         candidates = [(res.x, -res.fun)]
     else:
         candidates = []

@@ -38,8 +38,9 @@ class AngleDistribution:
     lam: float  # c2 * tau
 
     def __post_init__(self):
-        if self.lam < 0 or self.phi_in < 0:
-            raise ValueError("lambda and phi_in must be non-negative")
+        for name in ("phi_in", "lam"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 def sample_trajectory(times, params: NoiseParams, rngs) -> np.ndarray:
@@ -114,8 +115,12 @@ def angle_correlation(tau: float, delta: float, c2: float) -> float:
 
     No intermediate overflows while (c2 * tau)**2 is finite; delta = inf gives 0.
     """
-    if tau <= 0 or delta < 0:
-        raise ValueError("need tau > 0 and delta >= 0")
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
+    if not delta >= 0:
+        raise ValueError("delta must be non-negative")
+    if not 0 <= c2 < np.inf:
+        raise ValueError("c2 must be non-negative and finite")
     ratio = 1.0 / (1.0 + delta / tau)  # tau / (tau + delta) without forming tau + delta
     if c2 == 0:
         return ratio  # the c2 -> 0 limit
@@ -163,7 +168,12 @@ def hyp1f2_float(a: float, b1: float, b2: float, z: float) -> float:
     for k in range(_MAX_SERIES_TERMS):
         term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
         total = total + term
-        if abs(term) < 1e-16 * max(abs(total), 1e-300):
+        # abs(term) < 1e-16 * max(abs(total), 1e-300) without the builtin calls;
+        # a NaN compares false throughout, so it never converges
+        size = total if total >= 0.0 else -total
+        if size < 1e-300:
+            size = 1e-300
+        if (term if term >= 0.0 else -term) < 1e-16 * size:
             return total
     raise RuntimeError("1F2 series did not converge")
 
@@ -285,7 +295,9 @@ def return_probability_slabs(phi_in, lam) -> np.ndarray:
 
 def markovian_noise_to_signal(r: int, lam: float) -> dict:
     """Relative angle noise of an r-step sequence if gates were independent."""
-    if r < 1:
+    if not r >= 1:
         raise ValueError("r must be at least 1")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be non-negative and finite")
     beta = lam**2 / (1.0 + 2.0 * lam)
     return {"beta": beta, "eta": np.sqrt(beta) / r}

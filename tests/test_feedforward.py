@@ -20,7 +20,7 @@ from ioncodesign.feedforward import (
     optimal_input_angle,
 )
 from ioncodesign.hamiltonian import SpinHamiltonian
-from ioncodesign.motional_noise import hyp1f2, series_lambda
+from ioncodesign.motional_noise import hyp1f2, hyp1f2_float, series_lambda
 from ioncodesign.trotter import GateTiming, TimedCircuit, build_trotter_circuit
 
 
@@ -404,14 +404,14 @@ def _old_avg_gate_fidelity(phi_in, phi_p, lam):
     return _old_combine(_old_fidelity_parts(phi_in, lam), phi_p)
 
 
-def _old_optimal_input_angle(query, scans):
+def _scipy_optimal_input_angle(query, scans):
     """optimal_input_angle as it was before its refinement ran on floats.
 
     scans caches the dense scan by (lambda, cap), which the old code's
     module-level cache did for the last two lambdas.
     """
     if query.phi_p < 0:
-        flipped = _old_optimal_input_angle(ControlQuery(-query.phi_p, query.lam,
+        flipped = _scipy_optimal_input_angle(ControlQuery(-query.phi_p, query.lam,
                                                         query.phi_cap), scans)
         return {"phi_in_star": -flipped["phi_in_star"],
                 "fidelity_star": flipped["fidelity_star"]}
@@ -435,6 +435,12 @@ def _old_optimal_input_angle(query, scans):
     return {"phi_in_star": phi_star, "fidelity_star": fid_star}
 
 
+def _branch(lam):
+    """lam's (noisy, half) from series_lambda, as a float scan row keeps them."""
+    _, noisy, half = series_lambda(lam)
+    return bool(noisy), float(half)
+
+
 PINNED_X = 5.9039809275911965  # x * x and Python's x**2 differ in the last bit here
 
 
@@ -444,7 +450,7 @@ PINNED_X = 5.9039809275911965  # x * x and Python's x**2 differ in the last bit 
 def test_refine_objective_is_bit_identical_to_avg_fidelity(x, phi_p, lam):
     from ioncodesign.feedforward import _refine_objective
 
-    objective = _refine_objective(phi_p, lam)
+    objective = _refine_objective(phi_p, lam, *_branch(lam))
     for point in (x, PINNED_X, np.float64(x)):
         want = -_old_avg_gate_fidelity(point, phi_p, lam)
         assert objective(point) == want == -avg_gate_fidelity(point, phi_p, lam)
@@ -455,7 +461,7 @@ def test_refine_objective_at_the_pinned_point():
 
     for phi_p in (0.0, 1.0, PINNED_X, 4 * math.pi):
         for lam in (0.0, 0.01, 0.315, 3.0):
-            assert _refine_objective(phi_p, lam)(PINNED_X) == \
+            assert _refine_objective(phi_p, lam, *_branch(lam))(PINNED_X) == \
                 -_old_avg_gate_fidelity(PINNED_X, phi_p, lam)
 
 
@@ -491,4 +497,103 @@ def test_cold_table_corners_are_bit_identical_to_the_old_solver(workload, monkey
     assert len(solved) > 20
     scans = {}
     for query, result in solved:
-        assert result == _old_optimal_input_angle(query, scans)
+        assert result == _scipy_optimal_input_angle(query, scans)
+
+
+def _old_noisy_fidelity(phi, square, half_cos, lam, cp, sp, h1, h2):
+    return (0.5 + half_cos * cp + square * lam / (8.0 + 16.0 * lam) * cp * h1
+            + phi / (4.0 + 4.0 * lam) * sp * h2)
+
+
+class _OldScan:
+    """feedforward._Scan before the hot row: 11 full passes a corner, rows
+    holding only the `_hyp_pair`, evicted at feedforward.SCAN_ROWS_MAX."""
+
+    def __init__(self, cap):
+        grid = np.arange(0.0, cap + feedforward.SCAN_STEP, feedforward.SCAN_STEP)
+        grid[-1] = cap
+        self.grid, self.square = grid, grid**2
+        self.z = -self.square / 16.0
+        self.half_cos = 0.5 * np.cos(grid / 2.0)
+        self.rows = {}
+
+    def values(self, phi_p, lam):
+        if lam not in self.rows:
+            if len(self.rows) >= feedforward.SCAN_ROWS_MAX:
+                del self.rows[next(iter(self.rows))]
+            _, noisy, half = series_lambda(lam)
+            self.rows[lam] = feedforward._hyp_pair(hyp1f2, half, self.z) if noisy else ()
+        row = self.rows[lam]
+        if not row:
+            return gate_fidelity(self.grid, phi_p)
+        return _old_noisy_fidelity(self.grid, self.square, self.half_cos, lam,
+                                   np.cos(phi_p / 2.0), np.sin(phi_p / 2.0), *row)
+
+
+def _old_refine_objective(phi_p, lam):
+    """feedforward._refine_objective before it took (noisy, half) from the scan row."""
+    _, noisy, half = series_lambda(lam)
+    if not noisy:
+        return lambda x: -(float(np.cos((float(x) - phi_p) / 4.0)) ** 2)
+    half = float(half)
+    cp, sp = float(np.cos(phi_p / 2.0)), float(np.sin(phi_p / 2.0))
+
+    def objective(x):
+        x = float(x)
+        square = x * x
+        return -_old_noisy_fidelity(x, square, 0.5 * float(np.cos(x / 2.0)), lam, cp, sp,
+                                    *feedforward._hyp_pair(hyp1f2_float, half,
+                                                           -square / 16.0))
+
+    return objective
+
+
+def _old_optimal_input_angle(query, rows=None):
+    """optimal_input_angle before the hot row and the per-row (noisy, half)."""
+    if query.phi_p < 0:
+        flipped = _old_optimal_input_angle(ControlQuery(-query.phi_p, query.lam,
+                                                        query.phi_cap), rows)
+        return {"phi_in_star": -flipped["phi_in_star"],
+                "fidelity_star": flipped["fidelity_star"]}
+    phi_p, lam, cap = query.phi_p, query.lam, query.phi_cap
+    if rows is None:
+        rows = {}
+    if cap not in rows:
+        rows[cap] = _OldScan(cap)
+    scan = rows[cap]
+    grid = scan.grid
+    values = scan.values(phi_p, lam)
+    best = int(np.argmax(values))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    if hi > lo:
+        res = feedforward.minimize_scalar(_old_refine_objective(phi_p, lam), (lo, hi),
+                                          feedforward.REFINE_TOL)
+        candidates = [(res.x, -res.fun)]
+    else:
+        candidates = []
+    candidates.append((float(grid[best]), float(values[best])))
+    phi_star, fid_star = max(candidates, key=lambda c: (c[1], -c[0]))
+    return {"phi_in_star": phi_star, "fidelity_star": fid_star}
+
+
+@settings(max_examples=60, deadline=None)
+@given(lams=st.lists(st.one_of(st.sampled_from([0.0, 1e-310]), st.floats(0.0, 3.0)),
+                     min_size=1, max_size=3),
+       queries=st.lists(st.tuples(st.floats(-4 * math.pi, 4 * math.pi), st.integers(0, 2)),
+                        min_size=1, max_size=6),
+       cap=st.sampled_from([4 * math.pi, 0.5, 1e-9]), shared=st.booleans(),
+       rows_max=st.sampled_from([2, 64]))
+def test_corners_are_the_old_solvers_bit_for_bit(lams, queries, cap, shared, rows_max):
+    # queries interleave up to three lambdas, so the hot row switches back and
+    # forth, and with SCAN_ROWS_MAX = 2 rows are evicted and rebuilt
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feedforward, "SCAN_ROWS_MAX", rows_max)
+        new_rows, old_rows = {}, {}
+        for phi_p, k in queries:
+            query = ControlQuery(phi_p, lams[k % len(lams)], cap)
+            got = optimal_input_angle(query, new_rows if shared else None)
+            want = _old_optimal_input_angle(query, old_rows if shared else None)
+            assert got == want
+        if shared:
+            assert list(new_rows[cap].rows) == list(old_rows[cap].rows)

@@ -430,6 +430,14 @@ def test_every_cli_number_option_is_typed_by_its_setting_rule():
         assert typed == {dest: SETTING_RULES[field][0] for dest, field in fields.items()}
 
 
+def test_every_subcommand_option_has_a_help_string():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    for command, (_, _, options) in cli._SUBCOMMANDS.items():
+        helps = {a.dest: a.help for a in sub.choices[command]._actions}
+        for name in options:
+            assert isinstance(helps[name], str) and helps[name].strip(), (command, name)
+
+
 def test_an_option_without_a_setting_rule_fails_when_the_parser_is_built(monkeypatch):
     about, handler, options = cli._SUBCOMMANDS["infer"]
     options = {**options, "bogus": (1, None)}

@@ -193,6 +193,52 @@ def test_hyp1f2_float_is_scalar_hyp1f2_bit_for_bit():
         assert hyp1f2_float(1.5, 1.5, 2.5, z) == hyp1f2(1.5, 1.5, 2.5, z)
 
 
+def _old_hyp1f2_float(a, b1, b2, z):
+    """hyp1f2_float as it was before its stopping test dropped abs and max."""
+    if abs(z) > 150.0:
+        return hyp1f2(a, b1, b2, z)
+    term = total = 1.0
+    for k in range(500):
+        term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
+        total = total + term
+        if abs(term) < 1e-16 * max(abs(total), 1e-300):
+            return total
+    raise RuntimeError("1F2 series did not converge")
+
+
+def _float_series_outcome(series, *args):
+    try:
+        return series(*args)
+    except RuntimeError:
+        return "RuntimeError"
+
+
+# z = 0, |z| at and around the series limit, and z where the partial sums
+# or the total cross zero (the 1F2 oscillates about 0 for large negative z)
+@settings(max_examples=1000, deadline=None)
+@given(a=st.floats(0.5, 60.0), b1=st.floats(0.5, 3.0), b2=st.floats(0.5, 60.0),
+       z=st.one_of(st.floats(-150.0, 150.0), st.sampled_from([0.0, -0.0, -150.0, 150.0,
+                                                               -149.999, -150.001])))
+def test_float_series_is_the_old_loop_bit_for_bit(a, b1, b2, z):
+    want = _float_series_outcome(_old_hyp1f2_float, a, b1, b2, z)
+    assert _float_series_outcome(hyp1f2_float, a, b1, b2, z) == want
+
+
+def test_float_series_matches_the_old_loop_where_totals_cross_zero_and_on_nan():
+    signs = set()
+    for z in np.linspace(-150.0, 0.0, 301):
+        for a, b2 in ((1.5, 2.5), (2.1, 3.1), (0.9, 1.9)):
+            want = _old_hyp1f2_float(a, 1.5, b2, z)
+            assert hyp1f2_float(a, 1.5, b2, z) == want
+            signs.add(math.copysign(1.0, want))
+    assert signs == {-1.0, 1.0}
+    for series in (hyp1f2_float, _old_hyp1f2_float):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            series(1.5, 1.5, 2.5, math.nan)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            series(math.nan, 1.5, 2.5, -1.0)
+
+
 def _reference_array_series(a, b1, b2, z):
     """The array series as it was before it tested one witness entry per term."""
     shape = np.broadcast_shapes(a.shape, b1.shape, b2.shape, z.shape)
@@ -409,6 +455,41 @@ def test_validation_errors():
         sample_trajectory([2.0, 1.0], NoiseParams(c2=0.1), [np.random.default_rng(0)])
     with pytest.raises(ValueError):
         angle_correlation(0.0, 1.0, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, name", [
+    (lambda: AngleDistribution(math.nan, 0.1), "phi_in"),
+    (lambda: AngleDistribution(math.inf, 0.1), "phi_in"),
+    (lambda: AngleDistribution(-1.0, 0.1), "phi_in"),
+    (lambda: AngleDistribution(1.0, math.inf), "lam"),
+    (lambda: AngleDistribution(1.0, math.nan), "lam"),
+    (lambda: AngleDistribution(1.0, -0.1), "lam"),
+    (lambda: angle_correlation(1.0, 1.0, -0.1), "c2"),
+    (lambda: angle_correlation(1.0, 1.0, math.nan), "c2"),
+    (lambda: angle_correlation(1.0, 1.0, math.inf), "c2"),
+    (lambda: angle_correlation(math.nan, 1.0, 0.1), "tau"),
+    (lambda: angle_correlation(math.inf, 1.0, 0.1), "tau"),
+    (lambda: angle_correlation(0.0, 1.0, 0.1), "tau"),
+    (lambda: angle_correlation(1.0, math.nan, 0.1), "delta"),
+    (lambda: angle_correlation(1.0, -1.0, 0.1), "delta"),
+    (lambda: markovian_noise_to_signal(3, -0.2), "lam"),
+    (lambda: markovian_noise_to_signal(3, math.nan), "lam"),
+    (lambda: markovian_noise_to_signal(3, math.inf), "lam"),
+    (lambda: markovian_noise_to_signal(math.nan, 0.2), "r"),
+])
+def test_noise_statistics_reject_bad_inputs_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_noise_statistics_keep_their_limits():
+    assert angle_correlation(1.0, math.inf, 0.02) == 0.0
+    assert angle_correlation(1.0, math.inf, 0.0) == 0.0
+    assert angle_moments(AngleDistribution(0.0, 0.0)) == {"mean": 0.0, "typical": 0.0,
+                                                         "variance": 0.0}
+    assert markovian_noise_to_signal(3, 0.0) == {"beta": 0.0, "eta": 0.0}
 
 
 def _direct_angle_correlation(tau, delta, c2):
