@@ -99,14 +99,8 @@ def simulate_calibration(phi_grid, tau_grid, c2_true: float, shots: int,
     for i, phi_in in enumerate(phi_grid):
         for j, lam in enumerate(lams):
             u = rng.exponential(lam, shots) if lam > 0 else np.zeros(shots)
-            # u becomes the return probability cos^2(phi_in exp(-u) / 4), in place
-            np.negative(u, out=u)
-            np.exp(u, out=u)
-            u *= phi_in
-            u /= 4.0
-            np.cos(u, out=u)
-            np.square(u, out=u)
-            p[i, j] = np.count_nonzero(rng.random(shots) < u) / shots
+            p_u = np.cos(np.exp(-u) * phi_in / 4.0) ** 2
+            p[i, j] = np.count_nonzero(rng.random(shots) < p_u) / shots
     return CalibrationCurve(phi_grid, tau_grid, p, shots)
 
 

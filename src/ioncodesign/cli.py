@@ -98,8 +98,9 @@ def _check_options(args, config: ExperimentConfig) -> None:
         if value is not None:  # simulate-spectrum's --r, when not given
             check_setting(name, value)
     if args.command == "noise-stats":
-        # angle_moments squares phi_in, and both it and markovian_noise_to_signal
-        # square lambda = c2 * tau; an overflowing lambda names its larger factor
+        # angle_moments squares phi_in times lam / (1 + lam) <= 1, so phi_in**2 must
+        # be finite; lambda = c2 * tau is held to the same bound, naming its larger
+        # factor, although the formulas never square it
         lam = config.c2 * args.tau
         for name, value in (("phi_in", args.phi_in),
                             ("tau" if args.tau >= config.c2 else "c2", lam)):

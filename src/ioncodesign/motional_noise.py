@@ -106,7 +106,7 @@ def angle_moments(dist: AngleDistribution) -> dict:
     lam, phi_in = dist.lam, dist.phi_in
     mean = phi_in / (1.0 + lam)
     typical = phi_in * np.exp(-lam)
-    variance = phi_in**2 * lam**2 / ((1.0 + 2.0 * lam) * (1.0 + lam) ** 2)
+    variance = (phi_in * (lam / (1.0 + lam))) ** 2 / (1.0 + 2.0 * lam)
     return {"mean": mean, "typical": typical, "variance": variance}
 
 
@@ -184,9 +184,10 @@ def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
     The arguments broadcast; one without the leading axis, or with length
     1 there, is shared by every slab. A slab stops at the first term where
     all its entries have converged, as it would alone, so slab s is bit for
-    bit `hyp1f2(a[s], b1[s], b2[s], z[s])`; it then writes its totals out
-    and the live slabs are copied without it. Entries past |z| = 150 are
-    evaluated one by one in arbitrary precision, and sum z = 0 in the
+    bit `hyp1f2(a[s], b1[s], b2[s], z[s])`: its totals are copied out then,
+    and the loop returns once every slab has stopped (a stopped slab is
+    still summed meanwhile, and its sums discarded). Entries past |z| = 150
+    are evaluated one by one in arbitrary precision, and sum z = 0 in the
     series meanwhile, which converges at once and so moves no stop.
 
     A slab's stopping test runs on one witness entry first: while it has
@@ -196,7 +197,7 @@ def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
     the same IEEE operations without the 0-d ufunc calls.
     """
     shape = np.broadcast(a, b1, b2, z).shape
-    out = total = np.ones(shape)
+    out = np.ones(shape)
     if not out.size:
         return out
     if (np.abs(z) > _SERIES_Z_LIMIT).any():
@@ -206,35 +207,25 @@ def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
         out[big] = [_hyp1f2_mpmath(*args) for args in zip(a[big], b1[big], b2[big], z[big])]
         return out
     a, b1, b2, z = (float(v) if np.ndim(v) == 0 else v for v in (a, b1, b2, z))
-    term = np.ones(shape)
-    live = np.arange(shape[0])
-    flat_term, flat_total = term.reshape(live.size, -1), total.reshape(live.size, -1)
-    witness = np.abs(np.broadcast_to(z, shape)).reshape(live.size, -1).argmax(axis=1).tolist()
+    term, total = np.ones(shape), np.ones(shape)
+    flat_term, flat_total = term.reshape(shape[0], -1), total.reshape(shape[0], -1)
+    witness = dict(enumerate(
+        np.abs(np.broadcast_to(z, shape)).reshape(shape[0], -1).argmax(axis=1).tolist()))
     for k in range(_MAX_SERIES_TERMS):
         term *= (a + k) / ((b1 + k) * (b2 + k))
         term *= z
         term /= k + 1.0
         total += term
-        done = []
-        for s, w in enumerate(witness):
+        for s, w in list(witness.items()):
             if abs(flat_term.item(s, w)) < 1e-16 * max(abs(flat_total.item(s, w)), 1e-300):
                 size = np.maximum(np.abs(flat_total[s]), 1e-300)
                 if np.all(np.abs(flat_term[s]) < 1e-16 * size):
-                    done.append(s)
+                    out[s] = total[s]
+                    del witness[s]
                 else:
                     witness[s] = int(np.argmax(np.abs(flat_term[s]) / size))
-        if not done:
-            continue
-        if total is not out:
-            out[live[done]] = total[done]
-        keep = [s for s in range(live.size) if s not in done]
-        if not keep:
+        if not witness:
             return out
-        live, term, total = live[keep], term[keep], total[keep]
-        a, b1, b2, z = (v if np.ndim(v) < len(shape) or v.shape[0] == 1 else v[keep]
-                        for v in (a, b1, b2, z))  # the rest are shared by every slab
-        witness = [witness[s] for s in keep]
-        flat_term, flat_total = term.reshape(live.size, -1), total.reshape(live.size, -1)
     raise RuntimeError("1F2 series did not converge")
 
 
@@ -299,5 +290,5 @@ def markovian_noise_to_signal(r: int, lam: float) -> dict:
         raise ValueError("r must be at least 1")
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be non-negative and finite")
-    beta = lam**2 / (1.0 + 2.0 * lam)
+    beta = lam * (lam / (1.0 + 2.0 * lam))
     return {"beta": beta, "eta": np.sqrt(beta) / r}

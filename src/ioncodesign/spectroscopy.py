@@ -194,22 +194,39 @@ def noisy_response(ham: SpinHamiltonian, times, r: int, noise: NoiseParams | Non
 
 def spectrum(series: ResponseSeries, gamma: float, omega_grid) -> Spectrum:
     """Damped Fourier transform with trapezoidal weights, then a clipped
-    and normalized copy suitable for Hellinger comparisons."""
+    and normalized copy suitable for Hellinger comparisons. The times and
+    omega_grid must each be increasing and evenly spaced."""
     if not 0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite")
     omega_grid = np.asarray(omega_grid, dtype=float)
     t = series.times
+    dt = _grid_step(t, "times", 0.0)
+    d_omega = _grid_step(omega_grid, "omega_grid", 1.0)
     weights = np.full(t.size, 1.0)
     weights[0] = weights[-1] = 0.5
-    dt = t[1] - t[0] if t.size > 1 else 0.0
     damped = weights * np.exp(-gamma * t) * series.values * dt
     a_raw = np.real(np.exp(1j * np.outer(omega_grid, t)) @ damped)
     clipped = np.clip(a_raw, 0.0, None)
-    d_omega = omega_grid[1] - omega_grid[0] if omega_grid.size > 1 else 1.0
     mass = clipped.sum() * d_omega / (2.0 * np.pi)
     if mass <= 0:
         raise ValueError("spectrum has no positive weight; cannot normalize")
     return Spectrum(omega_grid, a_raw, clipped / mass, gamma)
+
+
+def _grid_step(grid: np.ndarray, name: str, single: float) -> float:
+    """The step of an increasing grid whose steps agree to a relative 1e-9,
+    give or take the few ulps of its largest point that linspace rounds
+    each point by; `single` for a grid of one point."""
+    if grid.size < 2:
+        return single
+    with np.errstate(over="ignore"):  # a step past the float range is rejected below
+        steps = np.diff(grid)
+    if not 0 < steps[0] < np.inf:
+        raise ValueError(f"{name} must be increasing and evenly spaced")
+    slack = 1e-9 * steps[0] + 4.0 * np.spacing(np.abs(grid).max())
+    if not np.all(np.abs(steps - steps[0]) <= slack):
+        raise ValueError(f"{name} must be increasing and evenly spaced")
+    return steps[0]
 
 
 def hellinger(a: Spectrum, b: Spectrum) -> float:

@@ -81,6 +81,36 @@ def test_stacked_fit_is_the_per_point_scan_bit_for_bit(c2, n_phi, n_tau, phi_max
         assert fit_c2(curve) == _old_fit_c2(curve)
 
 
+def _parent_simulated_probabilities(phi_grid, tau_grid, c2_true, shots, seed):
+    """simulate_calibration's p_return as drawn by the in-place shot loop."""
+    rng = np.random.default_rng(seed)
+    lams = c2_true * np.asarray(tau_grid, dtype=float)
+    p = np.empty((len(phi_grid), lams.size))
+    for i, phi_in in enumerate(np.asarray(phi_grid, dtype=float)):
+        for j, lam in enumerate(lams):
+            u = rng.exponential(lam, shots) if lam > 0 else np.zeros(shots)
+            np.negative(u, out=u)
+            np.exp(u, out=u)
+            u *= phi_in
+            u /= 4.0
+            np.cos(u, out=u)
+            np.square(u, out=u)
+            p[i, j] = np.count_nonzero(rng.random(shots) < u) / shots
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(c2=st.one_of(st.just(0.0), st.floats(1e-5, 3.0)), n_phi=st.integers(1, 6),
+       n_tau=st.integers(1, 8), phi_max=st.floats(-60.0, 60.0), tau_max=st.floats(0.0, 80.0),
+       shots=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_shot_loop_is_the_in_place_loop_bit_for_bit(c2, n_phi, n_tau, phi_max, tau_max, shots,
+                                                     seed):
+    phi, tau = np.linspace(0.1, phi_max, n_phi), np.linspace(0.0, tau_max, n_tau)
+    curve = simulate_calibration(phi, tau, c2, shots, seed=seed)
+    assert curve.p_return.tobytes() == _parent_simulated_probabilities(phi, tau, c2, shots,
+                                                                       seed).tobytes()
+
+
 def test_fit_recovers_exactly_from_analytic_data():
     c2 = 0.02
     fit = fit_c2(analytic_curve(c2))

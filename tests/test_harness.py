@@ -602,13 +602,26 @@ def test_cli_noise_stats_at_c2_zero_writes_standard_json(tmp_path):
     _standard_json(out / "manifest.json")
 
 
-def test_cli_non_finite_result_exits_1_naming_the_key(tmp_path, capsys):
+def test_cli_non_finite_result_exits_1_naming_the_key(tmp_path, capsys, monkeypatch):
+    # no finite option makes a noise statistic infinite now, so one is made so here
+    from ioncodesign import cli
+
+    monkeypatch.setattr(cli, "angle_moments",
+                        lambda dist: {"mean": 1.0, "typical": 1.0, "variance": math.inf})
     out = tmp_path / "out"
-    assert main(["noise-stats", "--phi-in", "1e150", "--tau", "1e10", "--out", str(out)]) == 1
+    assert main(["noise-stats", "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: noise-stats: ") and err.count("\n") == 1
     assert "noise_stats.json" in err and "'variance'" in err
+
+
+def test_cli_noise_stats_variance_stays_finite_where_phi_in_squared_is(tmp_path):
+    # phi_in**2 * lam**2 used to overflow here and the run exited 1 on 'variance'
+    out = tmp_path / "out"
+    assert main(["noise-stats", "--phi-in", "1e150", "--tau", "1e10", "--out", str(out)]) == 0
+    report = _standard_json(out / "noise_stats.json")
+    assert math.isclose(report["variance"], 1e300 / (2.0 * report["lambda"]), rel_tol=1e-7)
 
 
 def test_cli_config_naming_out_dir_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from ioncodesign.motional_noise import (
     AngleDistribution,
+    _hyp1f2_mpmath,
     _hyp1f2_series,
     NoiseParams,
     angle_correlation,
@@ -340,6 +341,126 @@ def test_a_single_slab_and_0d_parameters_are_the_one_slab_series():
         assert [row.tobytes() for row in out] == [hyp1f2(2.0, 1.5, 3.0, z).tobytes() for z in zs]
 
 
+def _parent_hyp1f2_series(a, b1, b2, z):
+    """The slab loop as it was when each stopped slab left a compacted copy of
+    the live stack behind, its arguments sliced to match."""
+    shape = np.broadcast(a, b1, b2, z).shape
+    out = total = np.ones(shape)
+    if not out.size:
+        return out
+    if (np.abs(z) > 150.0).any():
+        a, b1, b2, z = np.broadcast_arrays(a, b1, b2, z)
+        big = np.abs(z) > 150.0
+        out = _parent_hyp1f2_series(a, b1, b2, np.where(big, 0.0, z))
+        out[big] = [_hyp1f2_mpmath(*args) for args in zip(a[big], b1[big], b2[big], z[big])]
+        return out
+    a, b1, b2, z = (float(v) if np.ndim(v) == 0 else v for v in (a, b1, b2, z))
+    term = np.ones(shape)
+    live = np.arange(shape[0])
+    flat_term, flat_total = term.reshape(live.size, -1), total.reshape(live.size, -1)
+    witness = np.abs(np.broadcast_to(z, shape)).reshape(live.size, -1).argmax(axis=1).tolist()
+    for k in range(500):
+        term *= (a + k) / ((b1 + k) * (b2 + k))
+        term *= z
+        term /= k + 1.0
+        total += term
+        done = []
+        for s, w in enumerate(witness):
+            if abs(flat_term.item(s, w)) < 1e-16 * max(abs(flat_total.item(s, w)), 1e-300):
+                size = np.maximum(np.abs(flat_total[s]), 1e-300)
+                if np.all(np.abs(flat_term[s]) < 1e-16 * size):
+                    done.append(s)
+                else:
+                    witness[s] = int(np.argmax(np.abs(flat_term[s]) / size))
+        if not done:
+            continue
+        if total is not out:
+            out[live[done]] = total[done]
+        keep = [s for s in range(live.size) if s not in done]
+        if not keep:
+            return out
+        live, term, total = live[keep], term[keep], total[keep]
+        a, b1, b2, z = (v if np.ndim(v) < len(shape) or v.shape[0] == 1 else v[keep]
+                        for v in (a, b1, b2, z))
+        witness = [witness[s] for s in keep]
+        flat_term, flat_total = term.reshape(live.size, -1), total.reshape(live.size, -1)
+    raise RuntimeError("1F2 series did not converge")
+
+
+def _stop_term(a, b1, b2, z):
+    """The term at which the one-slab series of these entries stops."""
+    term, total = np.ones(np.broadcast(a, b1, b2, z).shape), 1.0
+    for k in range(500):
+        term = term * ((a + k) / ((b1 + k) * (b2 + k))) * z / (k + 1.0)
+        total = total + term
+        if np.all(np.abs(term) < 1e-16 * np.maximum(np.abs(total), 1e-300)):
+            return k
+    raise RuntimeError("1F2 series did not converge")
+
+
+@settings(max_examples=60, deadline=None)
+@given(slabs=st.integers(2, 10), lam=st.floats(1e-3, 50.0), seed=st.integers(0, 2**32 - 1),
+       shared=st.booleans())
+def test_slabs_that_stop_far_apart_are_each_their_one_slab_call(slabs, lam, seed, shared):
+    # Each slab draws its own |z| scale over [0, 150], the first near 0 and the
+    # last at 150, so stopped slabs are summed on for ten terms or more.
+    rng = np.random.default_rng(seed)
+    scale = np.concatenate(([rng.uniform(0.0, 1.0)], rng.uniform(0.0, 150.0, slabs - 2), [150.0]))
+    z = -scale[:, None] * rng.uniform(0.0, 1.0, (slabs, 7))
+    z[:, 0] = -scale
+    half = 0.5 / lam
+    if shared:
+        a, b2 = 1.0 + half, 2.0 + half
+    else:
+        a = 1.0 + half * rng.uniform(0.5, 2.0, (slabs, 1))
+        b2 = a + 1.0
+    stops = [_stop_term(np.asarray(a if shared else a[s]), 1.5,
+                        np.asarray(b2 if shared else b2[s]), z[s]) for s in range(slabs)]
+    assert max(stops) - min(stops) >= 10
+    out = _hyp1f2_series(a, 1.5, b2, z)
+    assert out.tobytes() == _parent_hyp1f2_series(a, 1.5, b2, z).tobytes()
+    for s in range(slabs):
+        one = hyp1f2(a if shared else a[s], 1.5, b2 if shared else b2[s], z[s])
+        assert out[s].tobytes() == one.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(slabs=st.integers(1, 12), lam_max=st.floats(1e-3, 50.0),
+       phi_max=st.floats(0.0, 60.0), seed=st.integers(0, 2**32 - 1), scalar=st.booleans())
+def test_slab_loop_is_the_compacting_loop_bit_for_bit(slabs, lam_max, phi_max, seed, scalar):
+    # phi_max past 49 sends the largest |z| of every slab to mpmath
+    a, b1, b2, z = _slab_case(lambda rng, shape: rng.uniform(1e-3, lam_max, shape),
+                              lambda rng, shape: rng.uniform(0.0, phi_max, shape), slabs, seed)
+    z = z * np.random.default_rng(seed).uniform(0.0, 1.0, (slabs, 5, 1))
+    if scalar:
+        a, b2 = a[:, :1, :1].reshape(-1)[0], b2[:, :1, :1].reshape(-1)[0]
+    assert (_hyp1f2_series(a, b1, b2, z).tobytes()
+            == _parent_hyp1f2_series(a, b1, b2, z).tobytes())
+
+
+def test_a_stopped_slab_keeps_the_totals_it_stopped_with():
+    # b1 and b2 just above -1: alone, slab 0 stops after its first term, and its
+    # next term would add about 0.7 to its total while slab 1 is still summed
+    near = np.nextafter(-1.0, 0.0)
+    b = np.array([[near], [1.5]])
+    z = np.array([[0.9e-16], [-100.0]])
+    out = _hyp1f2_series(1.0, b, b, z)
+    assert out.tobytes() == _parent_hyp1f2_series(1.0, b, b, z).tobytes()
+    assert out[0, 0] == hyp1f2(1.0, near, near, 0.9e-16) == 1.0
+    assert out[1, 0] == hyp1f2(1.0, 1.5, 1.5, -100.0)
+
+
+def test_a_nan_slab_fails_after_the_others_have_stopped():
+    z = -np.linspace(0.0, 140.0, 12).reshape(4, 3)
+    z[2, 1] = np.nan
+    for series in (_hyp1f2_series, _parent_hyp1f2_series):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            series(2.0, 1.5, 3.0, z)
+    # every other slab alone converges
+    for s in (0, 1, 3):
+        assert np.isfinite(_hyp1f2_series(2.0, 1.5, 3.0, z[s:s + 1])).all()
+
+
 def test_array_series_of_empty_arrays_is_empty():
     for z in (np.array([]), np.zeros((0, 3))):
         out = _hyp1f2_series(np.asarray(1.0), np.asarray(1.5), np.asarray(2.0), z)
@@ -531,3 +652,34 @@ def test_angle_correlation_overflow_limits():
     assert angle_correlation(1e308, np.inf, 1e-300) == 0.0
     assert angle_correlation(1.0, np.inf, 0.02) == 0.0
     assert 0.0 < angle_correlation(1e308, 1e308, 1e-300) < 1.0
+
+
+@pytest.mark.parametrize("lam", [1e154, 1e200])
+def test_noise_statistics_reach_their_large_lambda_limits(lam):
+    # lam**2 used to overflow: a variance of 0.0 at 1e154 and an OverflowError at 1e200
+    phi_in = 2.5
+    moments = angle_moments(AngleDistribution(phi_in, lam))
+    assert math.isclose(moments["variance"], phi_in**2 / (2.0 * lam), rel_tol=1e-15)
+    beta = markovian_noise_to_signal(4, lam)["beta"]
+    assert math.isclose(beta, lam / 2.0, rel_tol=1e-15)
+
+
+def _normal(x):
+    return 2.3e-308 <= abs(x) < math.inf
+
+
+@settings(max_examples=500, deadline=None)
+@given(phi_in=positive_finite, lam=positive_finite)
+def test_variance_and_beta_match_the_direct_formulas_where_they_are_finite(phi_in, lam):
+    phi_in, lam = np.float64(phi_in), np.float64(lam)
+    with np.errstate(all="ignore"):
+        phi_square, lam_square = phi_in**2, lam**2
+        numerator, beta_denominator = phi_square * lam_square, 1.0 + 2.0 * lam
+        denominator = beta_denominator * (1.0 + lam) ** 2
+        variance, beta = numerator / denominator, lam_square / beta_denominator
+    # the direct formulas are trusted where no step overflows or goes subnormal
+    if all(map(_normal, (phi_square, lam_square, numerator, denominator, variance))):
+        assert math.isclose(angle_moments(AngleDistribution(phi_in, lam))["variance"], variance,
+                            rel_tol=1e-14)
+    if all(map(_normal, (lam_square, beta_denominator, beta))):
+        assert math.isclose(markovian_noise_to_signal(3, lam)["beta"], beta, rel_tol=1e-14)

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ioncodesign import default_instance, spectroscopy
 from ioncodesign.feedforward import FeedforwardTable, correct_circuit
@@ -12,6 +14,7 @@ from ioncodesign.motional_noise import NoiseParams, sample_trajectory
 from ioncodesign.spectroscopy import (
     ResponseSeries,
     TrotterEvolver,
+    _grid_step,
     exact_response,
     fidelity_trace,
     hellinger,
@@ -183,6 +186,38 @@ def test_spectrum_rejects_non_finite_gamma(gamma):
     series = ResponseSeries(np.linspace(0, 1, 5), np.ones(5))
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         spectrum(series, gamma=gamma, omega_grid=np.linspace(-1, 1, 5))
+
+
+UNEVEN_GRIDS = {
+    "decreasing": np.linspace(1.0, 0.0, 5),
+    "repeated": np.array([0.0, 0.5, 0.5, 1.0]),
+    "uneven": np.array([0.0, 0.1, 0.3, 0.6, 1.0]),
+    "one-step-off": np.r_[np.linspace(0.0, 1.0, 5), 1.25 + 1e-8],
+    "nan": np.array([0.0, 0.5, np.nan]),
+    "infinite-point": np.array([0.0, 0.5, np.inf]),
+    "infinite-step": np.array([-1e308, 1e308]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", UNEVEN_GRIDS.values(), ids=UNEVEN_GRIDS.keys())
+def test_spectrum_rejects_a_non_uniform_grid_by_name(grid):
+    # both steps used to be read off the first two points and applied to every point
+    even = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="^times must be increasing and evenly spaced"):
+        spectrum(ResponseSeries(grid, np.ones(grid.size)), gamma=0.5, omega_grid=even)
+    with pytest.raises(ValueError, match="^omega_grid must be increasing and evenly spaced"):
+        spectrum(ResponseSeries(np.linspace(0, 1, 5), np.ones(5)), gamma=0.5, omega_grid=grid)
+
+
+@settings(max_examples=500, deadline=None)
+@given(start=st.floats(-1e6, 1e6), width=st.floats(1e-9, 1e6), n=st.integers(1, 10**4))
+def test_spectrum_takes_every_linspace_grid(start, width, n):
+    # linspace rounds each point by about an ulp of the largest; a config's
+    # narrow frequency window far from 0 must still pass
+    grid = np.linspace(start, start + width, n)
+    assume(n == 1 or width / (n - 1) > 16 * np.spacing(np.abs(grid).max()))
+    assert _grid_step(grid, "omega_grid", 1.0) == (grid[1] - grid[0] if n > 1 else 1.0)
 
 
 def _magnetization_reduce(n):
