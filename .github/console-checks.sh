@@ -2,9 +2,10 @@
 #
 # The entry point from [project.scripts] must start and write a table; a
 # nonzero exit or a missing CSV fails the run. An option that would
-# overflow must exit 2 and create no --out. Result files are standard
-# JSON: c2 = 0 takes the correlation's limit, and c2 > 0 at the largest tau
-# and a huge phi_in at a large lambda stay finite. A result too large to
+# overflow (lambda = c2 * tau past the float range) must exit 2 and create
+# no --out. Result files are standard JSON: c2 = 0 takes the correlation's
+# limit, c2 > 0 at the largest tau, a lambda whose square overflows and a
+# huge phi_in at a large lambda stay finite. A result too large to
 # allocate exits 1 and creates no --out. A Hamiltonian
 # whose scale overflows, one whose entries are JSON strings, a frequency
 # grid whose largest phase overflows, and a config naming the retired
@@ -46,9 +47,11 @@ cmp "$tmp/fftable1/feedforward_table.csv" "$tmp/fftable2/feedforward_table.csv"
 ioncodesign feedforward-table --n-phi 4 --n-lam 3 --phi-cap 0.5 --out "$tmp/fftable-cap"
 test -s "$tmp/fftable-cap/feedforward_table.csv"
 code=0
-ioncodesign noise-stats --tau 1e200 --out "$tmp/bad" || code=$?
+ioncodesign noise-stats --c2 1e300 --tau 1e10 --out "$tmp/bad" || code=$?
 test "$code" -eq 2
 test ! -e "$tmp/bad"
+ioncodesign noise-stats --tau 1e200 --out "$tmp/huge-lambda"
+standard_json "$tmp/huge-lambda/noise_stats.json"
 ioncodesign noise-stats --c2 0 --tau 1e308 --out "$tmp/c2zero"
 standard_json "$tmp/c2zero/noise_stats.json"
 ioncodesign noise-stats --c2 1e-300 --tau 1e308 --out "$tmp/c2tiny"

@@ -66,7 +66,6 @@ from .trotter import (
     build_trotter_circuit,
     gate_counts,
     trotter_error,
-    trotter_step_layers,
 )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import default_instance
 from .artifacts import write_csv, write_json
 from .calibration import fit_c2, fit_phase_damping, simulate_calibration
-from .feedforward import ControlQuery, optimal_input_angle
+from .feedforward import PHI_CAP, ControlQuery, optimal_input_angle
 from .harness import (
     SETTING_RULES,
     ConfigError,
@@ -98,13 +98,11 @@ def _check_options(args, config: ExperimentConfig) -> None:
         if value is not None:  # simulate-spectrum's --r, when not given
             check_setting(name, value)
     if args.command == "noise-stats":
-        # angle_moments squares phi_in times lam / (1 + lam) <= 1, so phi_in**2 must
-        # be finite; lambda = c2 * tau is held to the same bound, naming its larger
-        # factor, although the formulas never square it
-        lam = config.c2 * args.tau
-        for name, value in (("phi_in", args.phi_in),
-                            ("tau" if args.tau >= config.c2 else "c2", lam)):
-            if not math.isfinite(value * value):
+        # angle_moments squares phi_in times lam / (1 + lam) <= 1; no formula squares
+        # lambda = c2 * tau, which must be finite, naming its larger factor if not
+        for name, value in (("phi_in", args.phi_in * args.phi_in),
+                            ("tau" if args.tau >= config.c2 else "c2", config.c2 * args.tau)):
+            if not math.isfinite(value):
                 raise ConfigError(name, "too large: noise-stats would overflow")
 
 
@@ -212,7 +210,7 @@ _SUBCOMMANDS = {
     "calibrate": ("synthetic calibration and c2 fit", _cmd_calibrate,
                   {"shots": (10000, "measurement shots per (phi_in, tau) point")}),
     "feedforward-table": ("optimal input angle table", _cmd_feedforward_table,
-                          {"phi_cap": (4.0 * math.pi, "laser-power cap on the input angle, rad"),
+                          {"phi_cap": (PHI_CAP, "laser-power cap on the input angle, rad"),
                            "n_phi": (25, "desired angles, evenly spaced in (0, phi_cap]"),
                            "n_lam": (11, "lambdas, evenly spaced in [0, lam_max]"),
                            "lam_max": (5.0, "largest lambda = c2 * tau")}),

@@ -28,13 +28,14 @@ REFINE_TOL = 1e-6  # rad, local refinement tolerance
 MEMO_PITCH_PHI = 1e-2  # rad, memo grid pitch in phi_p
 MEMO_PITCH_LAM = 1e-2  # memo grid pitch in lambda
 SCAN_ROWS_MAX = 64  # lambda rows one table keeps, ~0.2 MiB each
+PHI_CAP = 4.0 * math.pi  # rad, default laser-power cap on the input angle
 
 
 @dataclass(frozen=True)
 class ControlQuery:
     phi_p: float  # desired output angle, rad
     lam: float  # c2 * tau at gate time
-    phi_cap: float = 4.0 * math.pi  # laser power limit on the input angle
+    phi_cap: float = PHI_CAP  # laser power limit on the input angle
 
     def __post_init__(self):
         for name in ("phi_p", "lam", "phi_cap"):
@@ -222,19 +223,18 @@ class FeedforwardTable:
     whisker of the direct solve even across regime boundaries.
     """
 
-    def __init__(self, phi_cap: float = 4.0 * math.pi):
+    def __init__(self, phi_cap: float = PHI_CAP):
         if not (math.isfinite(phi_cap) and phi_cap > 0):
             raise ValueError("phi_cap must be finite and positive")
         self.phi_cap = phi_cap
-        self._corners: dict[tuple[int, int], tuple[float, float]] = {}
+        self._corners: dict[tuple[int, int], float] = {}  # optimal angle per corner
         self._rows: dict = {}  # the dense-scan rows of optimal_input_angle
 
-    def _corner(self, iphi: int, ilam: int) -> tuple[float, float]:
+    def _corner(self, iphi: int, ilam: int) -> float:
         key = (iphi, ilam)
         if key not in self._corners:
             q = ControlQuery(iphi * MEMO_PITCH_PHI, ilam * MEMO_PITCH_LAM, self.phi_cap)
-            res = optimal_input_angle(q, self._rows)
-            self._corners[key] = (res["phi_in_star"], res["fidelity_star"])
+            self._corners[key] = optimal_input_angle(q, self._rows)["phi_in_star"]
         return self._corners[key]
 
     def lookup(self, phi_p, lam) -> dict:
@@ -245,8 +245,8 @@ class FeedforwardTable:
         their 8 candidates in one vectorized avg_gate_fidelity call. The
         corners they need are read once per distinct corner, and missing
         corners that share lambda share one dense-scan row of the table.
-        Negative phi_p map by symmetry to -phi_in*, and lam = 0 returns
-        min(phi_p, phi_cap). NaN or infinite inputs raise ValueError.
+        Negative phi_p map by symmetry to -phi_in*; lam = 0 returns phi_p, or past
+        the cap optimal_input_angle's answer. NaN or infinite inputs raise ValueError.
         """
         phi_p, lam = np.broadcast_arrays(np.asarray(phi_p, dtype=float),
                                          np.asarray(lam, dtype=float))
@@ -264,6 +264,9 @@ class FeedforwardTable:
         noisy = lam > 0
         if noisy.any():
             star[noisy], fid[noisy] = self._interpolate(target[noisy], lam[noisy])
+        for n in np.flatnonzero(~noisy & (target > self.phi_cap)):  # lam = 0 past the cap
+            res = optimal_input_angle(ControlQuery(target[n], 0.0, self.phi_cap), self._rows)
+            star[n], fid[n] = res["phi_in_star"], res["fidelity_star"]
         star = np.where(negative, -star, star)
         if not shape:
             return {"phi_in_star": float(star[0]), "fidelity_star": float(fid[0])}
@@ -288,7 +291,7 @@ class FeedforwardTable:
         first = np.concatenate(([True], (sj[1:] != sj[:-1]) | (si[1:] != si[:-1])))
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(first) - 1
-        solved = np.array([self._corner(int(i), int(j))[0] for j, i in zip(sj[first], si[first])])
+        solved = np.array([self._corner(int(i), int(j)) for j, i in zip(sj[first], si[first])])
         c = solved[inverse.reshape(ci.shape)]
         interp = ((1 - fx) * (1 - fy) * c[:, 0]
                   + (1 - fx) * fy * c[:, 1]

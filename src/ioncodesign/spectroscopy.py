@@ -42,12 +42,10 @@ class Spectrum:
     omega: np.ndarray  # rad/ms
     a_raw: np.ndarray
     a_norm: np.ndarray  # non-negative, sums (x d_omega / 2pi) to 1
-    gamma: float  # broadening, rad/ms
 
 
 @dataclass
 class FidelityTrace:
-    times: np.ndarray
     fidelity: np.ndarray
     f_int: float
 
@@ -206,11 +204,16 @@ def spectrum(series: ResponseSeries, gamma: float, omega_grid) -> Spectrum:
     weights[0] = weights[-1] = 0.5
     damped = weights * np.exp(-gamma * t) * series.values * dt
     a_raw = np.real(np.exp(1j * np.outer(omega_grid, t)) @ damped)
+    return _normalized(omega_grid, d_omega, a_raw)
+
+
+def _normalized(omega_grid: np.ndarray, d_omega: float, a_raw: np.ndarray) -> Spectrum:
+    """The spectrum of a_raw on omega_grid, step d_omega: clipped at 0, then unit mass."""
     clipped = np.clip(a_raw, 0.0, None)
     mass = clipped.sum() * d_omega / (2.0 * np.pi)
     if mass <= 0:
         raise ValueError("spectrum has no positive weight; cannot normalize")
-    return Spectrum(omega_grid, a_raw, clipped / mass, gamma)
+    return Spectrum(omega_grid, a_raw, clipped / mass)
 
 
 def _grid_step(grid: np.ndarray, name: str, single: float) -> float:
@@ -230,10 +233,10 @@ def _grid_step(grid: np.ndarray, name: str, single: float) -> float:
 
 
 def hellinger(a: Spectrum, b: Spectrum) -> float:
-    """Hellinger distance between two normalized spectra on one grid."""
-    if a.omega.shape != b.omega.shape or not np.allclose(a.omega, b.omega):
+    """Hellinger distance between two normalized spectra on one (identical) grid."""
+    if not np.array_equal(a.omega, b.omega):
         raise ValueError("spectra must share the same frequency grid")
-    d_omega = a.omega[1] - a.omega[0] if a.omega.size > 1 else 1.0
+    d_omega = _grid_step(a.omega, "omega", 1.0)
     d2 = 0.5 * np.sum((np.sqrt(a.a_norm) - np.sqrt(b.a_norm)) ** 2) * d_omega / (2.0 * np.pi)
     return float(np.sqrt(min(max(d2, 0.0), 1.0)))
 
@@ -258,15 +261,12 @@ def fidelity_trace(ham: SpinHamiltonian, times, r: int,
         f_int = float(np.trapezoid(fid, times) / (times[-1] - times[0]))
     else:
         f_int = float(fid[0])
-    return FidelityTrace(times, fid, f_int)
+    return FidelityTrace(fid, f_int)
 
 
 def lorentzian_pair_spectra(centers, gamma: float, omega_grid) -> list[Spectrum]:
     """Analytic Lorentzian spectra on a grid, for tests of the spectral metrics."""
     omega_grid = np.asarray(omega_grid, dtype=float)
-    out = []
-    for c in centers:
-        raw = gamma / (gamma**2 + (omega_grid - c) ** 2)
-        d_omega = omega_grid[1] - omega_grid[0]
-        out.append(Spectrum(omega_grid, raw, raw / (raw.sum() * d_omega / (2 * np.pi)), gamma))
-    return out
+    d_omega = _grid_step(omega_grid, "omega_grid", 1.0)
+    return [_normalized(omega_grid, d_omega, gamma / (gamma**2 + (omega_grid - c) ** 2))
+            for c in centers]

@@ -239,9 +239,7 @@ def _kron(matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-def circuit_unitary(circuit, angles=None) -> np.ndarray:
-    """Ordered product of the circuit's gates (gates[0] acts first) at the
-    realized `angles`, one per gate, or else at the nominal angles."""
-    if angles is None:
-        angles = circuit.angles
-    return CompiledCircuit(circuit).apply(np.eye(2**circuit.n_qubits, dtype=complex), angles)
+def circuit_unitary(circuit) -> np.ndarray:
+    """Ordered product of the circuit's gates (gates[0] acts first) at their nominal angles."""
+    return CompiledCircuit(circuit).apply(np.eye(2**circuit.n_qubits, dtype=complex),
+                                          circuit.angles)

@@ -98,11 +98,6 @@ def _step(ham: SpinHamiltonian, dt: float) -> list[tuple]:
             + rotations("RY", [-np.pi] * n))
 
 
-def trotter_step_layers(ham: SpinHamiltonian, dt: float) -> list[GateSpec]:
-    """Gate list of one first-order step, in application order."""
-    return [GateSpec(*gate) for gate in _step(ham, dt)]
-
-
 def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
                           timing: GateTiming = GateTiming()) -> TimedCircuit:
     """r repetitions of the first-order step approximating exp(-iHt); gate m starts at m * t_g."""

@@ -2,7 +2,10 @@
 
 Run from the repository root to rewrite `tests/data/golden.json`:
 
-    PYTHONPATH=src python3 tests/make_golden.py
+    OMP_NUM_THREADS=1 PYTHONPATH=src python3 tests/make_golden.py
+
+One BLAS thread, as the benchmark runs: with two, the 7-spin sweep's
+F_int moves by an ulp.
 
 The file holds every output of the five workloads of `bench/workloads.py`
 at full size and seeds 0 and 9001, and every file that the six CLI
@@ -122,10 +125,8 @@ def _leaves(obj, key: str):
         else:
             for i, v in enumerate(obj):
                 yield from _leaves(v, f"{key}[{i}]")
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         yield key, float(obj)
-    elif isinstance(obj, np.integer):
-        yield key, int(obj)
     else:
         yield key, obj
 

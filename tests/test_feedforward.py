@@ -97,6 +97,8 @@ def _oracle_lookup(table, phi_p, lam):
     if phi_p < 0:
         res = _oracle_lookup(table, -phi_p, lam)
         return {"phi_in_star": -res["phi_in_star"], "fidelity_star": res["fidelity_star"]}
+    if lam == 0 and phi_p > table.phi_cap:
+        return optimal_input_angle(ControlQuery(phi_p, 0.0, table.phi_cap))
     if lam == 0:
         return {"phi_in_star": min(phi_p, table.phi_cap),
                 "fidelity_star": float(gate_fidelity(min(phi_p, table.phi_cap), phi_p))}
@@ -104,11 +106,11 @@ def _oracle_lookup(table, phi_p, lam):
     j0, fy = divmod(lam / 1e-2, 1.0)
     i0, j0 = int(i0), int(j0)
     corners = [table._corner(i, j) for i in (i0, i0 + 1) for j in (j0, j0 + 1)]
-    interp = ((1 - fx) * (1 - fy) * corners[0][0]
-              + (1 - fx) * fy * corners[1][0]
-              + fx * (1 - fy) * corners[2][0]
-              + fx * fy * corners[3][0])
-    candidates = np.array([interp] + [c[0] for c in corners]
+    interp = ((1 - fx) * (1 - fy) * corners[0]
+              + (1 - fx) * fy * corners[1]
+              + fx * (1 - fy) * corners[2]
+              + fx * fy * corners[3])
+    candidates = np.array([interp] + corners
                           + [min(phi_p, table.phi_cap), 0.0, table.phi_cap])
     candidates = np.clip(candidates, 0.0, table.phi_cap)
     fids = avg_gate_fidelity(candidates, phi_p, lam)
@@ -133,6 +135,21 @@ def test_batched_lookup_is_bit_identical_to_per_gate_oracle(r, t_g):
         corrected = correct_circuit(circuit, c2, table)
         assert [g.spec.angle for g in corrected.gates if g.noisy] == \
             [w["phi_in_star"] for w in want]
+
+
+def test_lookup_at_zero_lambda_past_the_cap_takes_the_solvers_answer():
+    # A circuit's first XX gate starts at tau = 0. Past the cap, lam = 0 used to return
+    # the cap itself (fidelity 0.5 at 5 pi) while lam = 1e-9 found the 4 pi period.
+    table = FeedforwardTable()
+    phi_p = np.array([5 * math.pi, -5 * math.pi, 13.0, 30.0, 12.6, 1.1])
+    at_zero, near_zero = table.lookup(phi_p, 0.0), table.lookup(phi_p, 1e-9)
+    assert np.allclose(at_zero["phi_in_star"], near_zero["phi_in_star"], rtol=0, atol=1e-5)
+    assert np.allclose(at_zero["fidelity_star"], near_zero["fidelity_star"], rtol=0, atol=1e-8)
+    assert table.lookup(5 * math.pi, 0.0) == optimal_input_angle(ControlQuery(5 * math.pi, 0.0))
+    assert at_zero["fidelity_star"][0] == pytest.approx(1.0)
+    want = [_oracle_lookup(table, float(p), 0.0) for p in phi_p]
+    assert at_zero["phi_in_star"].tolist() == [w["phi_in_star"] for w in want]
+    assert at_zero["fidelity_star"].tolist() == [w["fidelity_star"] for w in want]
 
 
 def test_lookup_scalar_and_array_shapes():
@@ -313,7 +330,7 @@ def _old_interpolate(self, phi_p, lam):
     cj = j0.astype(np.int64)[:, None] + [0, 1, 0, 1]
     keys, inverse = np.unique(np.stack([cj.ravel(), ci.ravel()], axis=1),
                               axis=0, return_inverse=True)
-    solved = np.array([self._corner(int(i), int(j))[0] for j, i in keys])
+    solved = np.array([self._corner(int(i), int(j)) for j, i in keys])
     c = solved[inverse.reshape(ci.shape)]
     interp = ((1 - fx) * (1 - fy) * c[:, 0] + (1 - fx) * fy * c[:, 1]
               + fx * (1 - fy) * c[:, 2] + fx * fy * c[:, 3])

@@ -324,11 +324,11 @@ def test_cli_failed_subcommand_writes_no_manifest(argv, tmp_path, capsys):
                                   ["feedforward-table", "--phi-cap", "0"],
                                   ["feedforward-table", "--lam-max", "nan"],
                                   ["infer", "--perturb", "nan"],
-                                  ["noise-stats", "--tau", "1e160"],
-                                  ["noise-stats", "--tau", "1e200"],
+                                  ["noise-stats", "--c2", "1e300", "--tau", "1e10"],
+                                  ["noise-stats", "--tau", "1e308", "--c2", "10"],
                                   ["noise-stats", "--phi-in", "1e160"],
                                   ["noise-stats", "--phi-in", "1e200"],
-                                  ["noise-stats", "--c2", "1e200"]])
+                                  ["noise-stats", "--tau", "1e160", "--c2", "1e160"]])
 def test_cli_bad_option_exits_2_without_creating_out(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
@@ -622,6 +622,16 @@ def test_cli_noise_stats_variance_stays_finite_where_phi_in_squared_is(tmp_path)
     assert main(["noise-stats", "--phi-in", "1e150", "--tau", "1e10", "--out", str(out)]) == 0
     report = _standard_json(out / "noise_stats.json")
     assert math.isclose(report["variance"], 1e300 / (2.0 * report["lambda"]), rel_tol=1e-7)
+
+
+@pytest.mark.parametrize("argv", [["--tau", "1e160"], ["--tau", "1e200"], ["--c2", "1e200"]])
+def test_cli_noise_stats_at_a_huge_finite_lambda_writes_standard_json(argv, tmp_path):
+    # lambda**2 overflows here, but no formula squares lambda; these runs used to exit 2
+    out = tmp_path / "out"
+    assert main(["noise-stats", *argv, "--out", str(out)]) == 0
+    report = _standard_json(out / "noise_stats.json")
+    assert math.isclose(report["beta"], report["lambda"] / 2.0, rel_tol=1e-12)
+    _standard_json(out / "manifest.json")
 
 
 def test_cli_config_naming_out_dir_exits_2(tmp_path, capsys):

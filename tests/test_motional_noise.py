@@ -133,6 +133,29 @@ def test_angle_correlation_against_monte_carlo():
     assert empirical == pytest.approx(angle_correlation(tau, delta, c2), abs=0.01)
 
 
+def _correlation_z(u, tau, delta, c2, batches=20):
+    """(corr(e^-u1, e^-u2) - angle_correlation) in batch-means standard errors."""
+    x, y = np.exp(-u)
+    per_batch = [np.corrcoef(bx, by)[0, 1]
+                 for bx, by in zip(np.split(x, batches), np.split(y, batches))]
+    se = np.std(per_batch, ddof=1) / math.sqrt(batches)
+    return (np.corrcoef(x, y)[0, 1] - angle_correlation(tau, delta, c2)) / se
+
+
+@pytest.mark.parametrize("tau,delta", [(10.0, 5.0), (40.0, 10.0), (80.0, 50.0)])
+def test_trajectory_two_time_correlation_matches_angle_correlation(tau, delta):
+    # The sampler the simulation runs, not sample_u_pairs. Independent draws share the
+    # one-time marginal, so only this two-time statistic tells them apart.
+    z = {}
+    for correlated in (True, False):
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2024).spawn(20000)]
+        u = sample_trajectory([tau, tau + delta], NoiseParams(c2=0.02, correlated=correlated),
+                              rngs)
+        z[correlated] = _correlation_z(u, tau, delta, 0.02)
+    assert abs(z[True]) <= 4.0
+    assert abs(z[False]) > 20.0
+
+
 def test_hyp1f2_sinc_identity():
     # 1F2(a; 3/2, a; -x^2/4) = sin(x)/x for any valid a
     for x in (0.3, 2.0, 7.5):

@@ -116,17 +116,17 @@ def test_compiled_circuit_matches_naive_with_realized_angles():
     for g, a in zip(circuit.gates, angles):
         spec = GateSpec(g.spec.kind, g.spec.sites, a)
         ref = gate_matrix(spec, 4) @ ref
-    out = circuit_unitary(circuit, angles)
-    assert np.allclose(out, ref, atol=1e-12)
     compiled = CompiledCircuit(circuit)
-    assert np.allclose(compiled.apply(np.eye(16, dtype=complex), angles), ref, atol=1e-12)
+    out = compiled.apply(np.eye(16, dtype=complex), angles)
+    assert np.allclose(out, ref, atol=1e-12)
+    assert np.allclose(compiled.apply(np.eye(16), angles), ref, atol=1e-12)
 
 
 def test_realized_angles_wrong_length():
     ham = random_instance(2, seed=9)
     circuit = build_trotter_circuit(ham, 0.5, 1)
     with pytest.raises(ValueError):
-        circuit_unitary(circuit, [0.0])
+        CompiledCircuit(circuit).apply(np.eye(4, dtype=complex), [0.0])
     with pytest.raises(ValueError):
         CompiledCircuit(circuit).apply(np.eye(4), np.zeros((len(circuit.gates) + 1, 2)))
 
@@ -135,9 +135,11 @@ def test_angles_other_than_1d_or_2d_are_rejected():
     circuit = build_trotter_circuit(default_instance(), 0.5, 1)
     nominal = np.array([g.spec.angle for g in circuit.gates])
     with pytest.raises(ValueError, match="angles per realization"):
-        circuit_unitary(circuit, 0.5)
+        CompiledCircuit(circuit).apply(np.eye(16, dtype=complex), 0.5)
     with pytest.raises(ValueError, match="angles per realization"):
-        circuit_unitary(circuit, np.broadcast_to(nominal[:, None, None], (nominal.size, 2, 3)))
+        CompiledCircuit(circuit).apply(np.eye(16, dtype=complex),
+                                       np.broadcast_to(nominal[:, None, None],
+                                                       (nominal.size, 2, 3)))
     with pytest.raises(ValueError, match="at least one realization"):
         CompiledCircuit(circuit).apply(np.eye(16), np.zeros((nominal.size, 0)))
 

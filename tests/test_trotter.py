@@ -18,7 +18,6 @@ from ioncodesign.trotter import (
     build_trotter_circuit,
     gate_counts,
     trotter_error,
-    trotter_step_layers,
 )
 
 
@@ -34,7 +33,7 @@ def random_instance(n, seed):
 def test_step_structure_two_spins():
     ham = random_instance(2, seed=0)
     dt = 0.1
-    step = trotter_step_layers(ham, dt)
+    step = [g.spec for g in build_trotter_circuit(ham, dt, 1).gates]
     kinds = [g.kind for g in step]
     # 3 XX chunks interleaved with fixed-axis rotations and field rotations
     assert kinds == (["XX"] + ["RZ"] * 2 + ["XX"] + ["RZ"] * 2
@@ -180,7 +179,7 @@ def test_array_circuit_equals_the_per_gate_reference(n, seed, t, r, t_g, sparse)
         J = ham.J.copy()
         J[0, :] = J[:, 0] = 0.0
         ham = SpinHamiltonian(n, J, ham.h)
-    step = trotter_step_layers(ham, t / r)
+    step = [g.spec for g in build_trotter_circuit(ham, t / r, 1).gates]
     assert step == _old_step_layers(ham, t / r)
     specs = step * r
     circuit = build_trotter_circuit(ham, t, r, GateTiming(t_g=t_g))
