@@ -75,14 +75,6 @@ def _workload_result(name: str, seed: int):
             "fit_c2": fit, "fit_phase_damping": damping}
 
 
-def _cell(text: str):
-    """A CSV cell as the writer's JSON-compatible value, or else the text."""
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
 def _cli_result(argv: list[str]) -> dict:
     """Every file one CLI run writes: CSVs by column, JSON files as parsed."""
     from ioncodesign.cli import main
@@ -99,7 +91,7 @@ def _cli_result(argv: list[str]) -> dict:
             if path.suffix == ".csv":
                 with open(path, newline="") as fh:
                     rows = list(csv.reader(fh))
-                files[path.name] = {column: [_cell(row[k]) for row in rows[1:]]
+                files[path.name] = {column: [json.loads(row[k]) for row in rows[1:]]
                                     for k, column in enumerate(rows[0])}
             else:
                 files[path.name] = json.loads(path.read_text())
@@ -107,16 +99,13 @@ def _cli_result(argv: list[str]) -> dict:
 
 
 def _leaves(obj, key: str):
-    """(field, value) pairs: float arrays as 1-D float64, every other leaf as is."""
+    """(field, value) pairs: arrays and float lists as 1-D float64, other leaves as is."""
     if isinstance(obj, dict):
-        for k in sorted(obj, key=str):
+        for k in sorted(obj):
             yield from _leaves(obj[k], f"{key}.{k}")
     elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            yield key, obj.ravel().astype(float)
-            yield f"{key}.shape", list(obj.shape)
-        else:
-            yield key, obj.tolist()
+        yield key, obj.ravel().astype(float)
+        yield f"{key}.shape", list(obj.shape)
     elif isinstance(obj, (list, tuple)):
         if obj and all(type(v) is float for v in obj):
             yield key, np.array(obj, dtype=float)
@@ -125,8 +114,6 @@ def _leaves(obj, key: str):
         else:
             for i, v in enumerate(obj):
                 yield from _leaves(v, f"{key}[{i}]")
-    elif isinstance(obj, float):
-        yield key, float(obj)
     else:
         yield key, obj
 
@@ -154,7 +141,7 @@ def encode(leaves: dict) -> dict:
     for field, value in leaves.items():
         if isinstance(value, np.ndarray):
             floats[field] = [float(v).hex() for v in value]
-        elif type(value) is float:
+        elif isinstance(value, float):
             floats[field] = value.hex()
         else:
             discrete[field] = value

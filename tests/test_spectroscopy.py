@@ -167,6 +167,11 @@ def test_hellinger_properties():
     assert 0.5 < d <= 1.0
     with pytest.raises(ValueError):
         hellinger(near, lorentzian_pair_spectra([0.0], 0.5, omega[:-1])[0])
+    # two disjoint narrow windows, which np.allclose took for one grid
+    left, right = (lorentzian_pair_spectra([0.5], 0.5, np.linspace(lo, lo + 1e-6, 5))[0]
+                   for lo in (0.5, 0.5 + 2e-6))
+    with pytest.raises(ValueError, match="same frequency grid"):
+        hellinger(left, right)
 
 
 def test_spectrum_input_validation():
