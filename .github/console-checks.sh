@@ -4,8 +4,8 @@
 # nonzero exit or a missing CSV fails the run. An option that would
 # overflow (lambda = c2 * tau past the float range) must exit 2 and create
 # no --out. Result files are standard JSON: c2 = 0 takes the correlation's
-# limit, c2 > 0 at the largest tau, a lambda whose square overflows and a
-# huge phi_in at a large lambda stay finite. A result too large to
+# limit, c2 > 0 at the largest tau (lambda = 1e8 or 1e308), a lambda whose
+# square overflows and a huge phi_in at a large lambda stay finite. A result too large to
 # allocate exits 1 and creates no --out. A Hamiltonian
 # whose scale overflows, one whose entries are JSON strings, a frequency
 # grid whose largest phase overflows, and a config naming the retired
@@ -56,6 +56,8 @@ ioncodesign noise-stats --c2 0 --tau 1e308 --out "$tmp/c2zero"
 standard_json "$tmp/c2zero/noise_stats.json"
 ioncodesign noise-stats --c2 1e-300 --tau 1e308 --out "$tmp/c2tiny"
 standard_json "$tmp/c2tiny/noise_stats.json"
+ioncodesign noise-stats --c2 1 --tau 1e308 --out "$tmp/c2one"
+standard_json "$tmp/c2one/noise_stats.json"
 ioncodesign noise-stats --phi-in 1e150 --tau 1e10 --out "$tmp/wide"
 standard_json "$tmp/wide/noise_stats.json"
 code=0

@@ -186,22 +186,26 @@ def minimize_scalar(fun, bounds, xatol: float, maxiter: int = 500) -> Minimum:
     return Minimum(xf, fx, nfev)
 
 
+def scan_refine(loss, grid, scan, xatol: float) -> tuple[float, float]:
+    """(x, loss(x)) at a minimum of loss; scan lists loss at each point of grid.
+
+    With k the scan's first minimum, the answer is the better of grid[k]
+    and the bounded Brent minimum of loss between grid[k]'s neighbours,
+    the smaller x on a tie. loss takes and returns a float.
+    """
+    k = int(np.argmin(scan))
+    res = minimize_scalar(loss, (grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]), xatol)
+    return min((float(res.x), float(res.fun)), (float(grid[k]), float(scan[k])),
+               key=lambda c: (c[1], c[0]))
+
+
 def _scan_refine(losses) -> tuple[float, float]:
     """(x, loss at x) at the minimum of a loss on [0, 10]; losses(xs) lists it at each x.
 
-    A scan over 0 and a log-spaced grid, in one losses call, brackets the
-    minimum, then a bounded scalar minimization refines it, one point per
-    call; the scan point wins a tie.
+    `scan_refine` on 0 and a log-spaced grid, scanned in one losses call.
     """
     grid = np.concatenate(([0.0], np.geomspace(1e-6, 10.0, 60)))
-    scan = np.array(losses(grid))
-    k = int(np.argmin(scan))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    res = minimize_scalar(lambda x: losses([x])[0], (lo, hi), 1e-10)
-    if res.fun < scan[k]:
-        return float(res.x), float(res.fun)
-    return float(grid[k]), float(scan[k])
+    return scan_refine(lambda x: losses([x])[0], grid, losses(grid), 1e-10)
 
 
 def fit_c2(curve: CalibrationCurve) -> dict:

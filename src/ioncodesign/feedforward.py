@@ -4,12 +4,12 @@ The average fidelity of a noisy gate with requested input angle phi_in
 against a desired output angle phi_p has a closed form in terms of 1F2
 functions. The optimal input maximizes it; the landscape is multimodal
 (interior optimum, "do nothing" at 0, "maximally strong pulse" at the
-laser-power cap), so the search is a dense scan plus local refinement.
-The closed form is written once, in `_noisy_fidelity`, which the
-vectorized fidelity, the dense scan and the float refinement all
-evaluate. The refinement is the package's bounded Brent minimizer,
-`calibration.minimize_scalar`, on plain floats. The scan's lambda rows
-live in a dict the caller owns, which FeedforwardTable keeps per table.
+laser-power cap), so the search is a dense scan refined on plain floats,
+`calibration.scan_refine`; a noiseless gate's optimum is exact. The noisy
+closed form is written once, in `_noisy_fidelity`, which the vectorized
+fidelity, the dense scan and the float refinement all evaluate. The
+scan's lambda rows live in a dict the caller owns, which FeedforwardTable
+keeps per table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import minimize_scalar
+from .calibration import scan_refine
 from .motional_noise import hyp1f2, hyp1f2_float, series_lambda
 from .trotter import TimedCircuit
 
@@ -48,8 +48,20 @@ class ControlQuery:
 
 
 def gate_fidelity(phi, phi_p):
-    """Fidelity of imparting phi when phi_p was desired (XX generator)."""
-    return np.cos((np.asarray(phi) - phi_p) / 4.0) ** 2
+    """Fidelity of imparting phi when phi_p was desired (XX generator); np.square, not
+    a NumPy scalar's ** 2 (pow), so that scalars and arrays agree bit for bit."""
+    return np.square(np.cos((np.asarray(phi) - phi_p) / 4.0))
+
+
+def _noiseless_optimum(phi_p, cap):
+    """The phi in [0, cap] maximizing gate_fidelity(phi, phi_p >= 0), arrays broadcast.
+
+    The fidelity peaks at phi_p with period 4 pi: phi_p's smallest 4 pi image
+    if it is within the cap, else the better end of [0, cap], 0 on a tie.
+    """
+    image = np.fmod(phi_p, 4.0 * math.pi)
+    end = np.where(gate_fidelity(cap, phi_p) > gate_fidelity(0.0, phi_p), cap, 0.0)
+    return np.where(image <= cap, image, end)
 
 
 def avg_gate_fidelity(phi_in, phi_p, lam):
@@ -129,16 +141,13 @@ class _Scan:
         return self.rows[lam]
 
     def values(self, phi_p: float, lam: float) -> np.ndarray:
-        """avg_gate_fidelity(grid, phi_p, lam), bit for bit."""
-        _, _, pair = self.row(lam)
-        if not pair:
-            return gate_fidelity(self.grid, phi_p)
+        """avg_gate_fidelity(grid, phi_p, lam) for a noisy lam, bit for bit."""
+        _, _, (h1, h2) = self.row(lam)
         if self.hot[0] != lam:
             p, q = _lam_products(self.grid, self.square, lam)
             p.flags.writeable = q.flags.writeable = False
             self.hot = lam, p, q
         _, p, q = self.hot
-        h1, h2 = pair
         cp, sp = np.cos(phi_p / 2.0), np.sin(phi_p / 2.0)
         # _noisy_fidelity in place, in its order: ((0.5 + hc*cp) + (p*cp)*h1) + (q*sp)*h2
         out = np.multiply(self.half_cos, cp)
@@ -152,18 +161,14 @@ class _Scan:
         return out
 
 
-def _refine_objective(phi_p: float, lam: float, noisy: bool, half: float):
-    """x -> -avg_gate_fidelity(x, phi_p, lam) for a float x, bit for bit.
+def _refine_objective(phi_p: float, lam: float, half: float):
+    """x -> -avg_gate_fidelity(x, phi_p, lam) for a float x and a noisy lam, bit for bit.
 
-    (noisy, half) is lam's branch and 0.5/lam from `series_lambda`, as a
-    scan row keeps them. Each call evaluates `_noisy_fidelity` on plain
-    floats with the float 1F2 series. x is squared as x * x, which is what
-    NumPy's square computes; Python's x**2 can differ in the last bit. On
-    the noiseless branch the cosine is squared as c ** 2, which is what
-    NumPy's scalar power computes; c * c can differ in the last bit.
+    half is 0.5/lam from `series_lambda`, as a scan row keeps it. Each call
+    evaluates `_noisy_fidelity` on plain floats with the float 1F2 series.
+    x is squared as x * x, which is what NumPy's square computes; Python's
+    x**2 can differ in the last bit.
     """
-    if not noisy:
-        return lambda x: -(float(np.cos((float(x) - phi_p) / 4.0)) ** 2)
     cp, sp = float(np.cos(phi_p / 2.0)), float(np.sin(phi_p / 2.0))
 
     def objective(x):
@@ -180,37 +185,27 @@ def optimal_input_angle(query: ControlQuery, rows: dict | None = None) -> dict:
 
     Negative desired angles are handled by symmetry: the landscape is
     invariant under flipping the sign of both angles, so the optimum for
-    -phi_p is -phi_in*. Ties break toward the smaller |phi_in|. The dense
-    scan's lambda rows are kept in rows, a dict the caller owns that maps
-    phi_cap to its scan, so queries sharing a dict and a lambda share one
-    scan; without it the scan is built afresh. The local refinement runs
-    on plain floats.
+    -phi_p is -phi_in*. Ties break toward the smaller |phi_in|. A noiseless
+    lambda (see `series_lambda`) takes `_noiseless_optimum`. The scan rows
+    are kept in rows, a dict the caller owns that maps phi_cap to its scan,
+    so queries sharing a dict and a lambda share one scan; without it the
+    scan is built afresh.
     """
-    if query.phi_p < 0:
-        flipped = optimal_input_angle(ControlQuery(-query.phi_p, query.lam, query.phi_cap), rows)
-        return {"phi_in_star": -flipped["phi_in_star"],
-                "fidelity_star": flipped["fidelity_star"]}
-    phi_p, lam, cap = query.phi_p, query.lam, query.phi_cap
-    if rows is None:
-        rows = {}
+    sign = -1.0 if query.phi_p < 0 else 1.0
+    phi_p, lam, cap = abs(query.phi_p), query.lam, query.phi_cap
+    rows = {} if rows is None else rows
     if cap not in rows:
         rows[cap] = _Scan(cap)
     scan = rows[cap]
-    grid = scan.grid
-    values = scan.values(phi_p, lam)
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    if hi > lo:
-        noisy, half, _ = scan.row(lam)
-        res = minimize_scalar(_refine_objective(phi_p, lam, noisy, half), (lo, hi), REFINE_TOL)
-        candidates = [(res.x, -res.fun)]
+    noisy, half, _ = scan.row(lam)
+    if noisy:
+        phi_star, loss = scan_refine(_refine_objective(phi_p, lam, half), scan.grid,
+                                     -scan.values(phi_p, lam), REFINE_TOL)
+        fid_star = -loss
     else:
-        candidates = []
-    candidates.append((float(grid[best]), float(values[best])))
-    phi_star, fid_star = max(candidates, key=lambda c: (c[1], -c[0]))
-    # ties toward smaller phi_in: prefer the grid endpoint if equal
-    return {"phi_in_star": phi_star, "fidelity_star": fid_star}
+        phi_star = float(_noiseless_optimum(phi_p, cap))
+        fid_star = float(gate_fidelity(phi_star, phi_p))
+    return {"phi_in_star": sign * phi_star, "fidelity_star": fid_star}
 
 
 class FeedforwardTable:
@@ -245,8 +240,8 @@ class FeedforwardTable:
         their 8 candidates in one vectorized avg_gate_fidelity call. The
         corners they need are read once per distinct corner, and missing
         corners that share lambda share one dense-scan row of the table.
-        Negative phi_p map by symmetry to -phi_in*; lam = 0 returns phi_p, or past
-        the cap optimal_input_angle's answer. NaN or infinite inputs raise ValueError.
+        Negative phi_p map by symmetry to -phi_in*; lam = 0 entries take
+        `_noiseless_optimum`. NaN or infinite inputs raise ValueError.
         """
         phi_p, lam = np.broadcast_arrays(np.asarray(phi_p, dtype=float),
                                          np.asarray(lam, dtype=float))
@@ -259,14 +254,11 @@ class FeedforwardTable:
             raise ValueError("lambda must be non-negative")
         negative = phi_p < 0
         target = np.where(negative, -phi_p, phi_p)
-        star = np.minimum(target, self.phi_cap)
+        star = _noiseless_optimum(target, self.phi_cap)
         fid = gate_fidelity(star, target)
         noisy = lam > 0
         if noisy.any():
             star[noisy], fid[noisy] = self._interpolate(target[noisy], lam[noisy])
-        for n in np.flatnonzero(~noisy & (target > self.phi_cap)):  # lam = 0 past the cap
-            res = optimal_input_angle(ControlQuery(target[n], 0.0, self.phi_cap), self._rows)
-            star[n], fid[n] = res["phi_in_star"], res["fidelity_star"]
         star = np.where(negative, -star, star)
         if not shape:
             return {"phi_in_star": float(star[0]), "fidelity_star": float(fid[0])}

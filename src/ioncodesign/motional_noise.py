@@ -106,14 +106,14 @@ def angle_moments(dist: AngleDistribution) -> dict:
     lam, phi_in = dist.lam, dist.phi_in
     mean = phi_in / (1.0 + lam)
     typical = phi_in * np.exp(-lam)
-    variance = (phi_in * (lam / (1.0 + lam))) ** 2 / (1.0 + 2.0 * lam)
+    variance = 0.5 * (phi_in * (lam / (1.0 + lam))) ** 2 / (0.5 + lam)  # no 1 + 2 lam overflow
     return {"mean": mean, "typical": typical, "variance": variance}
 
 
 def angle_correlation(tau: float, delta: float, c2: float) -> float:
     """Correlation of the angles of two gates applied delta apart.
 
-    No intermediate overflows while (c2 * tau)**2 is finite; delta = inf gives 0.
+    Finite for every finite tau > 0, delta >= 0 and c2 >= 0; delta = inf gives 0.
     """
     if not 0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
@@ -127,7 +127,10 @@ def angle_correlation(tau: float, delta: float, c2: float) -> float:
     a, d = c2 * tau, c2 * delta
     if d == np.inf:
         return 0.0  # the c2 * delta -> inf limit
-    return ratio * (np.sqrt(1 + 2 * a) * np.sqrt(1 + 2 * (a + d))) / (1 + 2 * a + d + a * d)
+    # sqrt(A B) / D with A = 1 + 2a, B = A + 2d, D = A + d (1 + a): u = A / D is
+    # 1 / (1 + d (1 + a) / A) and B / D = u + u d / (a + 1/2) with u d < 2, so nothing overflows
+    u = 1.0 / (1.0 + d * ((0.5 + 0.5 * a) / (0.5 + a)))
+    return ratio * np.sqrt(u) * np.sqrt(u + u * d / (0.5 + a))
 
 
 def short_time_pdf(dist: AngleDistribution, phi):
@@ -290,5 +293,5 @@ def markovian_noise_to_signal(r: int, lam: float) -> dict:
         raise ValueError("r must be at least 1")
     if not 0 <= lam < np.inf:
         raise ValueError("lam must be non-negative and finite")
-    beta = lam * (lam / (1.0 + 2.0 * lam))
+    beta = lam * (0.5 * lam / (0.5 + lam))  # lam / (1 + 2 lam) halved above and below: no overflow
     return {"beta": beta, "eta": np.sqrt(beta) / r}

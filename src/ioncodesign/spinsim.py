@@ -53,16 +53,25 @@ class GateSpec:
     angle: float
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "sites", tuple(self.sites))
-        n_sites = 2 if self.kind == "XX" else 1
-        if len(self.sites) != n_sites:
-            raise ValueError(f"{self.kind} takes {n_sites} site(s), got {self.sites}")
-        if self.kind == "XX" and self.sites[0] == self.sites[1]:
-            raise ValueError("XX sites must be distinct")
-        if any(s < 0 for s in self.sites):
-            raise ValueError("site indices must be non-negative")
+        object.__setattr__(self, "sites", check_gate(self.kind, self.sites))
+
+
+def check_gate(kind: str, sites, n_qubits: int | None = None) -> tuple[int, ...]:
+    """sites as a tuple, if they and kind make a gate: a known kind, its number of
+    sites, distinct XX sites, and 0 <= site < n_qubits (any site >= 0 without n_qubits)."""
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    sites = tuple(sites)
+    n_sites = 2 if kind == "XX" else 1
+    if len(sites) != n_sites:
+        raise ValueError(f"{kind} takes {n_sites} site(s), got {sites}")
+    if kind == "XX" and sites[0] == sites[1]:
+        raise ValueError("XX sites must be distinct")
+    if min(sites) < 0:
+        raise ValueError("site indices must be non-negative")
+    if n_qubits is not None and max(sites) >= n_qubits:
+        raise ValueError("gate site index out of range")
+    return sites
 
 
 def basis_state(n_qubits: int, bits) -> np.ndarray:
@@ -120,8 +129,7 @@ def sz_tot_diagonal(n_qubits: int) -> np.ndarray:
 
 def gate_matrix(gate: GateSpec, n_qubits: int) -> np.ndarray:
     """Full 2**n x 2**n embedding of the gate."""
-    if any(s >= n_qubits for s in gate.sites):
-        raise ValueError("gate site index out of range")
+    check_gate(gate.kind, gate.sites, n_qubits)
     return apply_kernel(np.eye(2**n_qubits, dtype=complex), gate_kernel(gate), gate.sites,
                         n_qubits)
 
@@ -156,8 +164,6 @@ class CompiledCircuit:
     def __init__(self, circuit):
         n = self.n_qubits = circuit.n_qubits
         self.dim, self.n_gates = 2**n, len(circuit.kinds)
-        if any(site >= n for sites in circuit.sites for site in sites):
-            raise ValueError("gate site index out of range")
         # Kernel rows: the gates', the identity, then H, which every site gets first and last.
         edge = [(self.n_gates + 1, "H", (site,)) for site in range(n)]
         gates = list(zip(range(self.n_gates), circuit.kinds, circuit.sites))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import SpinHamiltonian
-from .spinsim import GateSpec, circuit_unitary
+from .spinsim import GateSpec, check_gate, circuit_unitary
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ class TimedCircuit:
         angles, start_times = (np.asarray(v, dtype=float).view() for v in (angles, start_times))
         if not (len(kinds),) == (len(sites),) == angles.shape == start_times.shape:
             raise ValueError("kinds, sites, angles and start_times need one entry per gate")
+        for kind, gate_sites in set(zip(kinds, sites)):  # once per distinct gate, not per gate
+            check_gate(kind, gate_sites, n_qubits)
         noisy = np.array(kinds, dtype=str) == "XX"  # `TimedGate.noisy` as a mask
         for array in (angles, start_times, noisy):
             array.flags.writeable = False

@@ -634,6 +634,21 @@ def test_cli_noise_stats_at_a_huge_finite_lambda_writes_standard_json(argv, tmp_
     _standard_json(out / "manifest.json")
 
 
+@pytest.mark.parametrize("tau", ["1e307", "1e308"])
+def test_cli_noise_stats_correlations_stay_finite_at_a_huge_lambda(tau, tmp_path):
+    # angle_correlation's 1 + 2 (a + d) used to overflow here and the run exited 1, and
+    # the 1 + 2 lambda of beta and the variance made both read 0 at 1e308
+    out = tmp_path / "out"
+    assert main(["noise-stats", "--c2", "1", "--tau", tau, "--out", str(out)]) == 0
+    report = _standard_json(out / "noise_stats.json")
+    assert report["lambda"] == float(tau)
+    assert math.isclose(report["beta"], report["lambda"] / 2.0, rel_tol=1e-12)
+    assert math.isclose(report["variance"], report["phi_in"] ** 2 / 2.0 / report["lambda"],
+                        rel_tol=1e-12)
+    assert all(0.0 <= v <= 1.0 for v in report["correlations"].values())
+    _standard_json(out / "manifest.json")
+
+
 def test_cli_config_naming_out_dir_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(TINY_CLI_CONFIG, out_dir=str(tmp_path / "fromcfg"))))

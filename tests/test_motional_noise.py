@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -124,6 +125,27 @@ def test_angle_correlation_c2_zero_limit():
     assert angle_correlation(2.0, 6.0, 1e-12) == pytest.approx(0.25, rel=1e-9)
 
 
+def _exact_angle_correlation(tau, delta, c2):
+    """The closed form at 50 digits, where no float overflows."""
+    with mpmath.workdps(50):
+        tau, delta, c2 = (mpmath.mpf(v) for v in (tau, delta, c2))
+        a, d = c2 * tau, c2 * delta
+        return float(tau / (tau + delta) * mpmath.sqrt((1 + 2 * a) * (1 + 2 * (a + d)))
+                     / (1 + 2 * a + d + a * d))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e307, 1e308])
+def test_angle_correlation_is_finite_and_exact_at_a_huge_lambda(lam):
+    # 1 + 2 (a + d) and a * d used to overflow here, giving NaN or a spurious 0
+    for tau, c2 in ((lam, 1.0), (1.0, lam), (lam / 8.0, 8.0)):
+        for delta in (0.0, 1e-300, 0.1 * tau, tau, 1e308, 1.7e308):
+            got = angle_correlation(tau, delta, c2)
+            assert math.isfinite(got) and 0.0 <= got <= 1.0
+            assert got == pytest.approx(_exact_angle_correlation(tau, delta, c2),
+                                        rel=1e-14, abs=1e-300)
+
+
 def test_angle_correlation_against_monte_carlo():
     c2, tau, delta = 0.05, 15.0, 8.0
     rng = np.random.default_rng(9)
@@ -164,8 +186,6 @@ def test_hyp1f2_sinc_identity():
 
 
 def test_hyp1f2_large_argument_fallback():
-    import mpmath
-
     z = -400.0
     ours = hyp1f2(1.5, 1.5, 2.5, z)
     ref = float(mpmath.hyper([1.5], [1.5, 2.5], z))

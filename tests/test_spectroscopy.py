@@ -487,3 +487,91 @@ def test_cached_exact_evolver_is_shared_not_a_switch():
                           lambda it, u1: abs(np.vdot(u1, targets[it]) / 16) ** 2)
     got = fidelity_trace(ham, times, 2, noise=noise, n_runs=2)
     assert got.fidelity.tobytes() == want.tobytes()
+
+
+def _exact_noise_average(ham, t, r, timing, c2):
+    """E[U (x) U*] of the `correlated=False` Trotter circuit, without Monte Carlo.
+
+    Its gates draw independent noise, so the average is the ordered product
+    of each gate's own E[U_g (x) U_g*]. Only XX gates are noisy: with
+    theta = phi e^-u, u ~ Exponential(mean c2 tau), U_g = c I - i s P with
+    c, s = cos, sin(theta / 4) and P the real X_i X_j, so the average needs
+    E[c^2] = (1 + E cos(theta/2)) / 2, E[s^2] = (1 - E cos(theta/2)) / 2
+    and E[c s] = E sin(theta/2) / 2, each a quadrature over u = c2 tau w.
+    """
+    from functools import reduce
+
+    from scipy.integrate import quad
+
+    from ioncodesign.spinsim import GateSpec, gate_matrix
+
+    circuit = build_trotter_circuit(ham, t, r, timing)
+    n, dim = circuit.n_qubits, 2**circuit.n_qubits
+    eye = np.eye(dim)
+    total = np.eye(dim * dim, dtype=complex)
+    for kind, sites, phi, tau in zip(circuit.kinds, circuit.sites, circuit.angles,
+                                     circuit.start_times):
+        if kind != "XX":
+            gate = gate_matrix(GateSpec(kind, sites, phi), n)
+            total = np.kron(gate, gate.conj()) @ total
+            continue
+        lam = c2 * tau
+        mean_cos, mean_sin = (quad(lambda w: f(phi * np.exp(-lam * w) / 2.0) * np.exp(-w),
+                                   0.0, np.inf, epsabs=1e-13, epsrel=1e-12)[0]
+                              for f in (np.cos, np.sin))
+        pauli = reduce(np.kron, [np.array([[0.0, 1.0], [1.0, 0.0]]) if k in sites
+                                 else np.eye(2) for k in range(n)])
+        total = ((1.0 + mean_cos) / 2.0 * np.kron(eye, eye)
+                 + 0.5j * mean_sin * (np.kron(eye, pauli) - np.kron(pauli, eye))
+                 + (1.0 - mean_cos) / 2.0 * np.kron(pauli, pauli)) @ total
+    return total
+
+
+def _exact_f_and_s(ham, t, r, timing, c2):
+    """E[F(t)] and E[S(t)] from `_exact_noise_average`, M = E[U (x) U*]:
+    F = <T (x) T*, M> / d^2 with T the exact unitary, and S weighs
+    E|U_kj|^2 = M[(k, k), (j, j)] by S^z_tot at k and j's weight in S."""
+    average = _exact_noise_average(ham, t, r, timing, c2)
+    dim = 2**ham.n_spins
+    target = ham.exact.unitary(t)
+    fidelity = np.real(np.vdot(np.kron(target, target.conj()), average)) / dim**2
+    diag = sz_tot_diagonal(ham.n_spins)
+    populations = np.real(average[np.ix_(np.arange(dim) * (dim + 1),
+                                         np.arange(dim) * (dim + 1))])
+    positive = diag > 0
+    response = 2.0 * float((diag[positive] / dim) @ (diag @ populations[:, positive]))
+    return float(fidelity), response
+
+
+_ORACLE_HAMILTONIANS = {
+    2: SpinHamiltonian(2, np.array([[0.0, 0.8], [0.8, 0.0]]), np.array([1.0, -2.0])),
+    3: SpinHamiltonian(3, np.array([[0.0, 0.8, 0.3], [0.8, 0.0, -0.5], [0.3, -0.5, 0.0]]),
+                       np.array([1.0, -2.0, 0.5])),
+}
+
+
+@pytest.mark.parametrize("n,r,t", [(2, 3, 1.0), (3, 2, 1.5)])
+def test_exact_noise_average_reduces_to_the_noiseless_circuit(n, r, t):
+    ham, timing = _ORACLE_HAMILTONIANS[n], GateTiming(t_g=0.05)
+    fidelity, response = _exact_f_and_s(ham, t, r, timing, 0.0)
+    assert fidelity == pytest.approx(fidelity_trace(ham, [t], r, timing).fidelity[0],
+                                     abs=1e-12)
+    assert response == pytest.approx(noisy_response(ham, [t], r, None, timing).values[0],
+                                     abs=1e-12)
+
+
+@pytest.mark.parametrize("n,r,t", [(2, 3, 1.0), (3, 2, 1.5)])
+def test_uncorrelated_noise_averages_match_the_exact_channel(n, r, t):
+    # Batch means over 20 seeds of 200 runs each give the standard error. The
+    # exact values must lie within 4 of them; noise on RY/RZ, a lambda 10 % off
+    # or correlated draws move F or S by more.
+    ham, timing, c2 = _ORACLE_HAMILTONIANS[n], GateTiming(t_g=0.05), 0.5
+    fidelity, response = _exact_f_and_s(ham, t, r, timing, c2)
+    batches = np.array([
+        (fidelity_trace(ham, [t], r, timing, noise, n_runs=200).fidelity[0],
+         noisy_response(ham, [t], r, noise, timing, n_runs=200).values[0])
+        for noise in (NoiseParams(c2=c2, seed=seed, correlated=False) for seed in range(20))])
+    mean = batches.mean(axis=0)
+    se = batches.std(axis=0, ddof=1) / np.sqrt(len(batches))
+    assert np.all(np.abs(mean - [fidelity, response]) <= 4.0 * se), (mean, se,
+                                                                      fidelity, response)

@@ -228,6 +228,23 @@ def test_from_arrays_needs_one_entry_per_gate(kinds, sites, angles, start_times)
         TimedCircuit.from_arrays(2, kinds, sites, angles, start_times)
 
 
+@pytest.mark.parametrize("kind, sites, message", [
+    ("QQ", (0,), "unknown gate kind 'QQ'"),
+    ("RY", (0, 1), r"RY takes 1 site\(s\), got \(0, 1\)"),
+    ("XX", (1, 1), "XX sites must be distinct"),
+    ("XX", (-1, 0), "site indices must be non-negative"),
+    ("RX", (2,), "gate site index out of range"),
+])
+def test_from_arrays_rejects_what_the_gate_rule_rejects(kind, sites, message):
+    # a valid XX gate first, and the bad gate repeated: the check sees each distinct gate
+    kinds, all_sites = ("XX", kind, kind), ((0, 1), sites, sites)
+    with pytest.raises(ValueError, match=message):
+        TimedCircuit.from_arrays(2, kinds, all_sites, [0.1, 0.2, 0.3], [0.0, 0.01, 0.02])
+    with pytest.raises(ValueError, match=message):
+        TimedCircuit(2, (TimedGate(GateSpec("XX", (0, 1), 0.1), 0.0),
+                         TimedGate(GateSpec(kind, sites, 0.2), 0.01)))
+
+
 def test_replacing_the_gates_replaces_the_arrays():
     # dataclasses.replace passes `gates` to the constructor, which derives every array
     # from them, so a circuit whose gates were replaced never runs on stale arrays.
