@@ -44,9 +44,7 @@ from .motional_noise import (
 from .spinsim import (
     CompiledCircuit,
     GateSpec,
-    basis_state,
     circuit_unitary,
-    gate_matrix,
 )
 from .spectroscopy import (
     FidelityTrace,

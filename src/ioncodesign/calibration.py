@@ -8,7 +8,6 @@ heating rate c2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,30 +44,6 @@ class CalibrationCurve:
                   ([phi, tau, p, self.shots]
                    for phi, row in zip(self.phi_in.tolist(), self.p_return.tolist())
                    for tau, p in zip(self.tau.tolist(), row)))
-
-    @classmethod
-    def from_csv(cls, path) -> "CalibrationCurve":
-        """Read a `to_csv` file: one row per finite (phi_in, tau_ms), one shot count."""
-        with open(path, newline="") as fh:
-            rows = [(float(row["phi_in"]), float(row["tau_ms"]), float(row["p_return"]),
-                     int(row["shots"])) for row in csv.DictReader(fh)]
-        if not rows:
-            raise ValueError(f"calibration CSV {path} has no rows")
-        for column, name in enumerate(("phi_in", "tau_ms", "p_return")):
-            if not all(math.isfinite(r[column]) for r in rows):
-                raise ValueError(f"calibration CSV {path} has a non-finite {name}")
-        if len({r[:2] for r in rows}) < len(rows):
-            raise ValueError(f"calibration CSV {path} has two rows for one (phi_in, tau_ms)")
-        if len({r[3] for r in rows}) > 1:
-            raise ValueError(f"calibration CSV {path} mixes shot counts")
-        phis = sorted({r[0] for r in rows})
-        taus = sorted({r[1] for r in rows})
-        p = np.full((len(phis), len(taus)), np.nan)
-        for phi, tau, prob, shots in rows:
-            p[phis.index(phi), taus.index(tau)] = prob
-        if np.any(np.isnan(p)):
-            raise ValueError(f"calibration CSV {path} does not cover the full grid")
-        return cls(np.array(phis), np.array(taus), p, rows[0][3])
 
 
 def simulate_calibration(phi_grid, tau_grid, c2_true: float, shots: int,

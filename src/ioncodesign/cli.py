@@ -9,7 +9,8 @@ the field. A runtime failure, a non-finite result, one too large to
 allocate or a floating-point overflow or invalid operation included,
 exits 1 with an error naming the subcommand. Either way `main` removes an
 output directory it created, with whatever the subcommand had written
-there. Identical config and seed give byte-identical files.
+there. Identical config and seed give byte-identical files at a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations

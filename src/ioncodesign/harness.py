@@ -4,7 +4,7 @@ Everything here is plumbing around the physics modules: a validated JSON
 config, the depth sweep that locates the optimal gate count, a small
 derivative-free inference demo, and the run manifest. Result files go
 through the deterministic writers of `artifacts`, so identical config
-and seed reproduce byte-identical output files.
+and seed reproduce byte-identical output files at a fixed BLAS thread count.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trotter import check_integer
+
 _MAX_SERIES_TERMS = 500
 _SERIES_Z_LIMIT = 150.0  # beyond this, double-precision series cancellation bites
 # Largest 0.5/lambda the 1F2 series of the noise model takes: beyond it the
@@ -30,6 +32,7 @@ class NoiseParams:
     def __post_init__(self):
         if not 0 <= self.c2 < np.inf:
             raise ValueError("c2 must be non-negative and finite")
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .feedforward import FeedforwardTable, correct_circuit
 from .hamiltonian import SpinHamiltonian
 from .motional_noise import NoiseParams, sample_trajectory
 from .spinsim import CompiledCircuit, sz_tot_diagonal
-from .trotter import GateTiming, TimedCircuit, build_trotter_circuit
+from .trotter import GateTiming, TimedCircuit, build_trotter_circuit, check_integer
 
 
 @dataclass
@@ -98,8 +98,7 @@ class TrotterEvolver:
     def __init__(self, ham: SpinHamiltonian, r: int, timing: GateTiming = GateTiming(),
                  noise: NoiseParams | None = None, feedforward: bool = False,
                  table: FeedforwardTable | None = None):
-        if r < 1:
-            raise ValueError("r must be at least 1")
+        check_integer("r", r, 1)
         self.ham = ham
         self.r = r
         self.timing = timing
@@ -111,8 +110,7 @@ class TrotterEvolver:
 
     def runs(self, n_runs: int) -> int:
         """Noise runs worth averaging: one when the evolution is deterministic."""
-        if n_runs < 1:
-            raise ValueError("n_runs must be at least 1")
+        check_integer("n_runs", n_runs, 1)
         return n_runs if self.noise is not None else 1
 
     def circuit_for(self, t: float) -> TimedCircuit:
@@ -204,11 +202,6 @@ def spectrum(series: ResponseSeries, gamma: float, omega_grid) -> Spectrum:
     weights[0] = weights[-1] = 0.5
     damped = weights * np.exp(-gamma * t) * series.values * dt
     a_raw = np.real(np.exp(1j * np.outer(omega_grid, t)) @ damped)
-    return _normalized(omega_grid, d_omega, a_raw)
-
-
-def _normalized(omega_grid: np.ndarray, d_omega: float, a_raw: np.ndarray) -> Spectrum:
-    """The spectrum of a_raw on omega_grid, step d_omega: clipped at 0, then unit mass."""
     clipped = np.clip(a_raw, 0.0, None)
     mass = clipped.sum() * d_omega / (2.0 * np.pi)
     if mass <= 0:
@@ -263,10 +256,3 @@ def fidelity_trace(ham: SpinHamiltonian, times, r: int,
         f_int = float(fid[0])
     return FidelityTrace(fid, f_int)
 
-
-def lorentzian_pair_spectra(centers, gamma: float, omega_grid) -> list[Spectrum]:
-    """Analytic Lorentzian spectra on a grid, for tests of the spectral metrics."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    d_omega = _grid_step(omega_grid, "omega_grid", 1.0)
-    return [_normalized(omega_grid, d_omega, gamma / (gamma**2 + (omega_grid - c) ** 2))
-            for c in centers]

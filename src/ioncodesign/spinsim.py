@@ -2,8 +2,9 @@
 
 `CompiledCircuit` runs a circuit, fused into X-basis phase layers and
 Kronecker site layers, on statevector columns under one or a batch of
-angle realizations; `circuit_unitary` and `gate_matrix` return ndarrays.
-The per-gate `gate_kernel`, `apply_kernel` and `gate_matrix` are its oracle.
+angle realizations; `circuit_unitary` returns an ndarray. Its per-gate
+oracle, `gate_kernel`, `apply_kernel` and `gate_matrix`, lives with the
+tests, in `tests/oracle.py`.
 
 Conventions used throughout the package:
 
@@ -30,7 +31,6 @@ import numpy as np
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-_SIGMA = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 # Largest working set, in complex entries (128 KiB), that one pass of the
 # batched layer loop touches; bigger batches are split into chunks.
@@ -74,64 +74,9 @@ def check_gate(kind: str, sites, n_qubits: int | None = None) -> tuple[int, ...]
     return sites
 
 
-def basis_state(n_qubits: int, bits) -> np.ndarray:
-    """Amplitudes of the computational basis state with the given bit pattern (site 0 = MSB)."""
-    bits = list(bits)
-    if len(bits) != n_qubits:
-        raise ValueError(f"expected {n_qubits} bits, got {len(bits)}")
-    index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        index = (index << 1) | b
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[index] = 1.0
-    return amps
-
-
-def gate_kernel(gate: GateSpec) -> np.ndarray:
-    """2x2 or 4x4 matrix of the gate on its own sites.
-
-    Every generator G in the gate set squares to the identity, so the
-    kernel is cos(phi/4) I - i sin(phi/4) G with G a Pauli (rotations)
-    or sigma^x (x) sigma^x (the XX gate).
-    """
-    theta = gate.angle / 4.0
-    if gate.kind == "XX":
-        gen = np.kron(SIGMA_X, SIGMA_X)
-    else:
-        gen = _SIGMA[gate.kind[1]]
-    eye = np.eye(gen.shape[0], dtype=complex)
-    return np.cos(theta) * eye - 1j * np.sin(theta) * gen
-
-
-def apply_kernel(array: np.ndarray, kernel: np.ndarray, sites, n_qubits: int) -> np.ndarray:
-    """Apply a local kernel to the leading 2**n index of `array`.
-
-    `array` may carry arbitrary trailing axes (columns of a unitary,
-    a batch of statevectors); they are untouched.
-    """
-    sites = list(sites)
-    k = len(sites)
-    tail = array.shape[1:]
-    tensor = array.reshape((2,) * n_qubits + tail)
-    tensor = np.moveaxis(tensor, sites, range(k))
-    moved_shape = tensor.shape
-    tensor = kernel @ tensor.reshape(2**k, -1)
-    tensor = np.moveaxis(tensor.reshape(moved_shape), range(k), sites)
-    return tensor.reshape((2**n_qubits,) + tail)
-
-
 def sz_tot_diagonal(n_qubits: int) -> np.ndarray:
     """Diagonal of S^z_tot in the computational basis."""
     return np.bitwise_count(np.arange(2**n_qubits)) - n_qubits / 2.0
-
-
-def gate_matrix(gate: GateSpec, n_qubits: int) -> np.ndarray:
-    """Full 2**n x 2**n embedding of the gate."""
-    check_gate(gate.kind, gate.sites, n_qubits)
-    return apply_kernel(np.eye(2**n_qubits, dtype=complex), gate_kernel(gate), gate.sites,
-                        n_qubits)
 
 
 class CompiledCircuit:

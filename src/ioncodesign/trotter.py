@@ -21,6 +21,12 @@ from .hamiltonian import SpinHamiltonian
 from .spinsim import GateSpec, check_gate, circuit_unitary
 
 
+def check_integer(name: str, value, low: int) -> None:
+    """Raise a ValueError naming `name` unless value is an integer >= low and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not a bool; got {value!r}")
+
+
 @dataclass(frozen=True)
 class GateTiming:
     """Serial gate schedule: every gate occupies its own t_g slot."""
@@ -62,6 +68,7 @@ class TimedCircuit:
     @classmethod
     def from_arrays(cls, n_qubits: int, kinds, sites, angles, start_times) -> "TimedCircuit":
         """The circuit of these gates; it keeps read-only views of the two float arrays."""
+        check_integer("n_qubits", n_qubits, 1)
         circuit = object.__new__(cls)
         kinds, sites = tuple(kinds), tuple(sites)
         angles, start_times = (np.asarray(v, dtype=float).view() for v in (angles, start_times))
@@ -103,8 +110,7 @@ def _step(ham: SpinHamiltonian, dt: float) -> list[tuple]:
 def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
                           timing: GateTiming = GateTiming()) -> TimedCircuit:
     """r repetitions of the first-order step approximating exp(-iHt); gate m starts at m * t_g."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"r must be an integer >= 1, not a bool; got {r!r}")
+    check_integer("r", r, 1)
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be non-negative and finite; got {t!r}")
     kinds, sites, angles = zip(*_step(ham, t / r))

@@ -150,38 +150,6 @@ def test_model_discrimination_against_phase_damping():
     assert heating["residual"] < damping["residual"]
 
 
-def test_csv_round_trip(tmp_path):
-    curve = simulate_calibration(np.linspace(0.5, 4.0, 4), np.linspace(0.0, 30.0, 5),
-                                 c2_true=0.01, shots=500, seed=2)
-    path = tmp_path / "cal.csv"
-    curve.to_csv(path)
-    loaded = CalibrationCurve.from_csv(path)
-    assert np.array_equal(loaded.phi_in, curve.phi_in)
-    assert np.array_equal(loaded.tau, curve.tau)
-    assert np.array_equal(loaded.p_return, curve.p_return)
-    assert loaded.shots == curve.shots
-
-
-def test_csv_without_rows_is_rejected(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("phi_in,tau_ms,p_return,shots\n")
-    with pytest.raises(ValueError, match="no rows"):
-        CalibrationCurve.from_csv(path)
-
-
-@pytest.mark.parametrize("rows,message", [
-    (["0.5,0.0,1.0,10", "0.5,0.0,0.9,10", "0.5,1.0,0.8,10"], "two rows for one"),
-    (["0.5,0.0,1.0,10", "0.5,1.0,0.8,20"], "mixes shot counts"),
-    (["nan,0.0,1.0,10", "nan,1.0,0.8,10"], "non-finite phi_in"),
-], ids=["duplicate-point", "mixed-shots", "nan-phi"])
-def test_csv_with_an_inconsistent_row_is_rejected(tmp_path, rows, message):
-    path = tmp_path / "bad.csv"
-    path.write_text("\n".join(["phi_in,tau_ms,p_return,shots"] + rows) + "\n")
-    with pytest.raises(ValueError, match=message) as info:
-        CalibrationCurve.from_csv(path)
-    assert str(path) in str(info.value)
-
-
 def test_csv_bytes_match_the_row_by_row_writer(tmp_path):
     curve = simulate_calibration(np.linspace(0.5, 2 * np.pi, 8), np.linspace(0.0, 60.0, 13),
                                  c2_true=0.02, shots=1000, seed=4)
@@ -260,14 +228,6 @@ def test_negative_phi_in_is_accepted():
     # the return probability is even in phi_in, so a negative input angle is data
     assert np.array_equal(simulate_calibration([-2.0, 2.0], [0.0, 30.0], 0.02, 100).phi_in,
                           [-2.0, 2.0])
-
-
-def test_csv_with_a_nan_probability_names_it(tmp_path):
-    # it used to be reported as a grid that the rows do not cover
-    path = tmp_path / "nan-p.csv"
-    path.write_text("phi_in,tau_ms,p_return,shots\n0.5,0.0,nan,10\n0.5,1.0,0.8,10\n")
-    with pytest.raises(ValueError, match="non-finite p_return"):
-        CalibrationCurve.from_csv(path)
 
 
 def _scanned_phase_damping_residual(curve, gamma):

@@ -540,7 +540,6 @@ def test_run_depth_sweep_diagonalizes_once(monkeypatch):
 def test_one_eigendecomposition_serves_every_exact_evolution(monkeypatch):
     from ioncodesign import hamiltonian
     from ioncodesign.spectroscopy import exact_response, fidelity_trace
-    from ioncodesign.spinsim import basis_state
     from ioncodesign.trotter import trotter_error
 
     built = []
@@ -555,7 +554,7 @@ def test_one_eigendecomposition_serves_every_exact_evolution(monkeypatch):
     config = small_config(hamiltonian=ham, r_values=(1, 2), n_times=3, n_runs=1)
     run_depth_sweep(config)
     ham.exact.unitary(0.5)
-    ham.exact.evolve(basis_state(4, [0, 0, 1, 1]), 0.5)
+    ham.exact.evolve(np.eye(16, dtype=complex)[:, 3], 0.5)
     trotter_error(ham, 0.5, 2)
     exact_response(ham, config.times())
     fidelity_trace(ham, config.times(), 2)

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and importing the
-package leaves its slowest dependencies, SciPy and mpmath, unloaded."""
+"""Every name a package module imports is used in that module, every public name the
+package defines is read by the package or the benchmark, and importing the package
+leaves its slowest dependencies, SciPy and mpmath, unloaded."""
 
 import ast
 import os
@@ -11,6 +12,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ioncodesign"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH = PACKAGE.parent.parent / "bench"
+# The paper's own formulas stay in the package though only tests call them.
+PAPER_FORMULAS = {"angle_pdf", "short_time_pdf", "noisy_angle", "sample_u_pairs",
+                  "trotter_error"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +43,65 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def public_definitions(source: str) -> list[str]:
+    """Qualified names of the public functions, classes and methods that a module
+    defines at its top level or in a class body."""
+    names = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    names.append(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(source).body, "")
+    return names
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads, bare or as an attribute, each outside the definitions
+    of that name: a function that calls itself does not read its own name."""
+    read = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(getattr(node, "ctx", None), ast.Load) and name not in enclosing:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return read
+
+
+def unread_definitions(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """module.name of each public definition in the defining {module: source} whose
+    name none of the reader sources reads."""
+    read = set().union(*map(names_read, readers))
+    return [f"{module}.{name}" for module, source in sorted(defining.items())
+            for name in public_definitions(source) if name.rsplit(".", 1)[-1] not in read]
+
+
+def test_detector_flags_an_unread_definition():
+    source = ("class A:\n    def f(self):\n        return self.f()\n    def g(self):\n"
+              "        pass\ndef h():\n    return h()\ndef _p():\n    return A().g\n")
+    assert public_definitions(source) == ["A", "A.f", "A.g", "h"]
+    assert unread_definitions({"m": source}, [source]) == ["m.A.f", "m.h"]
+    assert unread_definitions({"m": source}, [source, "h()\nx.f\n"]) == []
+
+
+def test_package_defines_only_what_it_or_the_benchmark_reads():
+    # a name only tests read belongs in tests/, or nowhere
+    defining = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text() for p in MODULES + sorted(BENCH.glob("*.py"))]
+    unread = unread_definitions(defining, readers)
+    assert [name for name in unread if name.rsplit(".", 1)[-1] not in PAPER_FORMULAS] == []
 
 
 def _run_python(code: str, *args) -> str:

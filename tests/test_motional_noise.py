@@ -608,6 +608,14 @@ def test_non_finite_heating_rate_is_rejected(c2):
         NoiseParams(c2=c2)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_noise_seed_must_be_a_non_negative_integer_and_not_a_bool(seed):
+    # -1 failed only at the first draw, without naming the seed, 2.5 in a TypeError
+    # there, and True was drawn from as 1.
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, not a bool"):
+        NoiseParams(c2=0.05, seed=seed)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         NoiseParams(c2=-0.1)

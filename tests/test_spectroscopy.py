@@ -13,12 +13,12 @@ from ioncodesign.hamiltonian import ExactEvolver, SpinHamiltonian
 from ioncodesign.motional_noise import NoiseParams, sample_trajectory
 from ioncodesign.spectroscopy import (
     ResponseSeries,
+    Spectrum,
     TrotterEvolver,
     _grid_step,
     exact_response,
     fidelity_trace,
     hellinger,
-    lorentzian_pair_spectra,
     _magnetization,
     noisy_response,
     spectrum,
@@ -159,16 +159,22 @@ def test_fidelity_trace_noise_hurts():
     assert noisy.f_int < clean.f_int
 
 
+def lorentzian(center, gamma, omega):
+    """The Lorentzian of this center and width on the grid omega, as a unit-mass spectrum."""
+    a = gamma / (gamma**2 + (omega - center) ** 2)
+    return Spectrum(omega, a, a / (a.sum() * _grid_step(omega, "omega", 1.0) / (2.0 * np.pi)))
+
+
 def test_hellinger_properties():
     omega = np.linspace(-10, 10, 201)
-    near, far = lorentzian_pair_spectra([0.0, 6.0], 0.5, omega)
+    near, far = lorentzian(0.0, 0.5, omega), lorentzian(6.0, 0.5, omega)
     assert hellinger(near, near) == pytest.approx(0.0, abs=1e-12)
     d = hellinger(near, far)
     assert 0.5 < d <= 1.0
     with pytest.raises(ValueError):
-        hellinger(near, lorentzian_pair_spectra([0.0], 0.5, omega[:-1])[0])
+        hellinger(near, lorentzian(0.0, 0.5, omega[:-1]))
     # two disjoint narrow windows, which np.allclose took for one grid
-    left, right = (lorentzian_pair_spectra([0.5], 0.5, np.linspace(lo, lo + 1e-6, 5))[0]
+    left, right = (lorentzian(0.5, 0.5, np.linspace(lo, lo + 1e-6, 5))
                    for lo in (0.5, 0.5 + 2e-6))
     with pytest.raises(ValueError, match="same frequency grid"):
         hellinger(left, right)
@@ -318,14 +324,15 @@ def test_evolve_runs_blocks_are_contiguous_and_equal_evolve(c2, n_columns):
 
 
 @pytest.mark.parametrize("c2", [0.05, 0.0])
-@pytest.mark.parametrize("n_runs", [0, -1])
+@pytest.mark.parametrize("n_runs", [0, -1, 2.5, True])
 def test_fewer_than_one_run_is_rejected(c2, n_runs):
+    # 2.5 used to end in a TypeError from range, and True ran once.
     ham, times, noise = four_spin(), np.linspace(0.0, 1.0, 3), NoiseParams(c2=c2, seed=1)
-    with pytest.raises(ValueError, match="n_runs must be at least 1"):
+    with pytest.raises(ValueError, match="n_runs must be an integer >= 1"):
         noisy_response(ham, times, 2, noise, n_runs=n_runs)
-    with pytest.raises(ValueError, match="n_runs must be at least 1"):
+    with pytest.raises(ValueError, match="n_runs must be an integer >= 1"):
         fidelity_trace(ham, times, 2, noise=noise, n_runs=n_runs)
-    with pytest.raises(ValueError, match="n_runs must be at least 1"):
+    with pytest.raises(ValueError, match="n_runs must be an integer >= 1"):
         TrotterEvolver(ham, 2, noise=noise).runs(n_runs)
 
 
@@ -503,7 +510,8 @@ def _exact_noise_average(ham, t, r, timing, c2):
 
     from scipy.integrate import quad
 
-    from ioncodesign.spinsim import GateSpec, gate_matrix
+    from ioncodesign.spinsim import GateSpec
+    from oracle import gate_matrix
 
     circuit = build_trotter_circuit(ham, t, r, timing)
     n, dim = circuit.n_qubits, 2**circuit.n_qubits

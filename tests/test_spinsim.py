@@ -12,15 +12,12 @@ from ioncodesign.spinsim import (
     BATCH_ENTRIES,
     CompiledCircuit,
     GateSpec,
-    apply_kernel,
-    basis_state,
     circuit_unitary,
-    gate_kernel,
-    gate_matrix,
     sz_tot_diagonal,
 )
 from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.trotter import TimedCircuit, TimedGate, build_trotter_circuit
+from oracle import apply_kernel, gate_kernel, gate_matrix
 
 
 def random_instance(n, seed=0):
@@ -33,16 +30,20 @@ def random_instance(n, seed=0):
 
 
 def test_basis_state_site0_is_msb():
-    assert np.argmax(np.abs(basis_state(3, [1, 0, 0]))) == 4
-    assert np.argmax(np.abs(basis_state(3, [0, 0, 1]))) == 1
+    # RX(2 pi) = -i sigma^x flips its site: from the all-down index 0, a flip
+    # of site 0 lands on index 4 of 3 spins, and one of site 2 on index 1.
+    for site, index in ((0, 4), (2, 1)):
+        circuit = TimedCircuit.from_arrays(3, ("RX",), ((site,),), [2 * np.pi], [0.0])
+        out = CompiledCircuit(circuit).apply(np.eye(8, dtype=complex)[:, 0], circuit.angles)
+        assert np.argmax(np.abs(out)) == index
+        assert abs(out[index]) == pytest.approx(1.0)
 
 
 def test_sz_tot_diagonal_counts_ups():
     diag = sz_tot_diagonal(2)
     # index 0 = all down, index 3 = all up
     assert np.allclose(diag, [-1.0, 0.0, 0.0, 1.0])
-    up = basis_state(2, [1, 1])
-    down = basis_state(2, [0, 0])
+    down, up = np.eye(4, dtype=complex)[:, [0, 3]].T
     assert diag @ np.abs(up) ** 2 == pytest.approx(1.0)
     assert diag @ np.abs(down) ** 2 == pytest.approx(-1.0)
 
@@ -65,7 +66,7 @@ def test_rotation_convention_rz():
 def test_xx_gate_on_all_down():
     # XX(phi)|00> = cos(phi/4)|00> - i sin(phi/4)|11>
     phi = 1.3
-    state = gate_matrix(GateSpec("XX", (0, 1), phi), 2) @ basis_state(2, [0, 0])
+    state = gate_matrix(GateSpec("XX", (0, 1), phi), 2) @ np.eye(4, dtype=complex)[:, 0]
     expected = np.zeros(4, dtype=complex)
     expected[0] = np.cos(phi / 4)
     expected[3] = -1j * np.sin(phi / 4)

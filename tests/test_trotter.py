@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioncodesign.hamiltonian import SpinHamiltonian
-from ioncodesign.spectroscopy import fidelity_trace
+from ioncodesign.spectroscopy import TrotterEvolver, fidelity_trace
 from ioncodesign.spinsim import GateSpec, circuit_unitary
 from ioncodesign.trotter import (
     GateTiming,
@@ -142,11 +142,17 @@ def test_fidelity_at_a_bad_time_warns_nothing_before_the_error(t):
         fidelity_trace(random_instance(2, seed=8), [0.0, t], 2)
 
 
-@pytest.mark.parametrize("r", [2.5, True, 2.0, "2"])
+@pytest.mark.parametrize("r", [2.5, True, 2.0, "2", 0])
 def test_step_count_must_be_an_integer_and_not_a_bool(r):
     # 2.5 used to raise a TypeError from list repetition, and True built one step.
-    with pytest.raises(ValueError, match="r must be an integer >= 1, not a bool"):
-        build_trotter_circuit(random_instance(2, seed=8), 1.0, r)
+    # The evolver took both and failed only at its first circuit, and 0 with
+    # another message: it now applies the builder's rule when constructed.
+    ham = random_instance(2, seed=8)
+    with pytest.raises(ValueError, match="r must be an integer >= 1, not a bool") as built:
+        build_trotter_circuit(ham, 1.0, r)
+    with pytest.raises(ValueError) as constructed:
+        TrotterEvolver(ham, r)
+    assert str(constructed.value) == str(built.value)
 
 
 def test_numpy_integer_step_count_is_accepted():
@@ -243,6 +249,16 @@ def test_from_arrays_rejects_what_the_gate_rule_rejects(kind, sites, message):
     with pytest.raises(ValueError, match=message):
         TimedCircuit(2, (TimedGate(GateSpec("XX", (0, 1), 0.1), 0.0),
                          TimedGate(GateSpec(kind, sites, 0.2), 0.01)))
+
+
+@pytest.mark.parametrize("n", [0, 2.5, -1, True])
+def test_register_size_must_be_a_positive_integer_and_not_a_bool(n):
+    # 0 failed only when compiled ("max() arg is an empty sequence"), 2.5 and -1 in a
+    # TypeError, and True ran as 1.
+    with pytest.raises(ValueError, match="n_qubits must be an integer >= 1, not a bool"):
+        TimedCircuit.from_arrays(n, (), (), [], [])
+    with pytest.raises(ValueError, match="n_qubits must be an integer >= 1, not a bool"):
+        TimedCircuit(n, ())
 
 
 def test_replacing_the_gates_replaces_the_arrays():
