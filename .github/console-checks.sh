@@ -7,7 +7,8 @@
 # limit, c2 > 0 at the largest tau (lambda = 1e8 or 1e308), a lambda whose
 # square overflows and a huge phi_in at a large lambda stay finite. A result too large to
 # allocate exits 1 and creates no --out. A Hamiltonian
-# whose scale overflows, one whose entries are JSON strings, a frequency
+# whose scale overflows, one whose entries are JSON strings, one whose size
+# is 2.0 (an integer takes no fraction), a frequency
 # grid whose largest phase overflows, and a config naming the retired
 # `out_dir` are config errors (exit 2) that name the field. So is an
 # inference jitter that throws the initial guess out of range, found once
@@ -89,6 +90,14 @@ ioncodesign depth-sweep --config "$tmp/strings.json" --out "$tmp/strings" \
 test "$code" -eq 2
 test ! -e "$tmp/strings"
 grep -q "'hamiltonian'" "$tmp/strings.err"
+echo '{"hamiltonian": {"n": 2.0, "J": [[0, 0.5], [0.5, 0]], "h": [1, -2]}}' \
+  > "$tmp/float-size.json"
+code=0
+ioncodesign depth-sweep --config "$tmp/float-size.json" --out "$tmp/float-size" \
+  2> "$tmp/float-size.err" || code=$?
+test "$code" -eq 2
+test ! -e "$tmp/float-size"
+grep -q "'hamiltonian'" "$tmp/float-size.err"
 echo '{"hamiltonian": {"n": 2, "J": [[0, 0.5], [0.5, 0]], "h": [1, -2]}, "c2": 1e308,
  "t_g": 2, "n_runs": 1, "r": 2, "t_max": 1, "n_times": 3, "n_omega": 21}' > "$tmp/hot.json"
 code=0

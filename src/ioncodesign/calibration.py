@@ -16,6 +16,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .motional_noise import return_probability_slabs
+from .rules import check
 
 
 @dataclass
@@ -37,6 +38,7 @@ class CalibrationCurve:
             raise ValueError("tau must be non-negative and finite")
         if not np.all((self.p_return >= 0) & (self.p_return <= 1)):
             raise ValueError("p_return must lie in [0, 1]")
+        check("shots", self.shots)
 
     def to_csv(self, path) -> None:
         """One row per (phi_in, tau) grid point, phi_in outer."""
@@ -56,8 +58,7 @@ def simulate_calibration(phi_grid, tau_grid, c2_true: float, shots: int,
     cos^2(phi/4) of that realized angle. c2_true, every tau and their
     products must be non-negative and finite, and every phi_in finite.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    check("shots", shots)
     phi_grid = np.asarray(phi_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
     for name, value in (("c2_true", c2_true), ("tau_grid", tau_grid)):

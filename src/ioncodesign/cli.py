@@ -30,7 +30,6 @@ from .artifacts import write_csv, write_json
 from .calibration import fit_c2, fit_phase_damping, simulate_calibration
 from .feedforward import PHI_CAP, ControlQuery, optimal_input_angle
 from .harness import (
-    SETTING_RULES,
     ConfigError,
     ExperimentConfig,
     check_setting,
@@ -47,6 +46,7 @@ from .motional_noise import (
     angle_moments,
     markovian_noise_to_signal,
 )
+from .rules import RULES
 from .spectroscopy import hellinger
 
 
@@ -59,7 +59,7 @@ _CONFIG_FLAGS = {"c2": ("c2", "heating rate, 1/ms"), "seed": ("seed", "master se
 
 def _build_parser() -> argparse.ArgumentParser:
     """A subparser per `_SUBCOMMANDS` entry. Every number option takes its
-    type from SETTING_RULES, so an option without a rule fails here."""
+    type from rules.RULES, so an option without a rule fails here."""
     parser = argparse.ArgumentParser(
         prog="ioncodesign",
         description="Trapped-ion circuit simulation with motional noise and feedforward")
@@ -69,11 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment config")
         for flag, (name, text) in _CONFIG_FLAGS.items():
             kind = ({"action": "store_true"} if name == "feedforward"
-                    else {"type": SETTING_RULES[name][0]})
+                    else {"type": RULES[name][0]})
             p.add_argument(f"--{flag}", default=None, help=text, **kind)
         p.add_argument("--out", default="results", help="output directory")
         for name, (default, text) in options.items():
-            p.add_argument(f"--{name.replace('_', '-')}", type=SETTING_RULES[name][0],
+            p.add_argument(f"--{name.replace('_', '-')}", type=RULES[name][0],
                            default=default, help=text)
     return parser
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .calibration import scan_refine
 from .motional_noise import hyp1f2, hyp1f2_float, series_lambda
+from .rules import check
 from .trotter import TimedCircuit
 
 SCAN_STEP = 1e-3  # rad, dense-scan resolution
@@ -39,12 +40,7 @@ class ControlQuery:
 
     def __post_init__(self):
         for name in ("phi_p", "lam", "phi_cap"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.phi_cap <= 0:
-            raise ValueError("phi_cap must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+            check(name, getattr(self, name))
 
 
 def gate_fidelity(phi, phi_p):
@@ -219,8 +215,7 @@ class FeedforwardTable:
     """
 
     def __init__(self, phi_cap: float = PHI_CAP):
-        if not (math.isfinite(phi_cap) and phi_cap > 0):
-            raise ValueError("phi_cap must be finite and positive")
+        check("phi_cap", phi_cap)
         self.phi_cap = phi_cap
         self._corners: dict[tuple[int, int], float] = {}  # optimal angle per corner
         self._rows: dict = {}  # the dense-scan rows of optimal_input_angle
@@ -240,8 +235,9 @@ class FeedforwardTable:
         their 8 candidates in one vectorized avg_gate_fidelity call. The
         corners they need are read once per distinct corner, and missing
         corners that share lambda share one dense-scan row of the table.
-        Negative phi_p map by symmetry to -phi_in*; lam = 0 entries take
-        `_noiseless_optimum`. NaN or infinite inputs raise ValueError.
+        Negative phi_p map by symmetry to -phi_in*; entries on the noiseless
+        branch of `series_lambda` take `_noiseless_optimum`. NaN or infinite
+        inputs raise ValueError.
         """
         phi_p, lam = np.broadcast_arrays(np.asarray(phi_p, dtype=float),
                                          np.asarray(lam, dtype=float))
@@ -250,13 +246,11 @@ class FeedforwardTable:
         for name, values in (("phi_p", phi_p), ("lam", lam)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite")
-        if np.any(lam < 0):
-            raise ValueError("lambda must be non-negative")
+        lam, noisy, _ = series_lambda(lam)
         negative = phi_p < 0
         target = np.where(negative, -phi_p, phi_p)
         star = _noiseless_optimum(target, self.phi_cap)
         fid = gate_fidelity(star, target)
-        noisy = lam > 0
         if noisy.any():
             star[noisy], fid[noisy] = self._interpolate(target[noisy], lam[noisy])
         star = np.where(negative, -star, star)
@@ -265,7 +259,7 @@ class FeedforwardTable:
         return {"phi_in_star": star.reshape(shape), "fidelity_star": fid.reshape(shape)}
 
     def _interpolate(self, phi_p: np.ndarray, lam: np.ndarray):
-        """Best of the 8 candidates for each (phi_p >= 0, lam > 0) entry."""
+        """Best of the 8 candidates for each (phi_p >= 0, noisy lam) entry."""
         cap = self.phi_cap
         x, y = phi_p / MEMO_PITCH_PHI, lam / MEMO_PITCH_LAM
         # below 2**63 the floor is at most 2**63 - 1024, so its upper corner fits int64
@@ -307,8 +301,7 @@ def correct_circuit(circuit: TimedCircuit, c2: float,
     c2 times the gate's start time; all noisy gates go through one table
     lookup on the angle and start-time arrays. Non-noisy gates pass through.
     """
-    if not 0 <= c2 < math.inf:
-        raise ValueError("c2 must be non-negative and finite")
+    check("c2", c2)
     if c2 == 0:
         return circuit
     if table is None:

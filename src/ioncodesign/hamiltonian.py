@@ -8,13 +8,13 @@ built on first use) is the oracle for every Trotter and noise comparison.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .rules import check
 from .spinsim import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -29,15 +29,13 @@ class SpinHamiltonian:
     h: np.ndarray
 
     def __post_init__(self):
-        n = self.n_spins
-        if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (n >= 1 and n % 1 == 0):
-            raise ValueError("n must be a positive integer")
+        check("n", self.n_spins)
         for name, values in (("J", self.J), ("h", self.h)):
             # entry by entry: a list mixing true with numbers makes an integer array
             if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                        for v in np.array(values, dtype=object).flat):
                 raise ValueError(f"{name} entries must be numbers")
-        n, J, h = int(n), np.array(self.J, dtype=float), np.array(self.h, dtype=float)
+        n, J, h = int(self.n_spins), np.array(self.J, dtype=float), np.array(self.h, dtype=float)
         if J.shape != (n, n):
             raise ValueError("J must be n x n")
         if h.shape != (n,):
@@ -121,6 +119,5 @@ class ExactEvolver:
         return self.eigenvectors @ (phases.reshape((-1,) + (1,) * (coeff.ndim - 1)) * coeff)
 
     def _phases(self, t: float) -> np.ndarray:
-        if not math.isfinite(t):
-            raise ValueError(f"t must be finite; got {t!r}")
+        check("time", t)
         return np.exp(-1j * self.eigenvalues * t)

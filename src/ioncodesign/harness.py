@@ -13,9 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +22,7 @@ from .artifacts import write_json
 from .feedforward import FeedforwardTable
 from .hamiltonian import SpinHamiltonian
 from .motional_noise import NoiseParams
+from .rules import RULES, check
 from .spectroscopy import (
     ResponseSeries,
     Spectrum,
@@ -48,34 +47,12 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field_name!r}: {message}")
 
 
-# Every number a config file or a flag supplies: integer or real, its
-# lowest value, and whether that value itself is allowed. A real rule whose
-# lowest value is -inf takes any finite value. Each entry of r_values obeys
-# the rule of r_values; the --r of noise-stats obeys that of r.
-SETTING_RULES = {
-    "c2": (float, 0.0, True), "t_g": (float, 0.0, False), "gamma": (float, 0.0, False),
-    "t_max": (float, 0.0, False), "omega_min": (float, -math.inf, False),
-    "omega_max": (float, -math.inf, False), "r": (int, 1, True), "r_values": (int, 1, True),
-    "n_times": (int, 2, True), "n_omega": (int, 2, True), "n_runs": (int, 1, True),
-    "seed": (int, 0, True),
-    # subcommand options
-    "tau": (float, 0.0, False), "phi_in": (float, 0.0, True), "phi_cap": (float, 0.0, False),
-    "lam_max": (float, 0.0, True), "perturb": (float, -math.inf, False),
-    "shots": (int, 1, True), "n_phi": (int, 1, True), "n_lam": (int, 1, True),
-    "iterations": (int, 0, True),
-}
-
-
 def check_setting(name: str, value) -> None:
-    """Raise ConfigError(name, ...) unless value obeys SETTING_RULES[name]."""
-    kind, low, allowed = SETTING_RULES[name]
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if kind is int else numbers.Real):
-        raise ConfigError(name, "must be an integer" if kind is int else "must be a number")
-    if kind is float and not abs(value) <= sys.float_info.max:
-        raise ConfigError(name, "must be finite")
-    if value < low or value == low and not allowed:
-        raise ConfigError(name, f"must be {'>=' if allowed else '>'} {low:g}")
+    """`rules.check` at the config boundary: its ValueError becomes a ConfigError."""
+    try:
+        check(name, value)
+    except ValueError as exc:
+        raise ConfigError(name, str(exc)) from None
 
 
 @dataclass
@@ -103,7 +80,7 @@ class ExperimentConfig:
         if not isinstance(self.r_values, (list, tuple)) or not self.r_values:
             raise ConfigError("r_values", "must be a non-empty list of depths")
         for name in self.__dataclass_fields__:
-            if name in SETTING_RULES and not (name == "n_runs" and self.n_runs is None):
+            if name in RULES and not (name == "n_runs" and self.n_runs is None):
                 for value in self.r_values if name == "r_values" else [getattr(self, name)]:
                     check_setting(name, value)
         self.r_values = tuple(int(r) for r in self.r_values)
@@ -260,7 +237,7 @@ def run_inference_demo(target_spectrum: Spectrum, initial_guess: SpinHamiltonian
     to the target decreases; the accepted distance is non-increasing.
     This is deliberately simple plumbing, not a faithful Bayesian loop.
     """
-    check_setting("iterations", iterations)
+    check("iterations", iterations)
     pairs = initial_guess.coupled_pairs()
     n = initial_guess.n_spins
     params = [float(initial_guess.J[i, j]) for i, j in pairs] \

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trotter import check_integer
+from .rules import check
 
 _MAX_SERIES_TERMS = 500
 _SERIES_Z_LIMIT = 150.0  # beyond this, double-precision series cancellation bites
@@ -30,9 +30,8 @@ class NoiseParams:
     correlated: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.c2 < np.inf:
-            raise ValueError("c2 must be non-negative and finite")
-        check_integer("seed", self.seed, 0)
+        check("c2", self.c2)
+        check("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,8 @@ class AngleDistribution:
     lam: float  # c2 * tau
 
     def __post_init__(self):
-        for name in ("phi_in", "lam"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+        check("phi_in", self.phi_in)
+        check("lam", self.lam)
 
 
 def sample_trajectory(times, params: NoiseParams, rngs) -> np.ndarray:
@@ -118,12 +116,10 @@ def angle_correlation(tau: float, delta: float, c2: float) -> float:
 
     Finite for every finite tau > 0, delta >= 0 and c2 >= 0; delta = inf gives 0.
     """
-    if not 0 < tau < np.inf:
-        raise ValueError("tau must be positive and finite")
+    check("tau", tau)
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
-    if not 0 <= c2 < np.inf:
-        raise ValueError("c2 must be non-negative and finite")
+    check("c2", c2)
     ratio = 1.0 / (1.0 + delta / tau)  # tau / (tau + delta) without forming tau + delta
     if c2 == 0:
         return ratio  # the c2 -> 0 limit
@@ -292,9 +288,7 @@ def return_probability_slabs(phi_in, lam) -> np.ndarray:
 
 def markovian_noise_to_signal(r: int, lam: float) -> dict:
     """Relative angle noise of an r-step sequence if gates were independent."""
-    if not r >= 1:
-        raise ValueError("r must be at least 1")
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be non-negative and finite")
+    check("r", r)
+    check("lam", lam)
     beta = lam * (0.5 * lam / (0.5 + lam))  # lam / (1 + 2 lam) halved above and below: no overflow
     return {"beta": beta, "eta": np.sqrt(beta) / r}

@@ -22,7 +22,8 @@ from .feedforward import FeedforwardTable, correct_circuit
 from .hamiltonian import SpinHamiltonian
 from .motional_noise import NoiseParams, sample_trajectory
 from .spinsim import CompiledCircuit, sz_tot_diagonal
-from .trotter import GateTiming, TimedCircuit, build_trotter_circuit, check_integer
+from .rules import check
+from .trotter import GateTiming, TimedCircuit, build_trotter_circuit
 
 
 @dataclass
@@ -98,7 +99,7 @@ class TrotterEvolver:
     def __init__(self, ham: SpinHamiltonian, r: int, timing: GateTiming = GateTiming(),
                  noise: NoiseParams | None = None, feedforward: bool = False,
                  table: FeedforwardTable | None = None):
-        check_integer("r", r, 1)
+        check("r", r)
         self.ham = ham
         self.r = r
         self.timing = timing
@@ -110,7 +111,7 @@ class TrotterEvolver:
 
     def runs(self, n_runs: int) -> int:
         """Noise runs worth averaging: one when the evolution is deterministic."""
-        check_integer("n_runs", n_runs, 1)
+        check("n_runs", n_runs)
         return n_runs if self.noise is not None else 1
 
     def circuit_for(self, t: float) -> TimedCircuit:
@@ -192,8 +193,7 @@ def spectrum(series: ResponseSeries, gamma: float, omega_grid) -> Spectrum:
     """Damped Fourier transform with trapezoidal weights, then a clipped
     and normalized copy suitable for Hellinger comparisons. The times and
     omega_grid must each be increasing and evenly spaced."""
-    if not 0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
+    check("gamma", gamma)
     omega_grid = np.asarray(omega_grid, dtype=float)
     t = series.times
     dt = _grid_step(t, "times", 0.0)

@@ -18,13 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import SpinHamiltonian
+from .rules import check
 from .spinsim import GateSpec, check_gate, circuit_unitary
-
-
-def check_integer(name: str, value, low: int) -> None:
-    """Raise a ValueError naming `name` unless value is an integer >= low and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, not a bool; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +29,7 @@ class GateTiming:
     t_g: float = 0.01  # ms per gate
 
     def __post_init__(self):
-        if not 0 < self.t_g < np.inf:
-            raise ValueError("t_g must be positive and finite")
+        check("t_g", self.t_g)
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ class TimedCircuit:
     @classmethod
     def from_arrays(cls, n_qubits: int, kinds, sites, angles, start_times) -> "TimedCircuit":
         """The circuit of these gates; it keeps read-only views of the two float arrays."""
-        check_integer("n_qubits", n_qubits, 1)
+        check("n_qubits", n_qubits)
         circuit = object.__new__(cls)
         kinds, sites = tuple(kinds), tuple(sites)
         angles, start_times = (np.asarray(v, dtype=float).view() for v in (angles, start_times))
@@ -110,9 +104,8 @@ def _step(ham: SpinHamiltonian, dt: float) -> list[tuple]:
 def build_trotter_circuit(ham: SpinHamiltonian, t: float, r: int,
                           timing: GateTiming = GateTiming()) -> TimedCircuit:
     """r repetitions of the first-order step approximating exp(-iHt); gate m starts at m * t_g."""
-    check_integer("r", r, 1)
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be non-negative and finite; got {t!r}")
+    check("r", r)
+    check("t", t)
     kinds, sites, angles = zip(*_step(ham, t / r))
     return TimedCircuit.from_arrays(ham.n_spins, kinds * r, sites * r,
                                     np.tile(np.array(angles, dtype=float), r),

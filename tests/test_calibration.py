@@ -224,6 +224,15 @@ def test_calibration_curve_rejects_non_finite_fields_by_name(phi, tau, p, name):
         CalibrationCurve(phi, tau, p, shots=10)
 
 
+@pytest.mark.parametrize("shots", [2.5, -3, 0, True])
+def test_shots_must_be_a_positive_integer(shots):
+    # simulate_calibration failed on 2.5 in NumPy's TypeError, and the curve took -3 and 2.5
+    with pytest.raises(ValueError, match="^shots must be an integer >= 1, not a bool"):
+        simulate_calibration([1.0], [0.0, 5.0], 0.02, shots)
+    with pytest.raises(ValueError, match="^shots must be an integer >= 1, not a bool"):
+        CalibrationCurve([1.0], [0.0, 5.0], [[1.0, 0.9]], shots=shots)
+
+
 def test_negative_phi_in_is_accepted():
     # the return probability is even in phi_in, so a negative input angle is data
     assert np.array_equal(simulate_calibration([-2.0, 2.0], [0.0, 30.0], 0.02, 100).phi_in,

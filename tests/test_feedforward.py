@@ -271,7 +271,7 @@ def test_correct_circuit_zero_noise_is_identity():
 @pytest.mark.parametrize("c2", [math.nan, math.inf, -1.0])
 def test_correct_circuit_rejects_a_bad_heating_rate(c2):
     circuit = build_trotter_circuit(default_instance(), 0.5, 1)
-    with pytest.raises(ValueError, match="c2 must be non-negative and finite"):
+    with pytest.raises(ValueError, match="c2 must be a finite number >= 0"):
         correct_circuit(circuit, c2)
 
 
@@ -282,12 +282,12 @@ def test_query_validation():
         ControlQuery(1.0, 0.1, phi_cap=0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
 @pytest.mark.parametrize("field", ["phi_p", "lam", "phi_cap"])
 def test_query_rejects_non_finite_inputs(field, bad):
     args = dict(phi_p=1.0, lam=0.1, phi_cap=4 * math.pi)
     args[field] = bad
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
         ControlQuery(**args)
 
 
@@ -300,7 +300,7 @@ def test_lookup_rejects_non_finite_inputs(bad):
         table.lookup(1.0, bad)
     with pytest.raises(ValueError, match="phi_p must be finite"):
         table.lookup(np.array([1.0, bad]), np.array([0.1, 0.2]))
-    with pytest.raises(ValueError, match="phi_cap must be finite"):
+    with pytest.raises(ValueError, match="phi_cap must be a finite number"):
         FeedforwardTable(phi_cap=bad)
     assert not table._corners
 
@@ -315,6 +315,21 @@ def test_lookup_rejects_inputs_whose_corner_index_overflows(phi_p, lam, name):
     assert not table._corners
     # the largest upper corner index that fits still answers
     assert math.isfinite(table.lookup(np.nextafter(2.0**63, 0) * 0.01, 0.5)["phi_in_star"])
+
+
+@pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+def test_lookup_past_the_series_bound_is_the_noiseless_lookup(tiny):
+    # 0.5 / tiny overflows, so series_lambda, avg_gate_fidelity and optimal_input_angle
+    # take the noiseless branch there; lookup tested lam > 0, solved 1,900 noisy
+    # corners for these 804 angles and moved 283 of them by up to 2.2e-15 rad
+    phi_p = np.linspace(-20.0, 20.0, 804)
+    table = FeedforwardTable()
+    got = table.lookup(phi_p, np.full(phi_p.shape, tiny))
+    want = FeedforwardTable().lookup(phi_p, np.zeros(phi_p.shape))
+    for key in ("phi_in_star", "fidelity_star"):
+        assert got[key].tobytes() == want[key].tobytes()
+    assert table.lookup(3.0, tiny) == FeedforwardTable().lookup(3.0, 0.0)
+    assert not table._corners
 
 
 def _old_interpolate(self, phi_p, lam):

@@ -20,7 +20,6 @@ from ioncodesign.hamiltonian import SpinHamiltonian
 from ioncodesign.cli import main
 from ioncodesign.feedforward import ControlQuery, optimal_input_angle
 from ioncodesign.harness import (
-    SETTING_RULES,
     ConfigError,
     ExperimentConfig,
     check_setting,
@@ -30,6 +29,7 @@ from ioncodesign.harness import (
     run_inference_demo,
     simulate_spectrum,
 )
+from ioncodesign.rules import RULES
 
 
 def small_config(**overrides):
@@ -87,9 +87,9 @@ def test_config_field_types_are_enforced(name, value, tmp_path, capsys):
     assert repr(name) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", sorted(SETTING_RULES))
+@pytest.mark.parametrize("name", sorted(RULES))
 def test_setting_rule_bounds_types_and_finiteness(name):
-    kind, low, allowed = SETTING_RULES[name]
+    kind, low, allowed = RULES[name]
 
     def rejected_as(value):
         try:
@@ -104,6 +104,8 @@ def test_setting_rule_bounds_types_and_finiteness(name):
         assert rejected_as(below) == name
     if kind is float:
         assert [rejected_as(v) for v in (math.nan, math.inf, -math.inf)] == [name] * 3
+    else:  # an integer takes no fraction
+        assert rejected_as(float(low + 1)) == name
     assert rejected_as(True) == rejected_as("1") == name
 
 
@@ -376,7 +378,7 @@ def test_cli_runtime_failure_removes_only_the_out_it_created(tmp_path, capsys, m
                                          ("J", [[0.0, math.nan], [0.5, 0.0]]),
                                          ("n", 2.5), ("n", True), ("n", 0),
                                          ("J", [["0", "0.5"], ["0.5", "0"]]),
-                                         ("h", [True, 0])])
+                                         ("h", [True, 0]), ("n", 2.0)])
 def test_cli_bad_hamiltonian_exits_2_without_creating_out(field, value, tmp_path, capsys):
     data = dict(TINY_CLI_CONFIG, hamiltonian=dict(TINY_CLI_CONFIG["hamiltonian"],
                                                   **{field: value}))
@@ -424,10 +426,10 @@ def test_every_cli_number_option_is_typed_by_its_setting_rule():
     sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
     assert list(sub.choices) == list(cli._SUBCOMMANDS)
     for command, (_, _, options) in cli._SUBCOMMANDS.items():
-        assert set(options) <= set(SETTING_RULES)
+        assert set(options) <= set(RULES)
         fields = dict(c2="c2", seed="seed", runs="n_runs", **{name: name for name in options})
         typed = {a.dest: a.type for a in sub.choices[command]._actions if a.type is not None}
-        assert typed == {dest: SETTING_RULES[field][0] for dest, field in fields.items()}
+        assert typed == {dest: RULES[field][0] for dest, field in fields.items()}
 
 
 def test_every_subcommand_option_has_a_help_string():

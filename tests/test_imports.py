@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every public name the
-package defines is read by the package or the benchmark, and importing the package
-leaves its slowest dependencies, SciPy and mpmath, unloaded."""
+package defines is read by the package or the benchmark, every entry of the rule table
+is read by the package, the rule table imports nothing from the package, and importing
+the package leaves its slowest dependencies, SciPy and mpmath, unloaded."""
 
 import ast
 import os
@@ -102,6 +103,51 @@ def test_package_defines_only_what_it_or_the_benchmark_reads():
     readers = [p.read_text() for p in MODULES + sorted(BENCH.glob("*.py"))]
     unread = unread_definitions(defining, readers)
     assert [name for name in unread if name.rsplit(".", 1)[-1] not in PAPER_FORMULAS] == []
+
+
+def rule_names(source: str) -> list[str]:
+    """The keys of the RULES dict a module assigns."""
+    node = next(node for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                and [target.id for target in node.targets] == ["RULES"])
+    return [key.value for key in node.value.keys]
+
+
+def dead_rules(names, readers: list[str]) -> list[str]:
+    """The rule names no reader source reads by name: as a string (a check call, a
+    CLI option or flag) or as a field of the config, which checks its fields by name."""
+    read = set()
+    for node in ast.walk(ast.parse("\n".join(readers))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+        elif isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig":
+            read.update(item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+    return sorted(set(names) - read)
+
+
+def test_detector_flags_a_dead_rule_entry():
+    source = "RULES = {\"a\": (int, 1, True), \"b\": 0, \"c\": 0, \"d\": 0, \"e\": 0}\n"
+    assert rule_names(source) == ["a", "b", "c", "d", "e"]
+    readers = ["check('a', 1)\n", "OPTIONS = {'b': (1, 'help')}\n",
+               "class ExperimentConfig:\n    c: int = 0\n    e = 0\n", "d = 1\nprint(d)\n"]
+    assert dead_rules(rule_names(source), readers) == ["d", "e"]
+
+
+def test_every_rule_entry_is_read_by_the_package():
+    readers = [p.read_text() for p in MODULES if p.name != "rules.py"]
+    assert dead_rules(rule_names((PACKAGE / "rules.py").read_text()), readers) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports from ("" for the package itself)."""
+    return {node.module or "" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def test_rule_table_is_the_root_of_the_import_graph():
+    assert package_imports("from . import x\nfrom .a import b\nimport numpy\n") == {"", "a"}
+    assert package_imports((PACKAGE / "rules.py").read_text()) == set()
+    # motional_noise imported trotter only for its integer rule
+    assert "trotter" not in package_imports((PACKAGE / "motional_noise.py").read_text())
 
 
 def _run_python(code: str, *args) -> str:

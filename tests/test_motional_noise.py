@@ -604,7 +604,7 @@ def test_markovian_noise_to_signal():
 @pytest.mark.parametrize("c2", [math.nan, math.inf])
 def test_non_finite_heating_rate_is_rejected(c2):
     # A NaN rate used to read as no noise, so the evolver ran noiseless.
-    with pytest.raises(ValueError, match="c2 must be non-negative and finite"):
+    with pytest.raises(ValueError, match="c2 must be a finite number >= 0"):
         NoiseParams(c2=c2)
 
 
@@ -649,6 +649,11 @@ def test_validation_errors():
     (lambda: markovian_noise_to_signal(3, math.nan), "lam"),
     (lambda: markovian_noise_to_signal(3, math.inf), "lam"),
     (lambda: markovian_noise_to_signal(math.nan, 0.2), "r"),
+    # an integer takes no fraction and no number a bool: these four returned values
+    (lambda: markovian_noise_to_signal(2.5, 0.1), "r"),
+    (lambda: markovian_noise_to_signal(True, 0.1), "r"),
+    (lambda: AngleDistribution(True, 0.1), "phi_in"),
+    (lambda: angle_correlation(1.0, 1.0, True), "c2"),
 ])
 def test_noise_statistics_reject_bad_inputs_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must"):

@@ -195,7 +195,7 @@ def test_spectrum_input_validation():
 @pytest.mark.parametrize("gamma", [np.nan, np.inf])
 def test_spectrum_rejects_non_finite_gamma(gamma):
     series = ResponseSeries(np.linspace(0, 1, 5), np.ones(5))
-    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+    with pytest.raises(ValueError, match="gamma must be a finite number > 0"):
         spectrum(series, gamma=gamma, omega_grid=np.linspace(-1, 1, 5))
 
 

@@ -108,29 +108,34 @@ def test_invalid_arguments():
     ham = random_instance(2, seed=8)
     with pytest.raises(ValueError, match="r must be an integer >= 1"):
         build_trotter_circuit(ham, 1.0, 0)
-    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+    with pytest.raises(ValueError, match="t must be a finite number >= 0"):
         build_trotter_circuit(ham, -1.0, 2)
     with pytest.raises(ValueError):
         GateTiming(t_g=0.0)
+    # no number takes a bool: both ran as 1.0
+    with pytest.raises(ValueError, match="^t must be a finite number >= 0, not a bool; got True"):
+        build_trotter_circuit(ham, True, 2)
+    with pytest.raises(ValueError, match="^t_g must be a finite number > 0, not a bool; got True"):
+        GateTiming(t_g=True)
 
 
 @pytest.mark.parametrize("t_g", [math.nan, math.inf])
 def test_non_finite_gate_time_is_rejected(t_g):
     # Accepted, it would turn every noisy response into NaN.
-    with pytest.raises(ValueError, match="t_g must be positive and finite"):
+    with pytest.raises(ValueError, match="t_g must be a finite number > 0"):
         GateTiming(t_g=t_g)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_non_finite_time_is_rejected(t):
     # Accepted, NaN built a circuit of NaN angles.
-    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+    with pytest.raises(ValueError, match="t must be a finite number >= 0"):
         build_trotter_circuit(random_instance(2, seed=8), t, 2)
 
 
 def test_fidelity_at_a_nan_time_is_an_error():
     # It used to come back as NaN, silently: [1.0, nan].
-    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+    with pytest.raises(ValueError, match="t must be a finite number >= 0"):
         fidelity_trace(random_instance(2, seed=8), [0.0, math.nan], 2)
 
 
@@ -138,7 +143,7 @@ def test_fidelity_at_a_nan_time_is_an_error():
 @pytest.mark.parametrize("t", [math.inf, -1.0])
 def test_fidelity_at_a_bad_time_warns_nothing_before_the_error(t):
     # An infinite time printed two RuntimeWarnings from the exact target first.
-    with pytest.raises(ValueError, match="t must be non-negative and finite"):
+    with pytest.raises(ValueError, match="t must be a finite number >= 0"):
         fidelity_trace(random_instance(2, seed=8), [0.0, t], 2)
 
 
