@@ -649,13 +649,21 @@ def test_validation_errors():
     (lambda: markovian_noise_to_signal(3, math.nan), "lam"),
     (lambda: markovian_noise_to_signal(3, math.inf), "lam"),
     (lambda: markovian_noise_to_signal(math.nan, 0.2), "r"),
-    # an integer takes no fraction and no number a bool: these four returned values
+])
+def test_noise_statistics_reject_bad_inputs_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, name", [
     (lambda: markovian_noise_to_signal(2.5, 0.1), "r"),
     (lambda: markovian_noise_to_signal(True, 0.1), "r"),
     (lambda: AngleDistribution(True, 0.1), "phi_in"),
     (lambda: angle_correlation(1.0, 1.0, True), "c2"),
 ])
-def test_noise_statistics_reject_bad_inputs_by_name(call, name):
+def test_noise_statistics_reject_fractional_integers_and_bools_by_name(call, name):
+    # an integer takes no fraction and no number a bool: these four returned values
     with pytest.raises(ValueError, match=f"^{name} must"):
         call()
 
