@@ -10,7 +10,8 @@
 # whose scale overflows, one whose entries are JSON strings, one whose size
 # is 2.0 (an integer takes no fraction), a frequency
 # grid whose largest phase overflows, and a config naming the retired
-# `out_dir` are config errors (exit 2) that name the field. So is an
+# `out_dir` are config errors (exit 2) that name the field, and so is a
+# negative c2, whose message names `c2` once, not twice. So is an
 # inference jitter that throws the initial guess out of range, found once
 # the command runs: it names `perturb` and leaves no --out. A heating rate
 # that overflows inside the simulation exits 1 with one error line, no
@@ -74,6 +75,14 @@ ioncodesign depth-sweep --config "$tmp/huge.json" --out "$tmp/huge" \
 test "$code" -eq 2
 test ! -e "$tmp/huge"
 grep -q "'hamiltonian'" "$tmp/huge.err"
+echo '{"hamiltonian": {"n": 2, "J": [[0, 0.5], [0.5, 0]], "h": [1, -2]}, "c2": -1}' \
+  > "$tmp/negative-c2.json"
+code=0
+ioncodesign depth-sweep --config "$tmp/negative-c2.json" --out "$tmp/negative-c2" \
+  2> "$tmp/negative-c2.err" || code=$?
+test "$code" -eq 2
+test ! -e "$tmp/negative-c2"
+test "$(grep -o c2 "$tmp/negative-c2.err" | wc -l)" -eq 1
 echo '{"hamiltonian": {"n": 1, "J": [[0]], "h": [1]}, "out_dir": "elsewhere"}' \
   > "$tmp/outdir.json"
 code=0

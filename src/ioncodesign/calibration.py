@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import write_csv
-from .motional_noise import return_probability_slabs
+from .motional_noise import return_probability
 from .rules import check
 
 
@@ -58,12 +58,12 @@ def simulate_calibration(phi_grid, tau_grid, c2_true: float, shots: int,
     cos^2(phi/4) of that realized angle. c2_true, every tau and their
     products must be non-negative and finite, and every phi_in finite.
     """
-    check("shots", shots)
+    for name, value in (("c2_true", c2_true), ("shots", shots), ("seed", seed)):
+        check(name, value)
     phi_grid = np.asarray(phi_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    for name, value in (("c2_true", c2_true), ("tau_grid", tau_grid)):
-        if not np.all((value >= 0) & (value < np.inf)):
-            raise ValueError(f"{name} must be non-negative and finite")
+    if not np.all((tau_grid >= 0) & (tau_grid < np.inf)):
+        raise ValueError("tau_grid must be non-negative and finite")
     if not np.all(np.isfinite(phi_grid)):
         raise ValueError("phi_grid must be finite")
     with np.errstate(over="ignore"):
@@ -88,7 +88,7 @@ def _model_residuals(curve: CalibrationCurve, c2s) -> list[float]:
     may round differently.
     """
     lam = np.asarray(c2s, dtype=float)[:, None, None] * curve.tau
-    squares = (curve.p_return - return_probability_slabs(curve.phi_in[:, None], lam)) ** 2
+    squares = (curve.p_return - return_probability(curve.phi_in[:, None], lam)) ** 2
     return [float(np.sum(block)) for block in squares]
 
 

@@ -48,11 +48,12 @@ class ConfigError(ValueError):
 
 
 def check_setting(name: str, value) -> None:
-    """`rules.check` at the config boundary: its ValueError becomes a ConfigError."""
+    """`rules.check` at the config boundary: its ValueError becomes a ConfigError,
+    whose message names the field once."""
     try:
         check(name, value)
     except ValueError as exc:
-        raise ConfigError(name, str(exc)) from None
+        raise ConfigError(name, str(exc).removeprefix(f"{name} ")) from None
 
 
 @dataclass

@@ -184,13 +184,14 @@ def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
     """Independent 1F2 series stacked along axis 0 (slabs), summed in one array loop.
 
     The arguments broadcast; one without the leading axis, or with length
-    1 there, is shared by every slab. A slab stops at the first term where
-    all its entries have converged, as it would alone, so slab s is bit for
-    bit `hyp1f2(a[s], b1[s], b2[s], z[s])`: its totals are copied out then,
-    and the loop returns once every slab has stopped (a stopped slab is
-    still summed meanwhile, and its sums discarded). Entries past |z| = 150
-    are evaluated one by one in arbitrary precision, and sum z = 0 in the
-    series meanwhile, which converges at once and so moves no stop.
+    1 there, is shared by every slab, and 0-d arguments are one slab. A
+    slab stops at the first term where all its entries have converged, as
+    it would alone, so slab s is bit for bit `hyp1f2(a[s], b1[s], b2[s],
+    z[s])`: its totals are copied out then, and the loop returns once every
+    slab has stopped (a stopped slab is still summed meanwhile, and its
+    sums discarded). Entries past |z| = 150 are evaluated one by one in
+    arbitrary precision, and sum z = 0 in the series meanwhile, which
+    converges at once and so moves no stop.
 
     A slab's stopping test runs on one witness entry first: while it has
     not converged, neither have all entries. The witness starts at the
@@ -209,10 +210,10 @@ def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
         out[big] = [_hyp1f2_mpmath(*args) for args in zip(a[big], b1[big], b2[big], z[big])]
         return out
     a, b1, b2, z = (float(v) if np.ndim(v) == 0 else v for v in (a, b1, b2, z))
-    term, total = np.ones(shape), np.ones(shape)
-    flat_term, flat_total = term.reshape(shape[0], -1), total.reshape(shape[0], -1)
+    term, total, slabs = np.ones(shape), np.ones(shape), shape[0] if shape else 1
+    flat_out, flat_term, flat_total = (v.reshape(slabs, -1) for v in (out, term, total))
     witness = dict(enumerate(
-        np.abs(np.broadcast_to(z, shape)).reshape(shape[0], -1).argmax(axis=1).tolist()))
+        np.abs(np.broadcast_to(z, shape)).reshape(slabs, -1).argmax(axis=1).tolist()))
     for k in range(_MAX_SERIES_TERMS):
         term *= (a + k) / ((b1 + k) * (b2 + k))
         term *= z
@@ -222,7 +223,7 @@ def _hyp1f2_series(a, b1, b2, z) -> np.ndarray:
             if abs(flat_term.item(s, w)) < 1e-16 * max(abs(flat_total.item(s, w)), 1e-300):
                 size = np.maximum(np.abs(flat_total[s]), 1e-300)
                 if np.all(np.abs(flat_term[s]) < 1e-16 * size):
-                    out[s] = total[s]
+                    flat_out[s] = flat_total[s]
                     del witness[s]
                 else:
                     witness[s] = int(np.argmax(np.abs(flat_term[s]) / size))
@@ -256,22 +257,12 @@ def series_lambda(lam):
 def return_probability(phi_in, lam):
     """Average probability of returning to |down,down> after a noisy XX gate.
 
-    phi_in and lam broadcast; entries on the noiseless branch (see
-    `series_lambda`) return the noiseless cos^2(phi_in/4). The one-slab
-    case of `return_probability_slabs`.
-    """
-    phi_in, lam = (np.asarray(v, dtype=float)[None] for v in (phi_in, lam))
-    out = return_probability_slabs(phi_in, lam)[0]
-    return out if out.ndim else float(out)
-
-
-def return_probability_slabs(phi_in, lam) -> np.ndarray:
-    """`return_probability` of each slab along axis 0 of the broadcast (phi_in, lam).
-
-    An argument whose leading axis is 1, or which has fewer axes, is
-    shared by every slab. Slab s is bit for bit return_probability(phi_in[s],
-    lam[s]); the 1F2 series of all slabs are summed in one `_hyp1f2_series`
-    loop.
+    phi_in and lam broadcast, and each index along the first axis of their
+    broadcast shape is one `_hyp1f2_series` slab that stops on its own, so
+    slab s is bit for bit the call on phi_in[s:s+1] and lam[s:s+1] (an
+    argument whose leading axis is 1, or which has fewer axes, is shared by
+    every slab). 0-d arguments are one slab and give a float. Entries on the
+    noiseless branch (see `series_lambda`) return the noiseless cos^2(phi_in/4).
     """
     phi_in = np.asarray(phi_in, dtype=float)
     lam, noisy, half = series_lambda(lam)
@@ -283,7 +274,8 @@ def return_probability_slabs(phi_in, lam) -> np.ndarray:
             (phi_in**2 * lam / (8.0 + 16.0 * lam))
             * _hyp1f2_series(1.0 + half, 1.5, 2.0 + half, -(phi_in**2) / 16.0),
             0.0)
-    return base + correction
+    out = base + correction
+    return out if out.ndim else float(out)
 
 
 def markovian_noise_to_signal(r: int, lam: float) -> dict:

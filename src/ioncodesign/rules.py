@@ -24,10 +24,11 @@ RULES = {
     "shots": (int, 1, True), "n_phi": (int, 1, True), "n_lam": (int, 1, True),
     "iterations": (int, 0, True),
     # library calls only: Hamiltonian and register sizes, a circuit's duration t, an
-    # exact evolution's signed time, a desired gate angle and lambda = c2 * tau
+    # exact evolution's signed time, a desired gate angle, lambda = c2 * tau and the
+    # heating rate of synthetic calibration data
     "n": (int, 1, True), "n_qubits": (int, 1, True), "t": (float, 0.0, True),
     "time": (float, -math.inf, False), "phi_p": (float, -math.inf, False),
-    "lam": (float, 0.0, True),
+    "lam": (float, 0.0, True), "c2_true": (float, 0.0, True),
 }
 
 

@@ -49,7 +49,9 @@ def test_vectorized_residual_matches_loop():
 
 
 def _old_model_residual(curve, c2):
-    pred = return_probability(curve.phi_in[:, None], c2 * curve.tau[None, :])
+    # the whole (n_phi, n_tau) grid as one slab, as a 2-d call summed it before
+    # each slab stopped on its own
+    pred = return_probability(curve.phi_in[None, :, None], c2 * curve.tau[None, None, :])[0]
     return float(np.sum((curve.p_return - pred) ** 2))
 
 
@@ -231,6 +233,15 @@ def test_shots_must_be_a_positive_integer(shots):
         simulate_calibration([1.0], [0.0, 5.0], 0.02, shots)
     with pytest.raises(ValueError, match="^shots must be an integer >= 1, not a bool"):
         CalibrationCurve([1.0], [0.0, 5.0], [[1.0, 0.9]], shots=shots)
+
+
+@pytest.mark.parametrize("name,value", [("seed", True), ("seed", -1), ("seed", 2.5),
+                                        ("c2_true", True)])
+def test_simulate_calibration_scalars_follow_the_rule_table(name, value):
+    # True ran as c2 = 1 or seed 1, seed -1 failed inside NumPy and 2.5 in a TypeError
+    inputs = {"c2_true": 0.02, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        simulate_calibration([1.0], [0.0, 5.0], shots=100, **inputs)
 
 
 def test_negative_phi_in_is_accepted():

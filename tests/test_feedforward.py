@@ -549,12 +549,13 @@ def _noiseless_closed_form(query):
 
 def _assert_old_or_closed_form(query, got, old):
     """A noisy answer is the old solver's bit for bit; a noiseless one is the closed
-    form's, and the old solver's fidelity lies within 1e-15 of it."""
+    form's, whose fidelity is no worse than the old solver's but for 1e-15. (The old
+    solver refines only to REFINE_TOL, so it may fall further below the closed form.)"""
     if series_lambda(query.lam)[1]:
         assert got == old
     else:
         assert got == _noiseless_closed_form(query)
-        assert abs(got["fidelity_star"] - old["fidelity_star"]) <= 1e-15
+        assert got["fidelity_star"] >= old["fidelity_star"] - 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -657,6 +658,9 @@ def _old_optimal_input_angle(query, rows=None):
                         min_size=1, max_size=6),
        cap=st.sampled_from([4 * math.pi, 0.5, 1e-9]), shared=st.booleans(),
        rows_max=st.sampled_from([2, 64]))
+# the closed form reads 1.0, the old solver 1 - 1.1e-15
+@example(lams=[0.0], queries=[(6.388235774871799, 0)], cap=4 * math.pi, shared=False,
+         rows_max=64)
 def test_corners_are_the_old_solvers_bit_for_bit(lams, queries, cap, shared, rows_max):
     # queries interleave up to three lambdas, so the hot row switches back and
     # forth, and with SCAN_ROWS_MAX = 2 rows are evicted and rebuilt

@@ -138,6 +138,17 @@ def test_cli_non_finite_flag_exits_2(tmp_path, capsys):
     assert "'c2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,name", [("depth-sweep", "c2"), ("calibrate", "shots")])
+def test_cli_config_error_names_its_field_once(command, name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"hamiltonian": default_instance().to_dict(), "c2": -1}))
+    argv = ["--config", str(path)] if name == "c2" else ["--shots", "0"]
+    assert main([command, *argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(name) == 1, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_negative_seed_exits_2(tmp_path, capsys):
     code = main(["noise-stats", "--seed", "-1", "--out", str(tmp_path / "o")])
     assert code == 2

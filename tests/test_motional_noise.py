@@ -571,6 +571,46 @@ def test_return_probability_broadcasts_lambda():
         return_probability(1.0, float("nan"))
 
 
+LAMBDAS = st.one_of(st.sampled_from([0.0, 1e-310, 5e-324, 1e-300]), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(-60.0, 60.0), LAMBDAS), min_size=1, max_size=12),
+       width=st.integers(1, 4))
+def test_return_probability_slabs_are_separate_calls_bit_for_bit(points, width):
+    # |phi_in| past 49 puts |z| past 150, where the series hands over to mpmath
+    phi, lam = (np.array(v) for v in zip(*points))
+    stacked = return_probability(phi, lam)
+    assert [float(v) for v in stacked] == [return_probability(*point) for point in points]
+    rows = len(points) // width
+    phi2, lam2 = phi[:rows * width].reshape(rows, width), lam[:rows * width].reshape(rows, width)
+    stacked = return_probability(phi2, lam2[:, :1])
+    for s in range(rows):
+        assert stacked[s].tobytes() == return_probability(phi2[s:s + 1],
+                                                          lam2[s:s + 1, :1])[0].tobytes()
+
+
+def _one_slab_return_probability(phi_in, lam):
+    """The return probability through `hyp1f2`, one slab of (1,) arrays, as
+    return_probability summed a 0-d call before each slab stopped on its own."""
+    phi_in, lam = np.array([phi_in]), np.array([lam])
+    half = 0.5 / lam
+    series = hyp1f2(1.0 + half, 1.5, 2.0 + half, -(phi_in**2) / 16.0)
+    return float((np.cos(phi_in / 4.0) ** 2 + phi_in**2 * lam / (8.0 + 16.0 * lam) * series)[0])
+
+
+def test_return_probability_keeps_the_values_the_benchmark_checks():
+    # bench/checks.py reads return_probability on the calibrate workload's grid
+    for phi_in in np.linspace(0.5, 2.0 * np.pi, 8):
+        for lam in 0.02 * np.linspace(0.0, 60.0, 13):
+            got = return_probability(phi_in, lam)
+            assert type(got) is float
+            if lam == 0:
+                assert got == np.cos(phi_in / 4.0) ** 2
+            else:
+                assert got == _one_slab_return_probability(phi_in, lam)
+
+
 @settings(max_examples=60, deadline=None)
 @given(phi_in=st.floats(-4 * np.pi, 4 * np.pi), lam=st.floats(0.0, 10.0))
 def test_return_probability_is_a_probability(phi_in, lam):
