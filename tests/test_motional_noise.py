@@ -577,7 +577,7 @@ LAMBDAS = st.one_of(st.sampled_from([0.0, 1e-310, 5e-324, 1e-300]), st.floats(0.
 @settings(max_examples=60, deadline=None)
 @given(points=st.lists(st.tuples(st.floats(-60.0, 60.0), LAMBDAS), min_size=1, max_size=12),
        width=st.integers(1, 4))
-def test_return_probability_slabs_are_separate_calls_bit_for_bit(points, width):
+def test_stacked_return_probability_is_separate_calls_bit_for_bit(points, width):
     # |phi_in| past 49 puts |z| past 150, where the series hands over to mpmath
     phi, lam = (np.array(v) for v in zip(*points))
     stacked = return_probability(phi, lam)
@@ -591,8 +591,8 @@ def test_return_probability_slabs_are_separate_calls_bit_for_bit(points, width):
 
 
 def _one_slab_return_probability(phi_in, lam):
-    """The return probability through `hyp1f2`, one slab of (1,) arrays, as
-    return_probability summed a 0-d call before each slab stopped on its own."""
+    """The return probability through the one-slab `hyp1f2` on (1,) arrays: the
+    operations a 0-d call ran before the stacked contract."""
     phi_in, lam = np.array([phi_in]), np.array([lam])
     half = 0.5 / lam
     series = hyp1f2(1.0 + half, 1.5, 2.0 + half, -(phi_in**2) / 16.0)
